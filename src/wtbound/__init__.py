@@ -15,9 +15,7 @@ from .errors import (
     DanglingEndpoint,
     EmptyTargetSet,
     InstanceTooLarge,
-    MalformedFlow,
     NoPrimaryFound,
-    NotMaximumFlow,
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
@@ -29,14 +27,11 @@ from .errors import (
 )
 from .graph import (
     Network,
-    TransformedNetwork,
     build_network,
     edge_precedes,
-    identity_transform,
-    split_and_sink,
     topological_order,
 )
-from .flow import Flow, PathSet, base_path, decompose_paths, max_flow, residual_source_set
+from .flow import max_flow
 from .cuts import (
     Cut,
     cut_leq,
@@ -92,34 +87,27 @@ __all__ = [
     "DanglingEndpoint",
     "EmptyTargetSet",
     "EquivalenceClass",
-    "Flow",
     "HasseDiagram",
     "InstanceTooLarge",
     "LabelTable",
-    "MalformedFlow",
     "MinCutFamily",
     "Network",
     "NoPrimaryFound",
-    "NotMaximumFlow",
     "OracleBounds",
     "ParameterOutOfRange",
     "ParseError",
-    "PathSet",
     "SourceHasIncomingEdges",
     "TargetMismatch",
-    "TransformedNetwork",
     "UnknownEdge",
     "UnknownEdgeLabel",
     "UnreachableTarget",
     "WiretapCollection",
     "WtbError",
-    "base_path",
     "build_network",
     "class_hasse",
     "compute_bound",
     "cross_check",
     "cut_leq",
-    "decompose_paths",
     "dominates",
     "edge_precedes",
     "enumerate_min_cuts",
@@ -127,7 +115,6 @@ __all__ = [
     "export_hasse_dot",
     "gen_combination",
     "gen_r_wiretap",
-    "identity_transform",
     "max_flow",
     "mincut_capacity",
     "minord_merge",
@@ -141,11 +128,9 @@ __all__ = [
     "reachable_after_delete",
     "reachable_nodes",
     "regularize",
-    "residual_source_set",
     "separates",
     "serialize_collection",
     "serialize_network",
-    "split_and_sink",
     "strict_order_pairs",
     "topological_order",
 ]

@@ -75,9 +75,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ("edges", len(net.edges)),
     ]
     if args.regularize:
-        cuts = [wiretap.regularize(net, s).edges for s in coll.sets]
         before = len(coll.sets)
-        coll, _ = wiretap.preprocess(net, cuts, describe=labels.format_set)
+        coll, _ = wiretap.preprocess(net, coll.cuts, describe=labels.format_set)
         human.append(
             f"regularized: {before} sets replaced by {len(coll.sets)} distinct minimum cuts"
         )
@@ -85,7 +84,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     human.append(f"collection: {len(coll.sets)} sets")
     machine += [("sets", len(coll.sets)), ("mode", args.mode)]
 
-    result = wiretap.compute_bound(net, coll, mode=args.mode, select=args.select)
+    result = wiretap.compute_bound(net, coll, mode=args.mode)
     if result.n_classes is not None:
         human.append(f"equivalence classes (N): {result.n_classes}")
         machine.append(("n", result.n_classes))
@@ -264,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--regularize",
         action="store_true",
         help="replace every set by its primary minimum cut first",
-    )
-    p.add_argument(
-        "--select",
-        choices=("cardinality", "mincut"),
-        default="cardinality",
-        help="per-round choice key of the pruning loop",
     )
     p.add_argument("--report", help="also write the report to this file")
     p.set_defaults(func=_cmd_bound)

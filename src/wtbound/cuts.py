@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TargetMismatch, UnreachableTarget
-from .flow import Flow, base_path, decompose_paths, max_flow, residual_source_set
-from .graph import EdgeId, Network, NodeId, TransformedNetwork, split_and_sink
+from .flow import max_flow
+from .graph import EdgeId, Network, NodeId
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,7 @@ def mincut_capacity(net: Network, target: Iterable[EdgeId]) -> int:
     Zero when no target edge is reachable. Raises EmptyTargetSet on an empty
     target and UnknownEdge on a bad id.
     """
-    tnet = split_and_sink(net, target)
-    return max_flow(tnet).value
-
-
-def _source_side_cut(tnet: TransformedNetwork, flow: Flow) -> frozenset[EdgeId]:
-    """Base edges crossing out of the residual source set of a maximum flow."""
-    side = residual_source_set(tnet, flow)
-    crossing: set[EdgeId] = set()
-    for k, (t, h) in enumerate(tnet.edges):
-        if t in side and h not in side:
-            orig = tnet.back_map[k]
-            # a super-sink edge cannot cross: its tail reachable would mean
-            # the sink is reachable, contradicting maximality
-            assert orig is not None
-            crossing.add(orig)
-    assert len(crossing) == flow.value
-    return frozenset(crossing)
+    return max_flow(net, target).value
 
 
 def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
@@ -105,13 +89,11 @@ def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     Raises UnreachableTarget when no target edge is reachable (capacity 0),
     EmptyTargetSet on an empty target, UnknownEdge on a bad id.
     """
-    tnet = split_and_sink(net, target)
-    flow = max_flow(tnet)
+    tset = frozenset(target)
+    flow = max_flow(net, tset)
     if flow.value == 0:
-        raise UnreachableTarget(
-            f"no edge of {sorted(tnet.target)} is reachable from the source"
-        )
-    return Cut(target=tnet.target, edges=_source_side_cut(tnet, flow))
+        raise UnreachableTarget(f"no edge of {sorted(tset)} is reachable from the source")
+    return Cut(target=tset, edges=flow.cut)
 
 
 def cut_leq(net: Network, c1: Cut, c2: Cut) -> bool:
@@ -141,17 +123,25 @@ def minord_merge(net: Network, c1: Cut, c2: Cut) -> Cut:
         raise TargetMismatch(
             f"cut targets differ: {sorted(c1.target)} vs {sorted(c2.target)}"
         )
-    tnet = split_and_sink(net, c1.target)
-    flow = max_flow(tnet)
+    flow = max_flow(net, c1.target)
     for c in (c1, c2):
         if len(c.edges) != flow.value:
             raise ValueError(
                 f"cut {sorted(c.edges)} has capacity {len(c.edges)}, "
                 f"minimum is {flow.value}"
             )
+    # split the flow into unit paths, each following the lowest-id edge that
+    # still carries flow until it leaves the network through a target edge
+    rem = bytearray(flow.values)
     merged: set[EdgeId] = set()
-    for aug in decompose_paths(tnet, flow).paths:
-        path = base_path(tnet, aug)
+    for _ in range(flow.value):
+        path: list[EdgeId] = []
+        v = net.source
+        while not path or path[-1] not in c1.target:
+            e = next(e for e in net.out_edges[v] if rem[e])
+            rem[e] = 0
+            path.append(e)
+            v = net.head(e)
         hits1 = [i for i, e in enumerate(path) if e in c1.edges]
         hits2 = [i for i, e in enumerate(path) if e in c2.edges]
         if len(hits1) != 1 or len(hits2) != 1:
@@ -161,5 +151,4 @@ def minord_merge(net: Network, c1: Cut, c2: Cut) -> Cut:
                 "exactly once; not a minimum cut of this target"
             )
         merged.add(path[min(hits1[0], hits2[0])])
-    assert len(merged) == flow.value
     return Cut(target=c1.target, edges=frozenset(merged))

@@ -33,14 +33,6 @@ class EmptyTargetSet(WtbError):
     """A target edge set must be nonempty."""
 
 
-class MalformedFlow(WtbError):
-    """A flow violates capacity or conservation constraints."""
-
-
-class NotMaximumFlow(WtbError):
-    """An operation that requires a maximum flow was given a non-maximum one."""
-
-
 class TargetMismatch(WtbError):
     """Two cuts being compared or merged separate different target sets."""
 
@@ -70,7 +62,7 @@ class UnknownEdgeLabel(WtbError):
 
 
 class ParameterOutOfRange(WtbError):
-    """A generator parameter violates its documented range."""
+    """A generator parameter or a setting violates its documented range."""
 
 
 class CollectionTooLarge(WtbError):

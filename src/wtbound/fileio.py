@@ -84,7 +84,7 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
     edge_specs: list[tuple[int, str, str]] = []  # lineno, tail label, head label
     source_label: str | None = None
     source_line = 0
-    sink_labels: list[str] = []
+    sink_lines: dict[str, int] = {}  # sink label -> line number
     explicit_nodes = False
 
     for lineno, tokens in _content_lines(text):
@@ -115,9 +115,9 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
         elif directive == "sink":
             if len(args) != 1:
                 raise ParseError(f"line {lineno}: sink takes one label")
-            if args[0] in sink_labels:
+            if args[0] in sink_lines:
                 raise ParseError(f"line {lineno}: duplicate sink {args[0]!r}")
-            sink_labels.append(args[0])
+            sink_lines[args[0]] = lineno
         else:
             raise ParseError(f"line {lineno}: unknown directive {directive!r}")
 
@@ -138,7 +138,7 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
     if source_label is None:
         raise ParseError("no source line")
     source = resolve(source_label, source_line, create=False)
-    sinks = tuple(resolve(lab, 0, create=False) for lab in sink_labels)
+    sinks = tuple(resolve(lab, lineno, create=False) for lab, lineno in sink_lines.items())
 
     net = build_network(edges, source, sinks, num_nodes=len(node_labels))
     return net, LabelTable(node_labels=tuple(node_labels), edge_labels=tuple(edge_labels))

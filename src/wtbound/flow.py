@@ -1,203 +1,102 @@
-"""Integer maximum flow, path decomposition, and residual reachability.
+"""Unit-capacity maximum flow from the source to an edge set, and its primary cut.
 
-Everything here works on a TransformedNetwork and stays in integers: with
-unit capacities on real edges a maximum flow exists with 0/1 values, and the
-augmenting-path method preserves integrality. Flow values of the two halves
-of a split edge always agree because the virtual node between them has no
-other incident edges.
+The flow runs on the base network's own adjacency. Each target edge (u, v)
+acts as an arc from u straight to an implicit sink: a unit that crosses it
+leaves the network there, so no graph is rebuilt per query. Every capacity is
+one, so flow values are 0/1 and live in a bytearray indexed by edge id.
+
+Augmenting paths are found by breadth-first search (Even & Tarjan 1975). The
+search that finally fails reaches exactly the residual source side of the
+flow; the edges leaving it form the primary minimum cut, the least element
+of the min-cut lattice (Picard & Queyranne 1980), whichever maximum flow was
+found.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
-from .errors import MalformedFlow, NotMaximumFlow
-from .graph import EdgeId, NodeId, TransformedNetwork
+from .errors import EmptyTargetSet
+from .graph import EdgeId, Network, NodeId
 
 
-@dataclass(frozen=True)
-class Flow:
-    """A feasible integer flow on a transformed network.
+class MaxFlow(NamedTuple):
+    """A maximum flow from the source to a target edge set.
 
-    `values[k]` is the flow on augmented edge k, `value` the amount shipped
-    from the source to `target`.
+    `values[e]` is 1 when a unit crosses base edge e (for a target edge:
+    leaves the network through it); `value` is the number of units. `side`
+    holds the nodes the source reaches in the residual graph and `cut` the
+    edges leaving that side, the primary minimum cut (empty when no target
+    edge is reachable).
     """
 
-    target: NodeId
-    values: tuple[int, ...]
     value: int
+    values: bytearray
+    side: frozenset[NodeId]
+    cut: frozenset[EdgeId]
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """Edge-disjoint augmenting paths carrying one unit each.
+def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
+    """Maximum flow from the source to the edge set `target`.
 
-    Paths are tuples of augmented edge ids from source to target; their count
-    equals the flow value they decompose.
+    Each search scans, per node, the out-edges and then the in-edges in
+    ascending id order, so the flow found is deterministic. Raises
+    EmptyTargetSet on an empty target and UnknownEdge on a bad id.
     """
-
-    target: NodeId
-    paths: tuple[tuple[EdgeId, ...], ...]
-
-
-def max_flow(tnet: TransformedNetwork, target: NodeId | None = None) -> Flow:
-    """Maximum s-target flow by shortest augmenting paths.
-
-    `target` defaults to the super-sink. Breadth-first search explores, for
-    each node, forward residual arcs in ascending edge-id order and then
-    backward residual arcs likewise, so the computed flow is deterministic
-    for a given network.
-    """
-    if target is None:
-        target = tnet.sink
-    if target is None:
-        raise ValueError("identity transform has no implicit sink; pass a target node")
-    caps = tnet.capacities
-    flow = [0] * len(tnet.edges)
-    source = tnet.source
-    total = 0
-    if target == source:
-        return Flow(target=target, values=tuple(flow), value=0)
-
+    tset = frozenset(target)
+    if not tset:
+        raise EmptyTargetSet("target edge set is empty")
+    is_target = bytearray(len(net.edges))
+    for e in tset:
+        net.check_edge(e)
+        is_target[e] = 1
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    source = net.source
+    flow = bytearray(len(edges))
+    value = 0
     while True:
-        # parent[v] = (edge id, arrived forward?) on the BFS tree
-        parent: dict[NodeId, tuple[EdgeId, bool]] = {source: (-1, True)}
-        queue = deque([source])
-        while queue and target not in parent:
-            u = queue.popleft()
-            for k in tnet.out_edges[u]:
-                v = tnet.edges[k][1]
-                if v not in parent and flow[k] < caps[k]:
-                    parent[v] = (k, True)
-                    queue.append(v)
-            for k in tnet.in_edges[u]:
-                v = tnet.edges[k][0]
-                if v not in parent and flow[k] > 0:
-                    parent[v] = (k, False)
-                    queue.append(v)
-        if target not in parent:
-            break
-
-        # walk the tree back to find the bottleneck, then augment
-        bottleneck = None
-        v = target
-        while v != source:
-            k, fwd = parent[v]
-            slack = caps[k] - flow[k] if fwd else flow[k]
-            if bottleneck is None or slack < bottleneck:
-                bottleneck = slack
-            v = tnet.edges[k][0] if fwd else tnet.edges[k][1]
-        v = target
-        while v != source:
-            k, fwd = parent[v]
-            if fwd:
-                flow[k] += bottleneck
-                v = tnet.edges[k][0]
-            else:
-                flow[k] -= bottleneck
-                v = tnet.edges[k][1]
-        total += bottleneck
-
-    return Flow(target=target, values=tuple(flow), value=total)
-
-
-def _check_feasible(tnet: TransformedNetwork, flow: Flow) -> None:
-    if len(flow.values) != len(tnet.edges):
-        raise MalformedFlow(
-            f"flow has {len(flow.values)} edge values, network has {len(tnet.edges)} edges"
-        )
-    for k, f in enumerate(flow.values):
-        if not 0 <= f <= tnet.capacities[k]:
-            raise MalformedFlow(f"edge {k} carries {f}, capacity {tnet.capacities[k]}")
-    balance = [0] * tnet.num_nodes
-    for k, (t, h) in enumerate(tnet.edges):
-        balance[t] -= flow.values[k]
-        balance[h] += flow.values[k]
-    for v in range(tnet.num_nodes):
-        if v == tnet.source or v == flow.target:
-            continue
-        if balance[v] != 0:
-            raise MalformedFlow(f"node {v} violates conservation by {balance[v]}")
-    if balance[flow.target] != flow.value or balance[tnet.source] != -flow.value:
-        raise MalformedFlow(
-            f"declared value {flow.value} does not match net divergence "
-            f"{balance[flow.target]}"
-        )
-
-
-def decompose_paths(tnet: TransformedNetwork, flow: Flow) -> PathSet:
-    """Split a feasible flow into `flow.value` edge-disjoint unit paths.
-
-    Raises MalformedFlow when the flow violates capacities, conservation, or
-    its own declared value. Each path greedily follows the lowest-id edge
-    that still carries unconsumed flow, which on a DAG always reaches the
-    target.
-    """
-    _check_feasible(tnet, flow)
-    rem = list(flow.values)
-    paths: list[tuple[EdgeId, ...]] = []
-    for _ in range(flow.value):
-        v = tnet.source
-        path: list[EdgeId] = []
-        while v != flow.target:
-            for k in tnet.out_edges[v]:
-                if rem[k] > 0:
-                    rem[k] -= 1
-                    path.append(k)
-                    v = tnet.edges[k][1]
+        # pred[v] = the edge the search reached v through, forward or backward
+        pred = {source: -1}
+        queue = [source]
+        exit_edge = -1
+        for u in queue:
+            for e in out_edges[u]:
+                if flow[e]:
+                    continue
+                if is_target[e]:
+                    exit_edge = e
                     break
+                v = edges[e][1]
+                if v not in pred:
+                    pred[v] = e
+                    queue.append(v)
+            if exit_edge >= 0:
+                break
+            for e in in_edges[u]:
+                if flow[e] and not is_target[e]:
+                    v = edges[e][0]
+                    if v not in pred:
+                        pred[v] = e
+                        queue.append(v)
+        if exit_edge < 0:
+            break
+        flow[exit_edge] = 1
+        v = edges[exit_edge][0]
+        while v != source:
+            e = pred[v]
+            tail, head = edges[e]
+            if head == v:
+                flow[e] = 1
+                v = tail
             else:
-                raise MalformedFlow(f"flow strands a unit at node {v}")
-        paths.append(tuple(path))
-    return PathSet(target=flow.target, paths=tuple(paths))
+                flow[e] = 0
+                v = head
+        value += 1
 
-
-def residual_source_set(tnet: TransformedNetwork, flow: Flow) -> frozenset[NodeId]:
-    """Nodes reachable from the source in the residual graph of `flow`.
-
-    A node enters the set when some path of unsaturated forward edges and
-    positive backward edges reaches it. For a maximum flow this is the source
-    side of the unique edge-minimal minimum cut. Raises NotMaximumFlow when
-    the target itself is reachable, i.e. an augmenting path remains.
-    """
-    if len(flow.values) != len(tnet.edges):
-        raise MalformedFlow(
-            f"flow has {len(flow.values)} edge values, network has {len(tnet.edges)} edges"
-        )
-    seen = {tnet.source}
-    queue = deque([tnet.source])
-    while queue:
-        u = queue.popleft()
-        fresh = []
-        for k in tnet.out_edges[u]:
-            v = tnet.edges[k][1]
-            if v not in seen and flow.values[k] < tnet.capacities[k]:
-                fresh.append(v)
-        for k in tnet.in_edges[u]:
-            v = tnet.edges[k][0]
-            if v not in seen and flow.values[k] > 0:
-                fresh.append(v)
-        for v in sorted(set(fresh)):
-            seen.add(v)
-            queue.append(v)
-    if flow.target in seen:
-        raise NotMaximumFlow("an augmenting path remains; the flow is not maximum")
-    return frozenset(seen)
-
-
-def base_path(tnet: TransformedNetwork, path: tuple[EdgeId, ...]) -> tuple[EdgeId, ...]:
-    """Map an augmented path back to base edge ids.
-
-    Super-sink edges vanish and the two halves of a split edge collapse into
-    one occurrence of the original edge.
-    """
-    out: list[EdgeId] = []
-    for k in path:
-        orig = tnet.back_map[k]
-        if orig is None:
-            continue
-        if out and out[-1] == orig:
-            continue
-        out.append(orig)
-    return tuple(out)
+    cut = frozenset(
+        e
+        for u in pred
+        for e in out_edges[u]
+        if is_target[e] or edges[e][1] not in pred
+    )
+    return MaxFlow(value=value, values=flow, side=frozenset(pred), cut=cut)

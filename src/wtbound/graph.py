@@ -1,15 +1,8 @@
-"""Acyclic directed multigraphs with unit capacities, and the splitting transform.
+"""Acyclic directed multigraphs with unit capacities.
 
 A network here is a finite DAG with one distinguished source, an optional set
 of sink nodes, and unit capacity on every edge. Parallel edges are allowed;
 edges are identified by their integer id, not by their endpoints.
-
-Cuts between the source and an arbitrary *edge set* A are reduced to ordinary
-node-to-node cuts by `split_and_sink`: every edge e in A is split in two
-through a fresh virtual node, and all virtual nodes are wired to a fresh
-super-sink with effectively infinite capacity. A set of base edges then
-separates the source from A exactly when it separates the source from the
-super-sink, and minimum cuts correspond one to one.
 """
 
 from __future__ import annotations
@@ -19,13 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    CyclicGraph,
-    DanglingEndpoint,
-    EmptyTargetSet,
-    SourceHasIncomingEdges,
-    UnknownEdge,
-)
+from .errors import CyclicGraph, DanglingEndpoint, SourceHasIncomingEdges, UnknownEdge
 
 NodeId = int
 EdgeId = int
@@ -157,109 +144,3 @@ def edge_precedes(net: Network, d: EdgeId, e: EdgeId) -> bool:
     if d == e:
         return True
     return bool(net._descendants[net.head(d)] >> net.tail(e) & 1)
-
-
-@dataclass(frozen=True)
-class TransformedNetwork:
-    """A network rewritten so an edge-set target becomes a single sink node.
-
-    `edges` and `capacities` describe the augmented graph; `back_map[k]` gives
-    the base edge that augmented edge k came from, or None for the super-sink
-    wiring. Both halves of a split edge map back to the same base id.
-    `sink` is the super-sink node, or None for the identity transform (whose
-    flows target an ordinary node instead).
-    """
-
-    base: Network
-    target: frozenset[EdgeId]
-    num_nodes: int
-    edges: tuple[tuple[NodeId, NodeId], ...]
-    capacities: tuple[int, ...]
-    source: NodeId
-    sink: Optional[NodeId]
-    back_map: tuple[Optional[EdgeId], ...]
-    split_nodes: tuple[tuple[EdgeId, NodeId], ...]
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[EdgeId, ...], ...]:
-        adj: list[list[EdgeId]] = [[] for _ in range(self.num_nodes)]
-        for k, (t, _) in enumerate(self.edges):
-            adj[t].append(k)
-        return tuple(tuple(lst) for lst in adj)
-
-    @cached_property
-    def in_edges(self) -> tuple[tuple[EdgeId, ...], ...]:
-        adj: list[list[EdgeId]] = [[] for _ in range(self.num_nodes)]
-        for k, (_, h) in enumerate(self.edges):
-            adj[h].append(k)
-        return tuple(tuple(lst) for lst in adj)
-
-
-def split_and_sink(net: Network, target: Iterable[EdgeId]) -> TransformedNetwork:
-    """Split every target edge through a virtual node and attach a super-sink.
-
-    Each target edge e = (u, v) becomes u -> t_e -> v (two unit-capacity
-    halves sharing e's back_map entry), and every virtual node t_e gains an
-    edge to the super-sink with capacity len(net.edges) + 1, which no set of
-    unit edges can saturate. Raises EmptyTargetSet on an empty target and
-    UnknownEdge on an out-of-range id.
-    """
-    tset = frozenset(target)
-    if not tset:
-        raise EmptyTargetSet("target edge set is empty")
-    for e in tset:
-        net.check_edge(e)
-
-    inf_cap = len(net.edges) + 1
-    split_order = sorted(tset)
-    split_node = {e: net.num_nodes + i for i, e in enumerate(split_order)}
-    sink = net.num_nodes + len(split_order)
-
-    edges: list[tuple[NodeId, NodeId]] = []
-    caps: list[int] = []
-    back: list[Optional[EdgeId]] = []
-    for e, (t, h) in enumerate(net.edges):
-        if e in tset:
-            mid = split_node[e]
-            edges.append((t, mid))
-            caps.append(1)
-            back.append(e)
-            edges.append((mid, h))
-            caps.append(1)
-            back.append(e)
-        else:
-            edges.append((t, h))
-            caps.append(1)
-            back.append(e)
-    for e in split_order:
-        edges.append((split_node[e], sink))
-        caps.append(inf_cap)
-        back.append(None)
-
-    return TransformedNetwork(
-        base=net,
-        target=tset,
-        num_nodes=sink + 1,
-        edges=tuple(edges),
-        capacities=tuple(caps),
-        source=net.source,
-        sink=sink,
-        back_map=tuple(back),
-        split_nodes=tuple((e, split_node[e]) for e in split_order),
-    )
-
-
-def identity_transform(net: Network) -> TransformedNetwork:
-    """Wrap a network unchanged, for flows whose target is an ordinary node."""
-    n_edges = len(net.edges)
-    return TransformedNetwork(
-        base=net,
-        target=frozenset(),
-        num_nodes=net.num_nodes,
-        edges=net.edges,
-        capacities=(1,) * n_edges,
-        source=net.source,
-        sink=None,
-        back_map=tuple(range(n_edges)),
-        split_nodes=(),
-    )

@@ -24,6 +24,7 @@ from .errors import (
     EmptyTargetSet,
     InstanceTooLarge,
     NoPrimaryFound,
+    ParameterOutOfRange,
     UnreachableTarget,
 )
 from .graph import EdgeId, Network
@@ -33,9 +34,16 @@ ENV_EDGE_LIMIT = "WTB_MAX_ORACLE_EDGES"
 
 
 def edge_limit() -> int:
-    """Per-target cap on the enumeration universe, overridable via env."""
+    """Per-target cap on the enumeration universe, overridable via env.
+
+    Raises ParameterOutOfRange unless a set override is a positive integer.
+    """
     raw = os.environ.get(ENV_EDGE_LIMIT)
-    return int(raw) if raw else DEFAULT_EDGE_LIMIT
+    if not raw:
+        return DEFAULT_EDGE_LIMIT
+    if not (raw.isdigit() and int(raw) > 0):
+        raise ParameterOutOfRange(f"${ENV_EDGE_LIMIT} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -215,11 +223,14 @@ class CheckResult(NamedTuple):
 def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
-    Returns one record per check; `ok` False means the two implementations
-    disagree, which is always a bug in one of them.
+    The fast side is what the flow pass stored on the collection (capacity
+    and primary cut per set) and the class table derived from it. Returns one
+    record per check; `ok` False means the two implementations disagree,
+    which is always a bug in one of them. The domination record also fails
+    when the fast relation is not a strict partial order, and the n_max
+    record when n_max <= n <= len(sets) does not hold.
     """
     from . import wiretap
-    from .cuts import mincut_capacity, primary_min_cut
 
     results: list[CheckResult] = []
 
@@ -228,14 +239,14 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
 
     families = [enumerate_min_cuts(net, s) for s in coll.sets]
     for i, s in enumerate(coll.sets):
-        fast = mincut_capacity(net, s)
+        fast = coll.mincuts[i]
         slow = families[i].capacity
         record(
             f"mincut[{i}]",
             fast == slow,
             f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
-        fast_cut = primary_min_cut(net, s).edges
+        fast_cut = coll.cuts[i]
         slow_cut = oracle_primary_min_cut(net, s).edges
         record(
             f"primary[{i}]",
@@ -252,20 +263,28 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         f"fast {fast_partition}, oracle {ob.classes}",
     )
 
-    fast_order: set[tuple[int, int]] = set()
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if i != j and wiretap.dominates(net, ci.representative, cj.representative):
-                fast_order.add((i, j))
+    diagram = wiretap.class_hasse(net, classes)
+    fast_order = wiretap.strict_order_pairs(diagram)
+    above = diagram.above  # bit j of above[i]: class j dominates class i
+    strict = all(not row >> i & 1 for i, row in enumerate(above)) and all(
+        not above[j] >> i & 1 and not above[j] & ~above[i] for i, j in fast_order
+    )
     record(
         "domination",
-        frozenset(fast_order) == ob.order,
-        f"fast {sorted(fast_order)}, oracle {sorted(ob.order)}",
+        fast_order == ob.order and strict,
+        f"fast {sorted(fast_order)}, oracle {sorted(ob.order)}"
+        + ("" if strict else "; fast relation is not a strict partial order"),
     )
 
     report = wiretap.compute_bound(net, coll, mode="both")
     record("n", report.n_classes == ob.n, f"fast {report.n_classes}, oracle {ob.n}")
-    record("n_max", report.n_max == ob.n_max, f"fast {report.n_max}, oracle {ob.n_max}")
+    ordered = report.n_max <= report.n_classes <= len(coll.sets)
+    record(
+        "n_max",
+        report.n_max == ob.n_max and ordered,
+        f"fast {report.n_max}, oracle {ob.n_max}"
+        + ("" if ordered else f"; n_max <= n <= {len(coll.sets)} sets fails"),
+    )
 
     oracle_b = {
         oracle_primary_min_cut(net, coll.sets[ob.classes[i][0]]).edges

@@ -7,15 +7,21 @@ the dominator that also covers the dominated). Security codes only need to
 treat one class per maximal element of that poset, which is where the
 improved alphabet-size bound comes from: the count N_max of maximal classes,
 always at most the class count N, which is at most the collection size.
+
+One maximum flow per distinct set (in `preprocess`) yields its capacity and
+primary cut. Everything after that is set algebra over the stored cuts: sets
+with the same primary cut form a class, and class j dominates class i when
+j has the larger capacity and deleting j's primary cut severs i's
+representative.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cuts import Cut, mincut_capacity, primary_min_cut, reachable_nodes
+from .flow import max_flow
 from .graph import EdgeId, Network
 
 SetFormatter = Callable[[frozenset[EdgeId]], str]
@@ -29,12 +35,15 @@ def _default_format(edges: frozenset[EdgeId]) -> str:
 class WiretapCollection:
     """Deduplicated wiretap sets with cached cut data, in input order.
 
-    `mincuts[i]` is the minimum cut capacity of `sets[i]`; `regular[i]` says
-    whether the set's size equals that capacity. Build via `preprocess`.
+    `mincuts[i]` is the minimum cut capacity of `sets[i]` and `cuts[i]` its
+    primary minimum cut (sets with equal cuts share one frozenset);
+    `regular[i]` says whether the set's size equals its capacity. Build via
+    `preprocess`.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
     mincuts: tuple[int, ...]
+    cuts: tuple[frozenset[EdgeId], ...]
     regular: tuple[bool, ...]
 
     def __len__(self) -> int:
@@ -61,12 +70,15 @@ class HasseDiagram:
     """The domination order on classes, reduced to covering pairs.
 
     A pair (i, j) in `covering` means class j dominates class i with nothing
-    in between. `maximal` lists the indices dominated by no class.
+    in between. `maximal` lists the indices dominated by no class. `above[i]`
+    is the full relation as a bitmask: bit j is set when class j dominates
+    class i.
     """
 
     classes: tuple[EquivalenceClass, ...]
     covering: tuple[tuple[int, int], ...]
     maximal: tuple[int, ...]
+    above: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -74,8 +86,9 @@ class BoundReport:
     """Outcome of `compute_bound`.
 
     `n_classes` / `n_max` are None when the mode skipped them. `cuts` holds
-    the accumulated primary cuts of the strongest pass that ran: the maximal
-    class cuts in modes "nmax" and "both", one cut per class in mode "n".
+    the primary cuts of the maximal classes in modes "nmax" and "both", one
+    cut per class in mode "n"; each cut's target is the class member the
+    paper's pruning loop would pick, and the cuts come in that pick order.
     `recommended_alphabet` is the smallest size satisfying both this bound
     (strictly more symbols than maximal classes) and the decodability needs
     of `sinks_considered` sink nodes.
@@ -94,15 +107,18 @@ def preprocess(
     raw_sets: Iterable[Iterable[EdgeId]],
     describe: SetFormatter = _default_format,
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
-    """Deduplicate and drop degenerate sets, caching capacities.
+    """Deduplicate and drop degenerate sets, caching capacities and cuts.
 
-    Duplicates keep their first occurrence; empty sets and sets none of whose
-    edges is reachable from the source (minimum cut capacity 0) are dropped.
-    Each drop produces a warning line. Raises UnknownEdge on bad ids.
+    Runs one maximum flow per distinct set. Duplicates keep their first
+    occurrence; empty sets and sets none of whose edges is reachable from the
+    source (minimum cut capacity 0) are dropped. Each drop produces a warning
+    line. Raises UnknownEdge on bad ids.
     """
     warnings: list[str] = []
     kept: list[frozenset[EdgeId]] = []
     caps: list[int] = []
+    cuts: list[frozenset[EdgeId]] = []
+    shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
     for raw in raw_sets:
         s = frozenset(raw)
@@ -113,15 +129,17 @@ def preprocess(
             warnings.append(f"duplicate set {describe(s)} dropped")
             continue
         seen.add(s)
-        cap = mincut_capacity(net, s)
-        if cap == 0:
+        flow = max_flow(net, s)
+        if flow.value == 0:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
         kept.append(s)
-        caps.append(cap)
+        caps.append(flow.value)
+        cuts.append(shared.setdefault(flow.cut, flow.cut))
     coll = WiretapCollection(
         sets=tuple(kept),
         mincuts=tuple(caps),
+        cuts=tuple(cuts),
         regular=tuple(len(s) == c for s, c in zip(kept, caps)),
     )
     return coll, tuple(warnings)
@@ -166,93 +184,70 @@ def dominates(net: Network, a1: Iterable[EdgeId], a2: Iterable[EdgeId]) -> bool:
 def partition_classes(net: Network, coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
     """Group the collection into equivalence classes, by first-member order.
 
-    Each set is matched against one representative per known class of the
-    same capacity (equivalence is transitive, so one probe per class
-    suffices). Every member of a class has the same primary minimum cut;
-    that cut is stored on the class.
+    Two sets are equivalent exactly when they share their primary minimum
+    cut, so the classes are the groups of equal stored cuts; no flow runs.
     """
-    reps: list[int] = []  # representative set index per class
-    members: list[list[int]] = []
-    for i, s in enumerate(coll.sets):
-        cap = coll.mincuts[i]
-        for c, r in enumerate(reps):
-            if coll.mincuts[r] != cap:
-                continue
-            if mincut_capacity(net, coll.sets[r] | s) == cap:
-                members[c].append(i)
-                break
-        else:
-            reps.append(i)
-            members.append([i])
-
-    classes = []
-    for r, mem in zip(reps, members):
-        cut = primary_min_cut(net, coll.sets[r])
-        assert all(
-            primary_min_cut(net, coll.sets[m]).edges == cut.edges for m in mem[1:]
-        ), "members of one class must share their primary minimum cut"
-        classes.append(
-            EquivalenceClass(
-                members=tuple(mem),
-                representative=coll.sets[r],
-                primary_cut=cut,
-                capacity=coll.mincuts[r],
-            )
+    groups: dict[frozenset[EdgeId], list[int]] = {}
+    for i, cut in enumerate(coll.cuts):
+        groups.setdefault(cut, []).append(i)
+    return tuple(
+        EquivalenceClass(
+            members=tuple(mem),
+            representative=coll.sets[mem[0]],
+            primary_cut=Cut(target=coll.sets[mem[0]], edges=cut),
+            capacity=coll.mincuts[mem[0]],
         )
-    return tuple(classes)
+        for cut, mem in groups.items()
+    )
+
+
+def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[int]:
+    """Row i: bitmask of the classes that dominate class i.
+
+    Class j dominates class i when its capacity is larger and deleting its
+    primary cut leaves no edge of i's representative reachable.
+    """
+    reps = [_edge_mask(c.representative) for c in classes]
+    survivors = [
+        _edge_mask(reachable_after_delete(net, c.primary_cut.edges)) for c in classes
+    ]
+    return [
+        sum(
+            1 << j
+            for j, cj in enumerate(classes)
+            if ci.capacity < cj.capacity and not reps[i] & survivors[j]
+        )
+        for i, ci in enumerate(classes)
+    ]
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
     """Domination order on classes, reduced to its covering pairs.
 
-    Domination is tested once per ordered pair through the representatives.
-    The full relation is a strict partial order (checked here); the covering
-    pairs are the relation minus everything implied by transitivity.
+    The covering pairs of class i are the classes above it that no other
+    class above it lies below. `oracle.cross_check` checks that the relation
+    is a strict partial order.
     """
-    n = len(classes)
-    rel = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or classes[i].capacity >= classes[j].capacity:
-                continue
-            union = classes[i].representative | classes[j].representative
-            rel[i][j] = mincut_capacity(net, union) == classes[j].capacity
-
-    for i in range(n):
-        assert not rel[i][i], "domination must be irreflexive"
-        for j in range(n):
-            assert not (rel[i][j] and rel[j][i]), "domination must be asymmetric"
-            if not rel[i][j]:
-                continue
-            for k in range(n):
-                assert not rel[j][k] or rel[i][k], "domination must be transitive"
-
-    covering = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if rel[i][j] and not any(rel[i][k] and rel[k][j] for k in range(n))
+    above = _domination_rows(net, classes)
+    covering = []
+    for i, row in enumerate(above):
+        implied = 0
+        for j in _bits(row):
+            implied |= above[j]
+        covering += [(i, j) for j in _bits(row & ~implied)]
+    maximal = tuple(i for i, row in enumerate(above) if not row)
+    return HasseDiagram(
+        classes=tuple(classes), covering=tuple(covering), maximal=maximal, above=tuple(above)
     )
-    maximal = tuple(i for i in range(n) if not any(rel[i][j] for j in range(n)))
-    return HasseDiagram(classes=tuple(classes), covering=covering, maximal=maximal)
 
 
 def strict_order_pairs(diagram: HasseDiagram) -> frozenset[tuple[int, int]]:
-    """Rebuild the full domination relation from the covering pairs."""
-    n = len(diagram.classes)
-    above: list[set[int]] = [set() for _ in range(n)]
-    for i, j in diagram.covering:
-        above[i].add(j)
-    # propagate upward until stable; the diagram is acyclic so this settles
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            grown = above[i] | {k for j in above[i] for k in above[j]}
-            if grown != above[i]:
-                above[i] = grown
-                changed = True
-    return frozenset((i, j) for i in range(n) for j in above[i])
+    """The full domination relation as (dominated, dominator) pairs."""
+    return frozenset((i, j) for i, row in enumerate(diagram.above) for j in _bits(row))
 
 
 def reachable_after_delete(net: Network, removed: Iterable[EdgeId]) -> frozenset[EdgeId]:
@@ -271,25 +266,6 @@ def reachable_after_delete(net: Network, removed: Iterable[EdgeId]) -> frozenset
     )
 
 
-def _pick(
-    coll: WiretapCollection,
-    remaining: Sequence[int],
-    select: str,
-    rng: Optional[random.Random],
-) -> int:
-    if select == "cardinality":
-        best = max(len(coll.sets[i]) for i in remaining)
-        tied = [i for i in remaining if len(coll.sets[i]) == best]
-    elif select == "mincut":
-        best = max(coll.mincuts[i] for i in remaining)
-        tied = [i for i in remaining if coll.mincuts[i] == best]
-    else:
-        raise ValueError(f"unknown selection rule {select!r}")
-    if rng is not None and len(tied) > 1:
-        return tied[rng.randrange(len(tied))]
-    return min(tied, key=lambda i: tuple(sorted(coll.sets[i])))
-
-
 def _edge_mask(edges: Iterable[EdgeId]) -> int:
     mask = 0
     for e in edges:
@@ -297,89 +273,37 @@ def _edge_mask(edges: Iterable[EdgeId]) -> int:
     return mask
 
 
-def _bound_pass(
-    net: Network,
-    coll: WiretapCollection,
-    per_capacity: bool,
-    select: str,
-    rng: Optional[random.Random],
-    cut_cache: dict[frozenset[EdgeId], Cut],
-) -> list[Cut]:
-    """One sweep of the pruning loop shared by both bound variants.
-
-    Repeatedly: pick a remaining set (largest by the selection key, ties by
-    lexicographically smallest edge list unless an rng decides), take its
-    primary minimum cut, and discard everything that cut already separates.
-    With `per_capacity` True only sets of the chosen capacity are discarded
-    and every cut is kept: one cut per equivalence class comes out. With it
-    False the accumulated cuts are pruned too, leaving exactly the primary
-    cuts of the maximal classes, regardless of pick order.
-    """
-    remaining = list(range(len(coll.sets)))
-    set_masks = [_edge_mask(s) for s in coll.sets]
-    cuts: list[Cut] = []
-    cut_masks: list[int] = []
-    while remaining:
-        idx = _pick(coll, remaining, select, rng)
-        chosen = coll.sets[idx]
-        cut = cut_cache.get(chosen)
-        if cut is None:
-            cut = primary_min_cut(net, chosen)
-            cut_cache[chosen] = cut
-        survivors = _edge_mask(reachable_after_delete(net, cut.edges))
-        if per_capacity:
-            cap = coll.mincuts[idx]
-            remaining = [
-                i
-                for i in remaining
-                if coll.mincuts[i] != cap or set_masks[i] & survivors
-            ]
-            cuts.append(cut)
-        else:
-            remaining = [i for i in remaining if set_masks[i] & survivors]
-            alive = [t for t in range(len(cuts)) if cut_masks[t] & survivors]
-            cuts = [cuts[t] for t in alive]
-            cut_masks = [cut_masks[t] for t in alive]
-            cuts.append(cut)
-            cut_masks.append(_edge_mask(cut.edges))
-    return cuts
-
-
-def compute_bound(
-    net: Network,
-    coll: WiretapCollection,
-    mode: str = "both",
-    *,
-    select: str = "cardinality",
-    rng: Optional[random.Random] = None,
-) -> BoundReport:
-    """Alphabet-size lower bounds by iterated cut pruning.
+def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> BoundReport:
+    """Alphabet-size lower bounds from the class table.
 
     Modes: "nmax" computes only the count of maximal classes, "n" only the
     class count, "both" computes the two together. The returned
     recommendation is max(bound + 1, number of sinks), using the strongest
     bound computed; with no declared sinks the sink term is 0. An empty
-    collection yields zero bounds. `select` picks the per-round choice key
-    ("cardinality" or "mincut"); `rng`, when given, randomizes tie-breaks,
-    which never changes the nmax result.
+    collection yields zero bounds.
+
+    The cuts come in the order the paper's pruning loop picks them: by their
+    class's largest member, ties broken by the lexicographically smallest
+    edge list. The loop's result does not depend on that order.
     """
     if mode not in ("nmax", "n", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    cache: dict[frozenset[EdgeId], Cut] = {}
-    n_classes = None
+    classes = partition_classes(net, coll)
+    n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
-    cuts: tuple[Cut, ...] = ()
-    if mode in ("n", "both"):
-        class_cuts = _bound_pass(net, coll, True, select, rng, cache)
-        n_classes = len(class_cuts)
-        cuts = tuple(class_cuts)
     if mode in ("nmax", "both"):
-        max_cuts = _bound_pass(net, coll, False, select, rng, cache)
-        n_max = len(max_cuts)
-        cuts = tuple(max_cuts)
+        rows = _domination_rows(net, classes)
+        classes = tuple(c for c, row in zip(classes, rows) if not row)
+        n_max = len(classes)
 
-    if n_classes is not None and n_max is not None:
-        assert n_max <= n_classes <= len(coll.sets)
+    def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
+        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
+
+    picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
+    cuts = tuple(
+        Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
+        for (_, edges), i in picks
+    )
     bound = n_max if n_max is not None else n_classes
     return BoundReport(
         collection_size=len(coll.sets),

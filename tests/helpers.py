@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from wtbound import base_path, build_network, max_flow, split_and_sink
+from wtbound import (
+    WiretapCollection,
+    build_network,
+    mincut_capacity,
+    primary_min_cut,
+    reachable_after_delete,
+)
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
 
@@ -89,9 +96,12 @@ def enumerate_decompositions(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Up to `limit` distinct maximum path packings for a target, in base-edge
     form: each packing is mincut-many edge-disjoint source-to-target paths.
-    Returns [] when the target is unreachable or the path space is too big."""
-    tnet = split_and_sink(net, target)
-    value = max_flow(tnet).value
+    Returns [] when the target is unreachable or the path space is too big.
+
+    A path may run through a target edge and on to another one; at each node
+    edges are tried in ascending id order, and a path through a target edge
+    is listed before the path that ends there."""
+    value = mincut_capacity(net, target)
     if value == 0:
         return []
 
@@ -100,15 +110,14 @@ def enumerate_decompositions(
     def dfs(v: int, acc: list[int]) -> None:
         if len(all_paths) > max_paths:
             return
-        if v == tnet.sink:
-            all_paths.append(tuple(acc))
-            return
-        for k in tnet.out_edges[v]:
-            acc.append(k)
-            dfs(tnet.edges[k][1], acc)
+        for e in net.out_edges[v]:
+            acc.append(e)
+            dfs(net.head(e), acc)
+            if e in target and len(all_paths) <= max_paths:
+                all_paths.append(tuple(acc))
             acc.pop()
 
-    dfs(tnet.source, [])
+    dfs(net.source, [])
     if len(all_paths) > max_paths:
         return []
 
@@ -128,4 +137,45 @@ def enumerate_decompositions(
                     return
 
     rec(0, frozenset(), [])
-    return [tuple(base_path(tnet, p) for p in packing) for packing in packings]
+    return packings
+
+
+def pruning_loop(
+    net: Network,
+    coll: WiretapCollection,
+    per_capacity: bool,
+    select: str = "cardinality",
+    rng: Optional[random.Random] = None,
+) -> list[frozenset[int]]:
+    """The paper's iterated cut pruning, kept as a reference for compute_bound.
+
+    Repeatedly: pick a remaining set (largest by the `select` key, either
+    "cardinality" or "mincut"; ties go to the lexicographically smallest
+    edge list unless `rng` decides), take its primary minimum cut, and drop
+    every set that cut separates. With `per_capacity` only sets of the picked
+    capacity are dropped and every cut is kept, giving one cut per class;
+    without it the kept cuts the new cut separates are dropped too, leaving
+    the primary cuts of the maximal classes. Returns the cuts in pick order.
+    """
+    size = coll.mincuts if select == "mincut" else [len(s) for s in coll.sets]
+    remaining = list(range(len(coll.sets)))
+    cuts: list[frozenset[int]] = []
+    while remaining:
+        best = max(size[i] for i in remaining)
+        tied = [i for i in remaining if size[i] == best]
+        if rng is not None and len(tied) > 1:
+            idx = tied[rng.randrange(len(tied))]
+        else:
+            idx = min(tied, key=lambda i: sorted(coll.sets[i]))
+        cut = primary_min_cut(net, coll.sets[idx]).edges
+        survivors = reachable_after_delete(net, cut)
+        if per_capacity:
+            cap = coll.mincuts[idx]
+            remaining = [
+                i for i in remaining if coll.mincuts[i] != cap or coll.sets[i] & survivors
+            ]
+        else:
+            remaining = [i for i in remaining if coll.sets[i] & survivors]
+            cuts = [c for c in cuts if c & survivors]
+        cuts.append(cut)
+    return cuts

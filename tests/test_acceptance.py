@@ -33,9 +33,7 @@ from wtbound import (
     partition_classes,
     preprocess,
     primary_min_cut,
-    residual_source_set,
     separates,
-    split_and_sink,
 )
 from wtbound.cli import main
 from wtbound.oracle import ENV_EDGE_LIMIT
@@ -47,6 +45,7 @@ from helpers import (
     FIG1_MAXIMAL_CUTS,
     enumerate_decompositions,
     eset,
+    pruning_loop,
     random_instance,
     result_block,
 )
@@ -103,16 +102,16 @@ def test_bundled_two_sink_instance_bounds_via_cli(data_files, capsys):
 
 def test_maximal_cut_list_is_invariant_under_tie_breaking(fig1):
     expected = {eset(fig1.labels, spec) for spec in FIG1_MAXIMAL_CUTS}
+    report = compute_bound(fig1.net, fig1.coll)
+    assert {c.edges for c in report.cuts} == expected
+    assert (report.n_classes, report.n_max) == (15, 3)
     for select in ("cardinality", "mincut"):
-        plain = compute_bound(fig1.net, fig1.coll, select=select)
-        assert {c.edges for c in plain.cuts} == expected
-        assert (plain.n_classes, plain.n_max) == (15, 3)
+        assert set(pruning_loop(fig1.net, fig1.coll, False, select)) == expected
+        assert len(pruning_loop(fig1.net, fig1.coll, True, select)) == 15
         for seed in range(50):
-            report = compute_bound(
-                fig1.net, fig1.coll, select=select, rng=random.Random(seed)
-            )
-            assert {c.edges for c in report.cuts} == expected
-            assert (report.n_classes, report.n_max) == (15, 3)
+            rng = random.Random(seed)
+            assert set(pruning_loop(fig1.net, fig1.coll, False, select, rng)) == expected
+            assert len(pruning_loop(fig1.net, fig1.coll, True, select, rng)) == 15
 
 
 def test_two_sink_instance_class_structure(fig1):
@@ -167,11 +166,9 @@ def test_two_sink_instance_matches_reference_diagram(fig1):
 def test_single_sink_primary_cut(singlesink, monkeypatch):
     node = singlesink.labels.node_labels.index
     in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
-    tnet = split_and_sink(singlesink.net, in_t)
-    flow = max_flow(tnet)
+    flow = max_flow(singlesink.net, in_t)
     assert flow.value == 4
-    side = residual_source_set(tnet, flow)
-    assert side & frozenset(range(singlesink.net.num_nodes)) == frozenset(
+    assert flow.side == frozenset(
         node(lab) for lab in ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9")
     )
     cut = primary_min_cut(singlesink.net, in_t)
@@ -357,3 +354,13 @@ def test_bound_ordering_and_tightness_over_the_corpus(corpus):
             assert rec.ob.order == frozenset(), rec.seed
     # the saturated case (every set its own maximal class) must occur
     assert saturated > 0
+
+
+def test_bound_cuts_follow_the_pruning_loop_over_the_corpus(corpus):
+    # The class table reproduces the paper's pruning loop cut for cut, in its
+    # default pick order, in both modes.
+    for rec in corpus:
+        for mode, per_capacity in (("n", True), ("nmax", False)):
+            report = compute_bound(rec.net, rec.coll, mode=mode)
+            expected = pruning_loop(rec.net, rec.coll, per_capacity)
+            assert [c.edges for c in report.cuts] == expected, (rec.seed, mode)

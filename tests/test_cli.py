@@ -1,9 +1,13 @@
 """The wtb command line: output contracts and exit codes."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wtbound
 from wtbound import gen_combination
 from wtbound.cli import main
 from wtbound.oracle import ENV_EDGE_LIMIT
@@ -67,8 +71,6 @@ def test_bound_regularize_and_report(data_files, tmp_path, capsys):
             str(data_files / "fig1.net"),
             str(data_files / "fig1.wsets"),
             "--regularize",
-            "--select",
-            "mincut",
             "--report",
             str(report),
         ]
@@ -172,9 +174,13 @@ def test_verify_clean_instance(g21, capsys):
 
 
 def test_verify_reports_mismatches_with_exit_4(g21, capsys, monkeypatch):
-    import wtbound.cuts
+    import wtbound.wiretap
 
-    monkeypatch.setattr(wtbound.cuts, "mincut_capacity", lambda net, target: 7)
+    # a flow kernel that overstates every capacity
+    real = wtbound.wiretap.max_flow
+    monkeypatch.setattr(
+        wtbound.wiretap, "max_flow", lambda net, target: real(net, target)._replace(value=7)
+    )
     net_path, sets_path = g21
     code = main(["verify", str(net_path), str(sets_path)])
     out = capsys.readouterr().out
@@ -190,7 +196,7 @@ def test_exit_1_on_usage_errors(capsys):
     assert main(["bound", "a.net", "b.wsets", "--mode", "fast"]) == 1
 
 
-def test_exit_2_on_input_errors(data_files, tmp_path, capsys):
+def test_exit_2_on_input_errors(data_files, tmp_path, capsys, monkeypatch):
     # missing file
     assert main(["bound", str(tmp_path / "nope.net"), str(tmp_path / "nope.wsets")]) == 2
     # malformed network text
@@ -208,6 +214,10 @@ def test_exit_2_on_input_errors(data_files, tmp_path, capsys):
     assert main(
         ["gen", "rwiretap", str(data_files / "fig1.net"), "--r", "2", "--out", str(tmp_path / "r.wsets"), "--max-sets", "5"]
     ) == 2
+    # a brute-force edge limit that is not a positive integer
+    monkeypatch.setenv(ENV_EDGE_LIMIT, "abc")
+    assert main(["verify", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]) == 2
+    assert ENV_EDGE_LIMIT in capsys.readouterr().err
 
 
 def test_exit_3_when_brute_force_is_too_large(data_files, tmp_path, capsys, monkeypatch):
@@ -221,6 +231,23 @@ def test_exit_3_when_brute_force_is_too_large(data_files, tmp_path, capsys, monk
     # With a raised cap the same instance verifies cleanly.
     monkeypatch.setenv(ENV_EDGE_LIMIT, "21")
     assert main(["verify", str(data_files / "singlesink.net"), str(sets_path)]) == 0
+
+
+def test_verify_output_is_unchanged_under_python_optimize(data_files):
+    # `python -O` strips assert statements; no check may depend on them.
+    env = dict(os.environ)
+    env.pop(ENV_EDGE_LIMIT, None)
+    src = str(Path(wtbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    files = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+    argv = ["-m", "wtbound.cli", "verify", *files]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"])
+    )
+    assert optimized.returncode == 0
+    assert result_block(optimized.stdout)["mismatches"] == "0"
+    assert optimized.stdout == plain.stdout
 
 
 def test_collection_warnings_go_to_stderr(data_files, tmp_path, capsys):

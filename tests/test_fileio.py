@@ -71,6 +71,7 @@ def test_parse_network_errors_carry_line_numbers():
         ("node a\nedge x a b\nsource a\n", "unknown node 'b'"),
         ("edge x a b\nsource c\n", "unknown node 'c'"),
         ("edge x a b\nsink c\nsource a\n", "unknown node 'c'"),
+        ("edge x a b\nsource a\n\nsink b\nsink zz\n", "line 5: unknown node 'zz'"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as exc:

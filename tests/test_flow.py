@@ -1,21 +1,12 @@
-"""Maximum flow, feasibility checking, path decomposition, residual sets."""
+"""The unit-capacity flow kernel: values, flows, residual sides, primary cuts."""
 
 import pytest
 
-from wtbound import (
-    Flow,
-    MalformedFlow,
-    NotMaximumFlow,
-    base_path,
-    build_network,
-    decompose_paths,
-    identity_transform,
-    max_flow,
-    residual_source_set,
-    split_and_sink,
-)
+from wtbound import EmptyTargetSet, UnknownEdge, build_network, max_flow
 
 from helpers import eset
+
+SINGLESINK_SIDE = ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9")
 
 # A hand-made maximum flow of value 4 on the single-sink instance, different
 # from the one max_flow finds (it routes through i4-i8-i11 instead of i4-i10).
@@ -24,109 +15,118 @@ OTHER_SINGLESINK_FLOW = (1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1
 
 def test_max_flow_single_edge():
     net = build_network([(0, 1)], source=0)
-    flow = max_flow(identity_transform(net), target=1)
+    flow = max_flow(net, {0})
     assert flow.value == 1
-    assert flow.values == (1,)
+    assert flow.values == bytearray([1])
+    assert flow.side == frozenset({0})
+    assert flow.cut == frozenset({0})
 
 
-def test_max_flow_to_source_is_zero():
-    net = build_network([(0, 1)], source=0)
-    flow = max_flow(identity_transform(net), target=0)
+def test_max_flow_to_unreachable_edges_is_zero():
+    net = build_network([(0, 1), (2, 3)], source=0)
+    flow = max_flow(net, {1})
     assert flow.value == 0
-    assert flow.values == (0,)
+    assert flow.values == bytearray([0, 0])
+    assert flow.side == frozenset({0, 1})
+    assert flow.cut == frozenset()
 
 
 def test_max_flow_identity_requires_explicit_target(fig1):
-    with pytest.raises(ValueError):
-        max_flow(identity_transform(fig1.net))
+    # There is no default target: the caller names the edges to reach.
+    with pytest.raises(TypeError):
+        max_flow(fig1.net)
+    with pytest.raises(EmptyTargetSet):
+        max_flow(fig1.net, ())
+    with pytest.raises(UnknownEdge):
+        max_flow(fig1.net, {0, -1})
 
 
 def test_max_flow_respects_parallel_edges():
     net = build_network([(0, 1), (0, 1), (1, 2)], source=0)
-    assert max_flow(identity_transform(net), target=1).value == 2
-    assert max_flow(identity_transform(net), target=2).value == 1
+    assert max_flow(net, {0, 1}).value == 2
+    assert max_flow(net, {2}).value == 1
 
 
 def test_max_flow_fig1_pair(fig1):
-    tnet = split_and_sink(fig1.net, eset(fig1.labels, "e19 e20"))
-    flow = max_flow(tnet)
+    flow = max_flow(fig1.net, eset(fig1.labels, "e19 e20"))
     assert flow.value == 2
-    assert flow.target == tnet.sink
+    assert flow.cut == eset(fig1.labels, "e16 e17")
 
 
 def test_max_flow_fig1_sink_in_edges(fig1):
     in_t1 = eset(fig1.labels, "e6 e10 e12 e18 e20")
-    flow = max_flow(split_and_sink(fig1.net, in_t1))
+    flow = max_flow(fig1.net, in_t1)
     assert flow.value == 5
+    assert flow.cut == eset(fig1.labels, "e1 e2 e3 e4 e5")
 
 
 def test_decompose_paths_structure(fig1):
+    # The flow splits into `value` edge-disjoint unit paths, each running from
+    # the source and leaving the network through a target edge.
+    net = fig1.net
     target = eset(fig1.labels, "e6 e10 e12 e18 e20")
-    tnet = split_and_sink(fig1.net, target)
-    flow = max_flow(tnet)
-    pset = decompose_paths(tnet, flow)
-    assert len(pset.paths) == flow.value == 5
-    # Unit capacities make the paths pairwise edge-disjoint.
-    used = [k for p in pset.paths for k in p]
-    assert len(used) == len(set(used))
-    for aug in pset.paths:
-        assert tnet.edges[aug[0]][0] == tnet.source
-        assert tnet.edges[aug[-1]][1] == tnet.sink
-        base = base_path(tnet, aug)
-        # Base form walks from the source and ends on a target edge.
-        assert fig1.net.tail(base[0]) == fig1.net.source
-        assert base[-1] in target
-        for prev, nxt in zip(base, base[1:]):
-            assert fig1.net.head(prev) == fig1.net.tail(nxt)
-
-
-def test_decompose_paths_rejects_malformed_flows(fig1):
-    tnet = split_and_sink(fig1.net, eset(fig1.labels, "e19 e20"))
-    good = max_flow(tnet)
-    n = len(tnet.edges)
-    with pytest.raises(MalformedFlow):
-        decompose_paths(tnet, Flow(target=tnet.sink, values=(0,) * (n - 1), value=0))
-    with pytest.raises(MalformedFlow):
-        decompose_paths(tnet, Flow(target=tnet.sink, values=(2,) + (0,) * (n - 1), value=0))
-    with pytest.raises(MalformedFlow):
-        decompose_paths(tnet, Flow(target=tnet.sink, values=(1,) + (0,) * (n - 1), value=1))
-    with pytest.raises(MalformedFlow):
-        decompose_paths(tnet, Flow(target=tnet.sink, values=good.values, value=good.value + 1))
+    flow = max_flow(net, target)
+    assert set(flow.values) <= {0, 1}
+    rem = bytearray(flow.values)
+    for _ in range(flow.value):
+        v, path = net.source, []
+        while not path or path[-1] not in target:
+            e = next(e for e in net.out_edges[v] if rem[e])
+            rem[e] = 0
+            path.append(e)
+            v = net.head(e)
+        assert net.tail(path[0]) == net.source
+        for prev, nxt in zip(path, path[1:]):
+            assert net.head(prev) == net.tail(nxt)
+        assert not set(path[:-1]) & target
+    assert not any(rem)
 
 
 def test_residual_source_set_requires_maximum_flow(fig1):
-    tnet = split_and_sink(fig1.net, eset(fig1.labels, "e19 e20"))
-    zero = Flow(target=tnet.sink, values=(0,) * len(tnet.edges), value=0)
-    with pytest.raises(NotMaximumFlow):
-        residual_source_set(tnet, zero)
-    with pytest.raises(MalformedFlow):
-        residual_source_set(tnet, Flow(target=tnet.sink, values=(), value=0))
+    # The residual source side certifies that the flow is maximum: every edge
+    # leaving it is saturated, none entering it carries flow, and it holds as
+    # many edges as the flow has units.
+    net = fig1.net
+    for spec in ("e19 e20", "e6 e10 e18", "e9 e15 e21", "e3"):
+        target = eset(fig1.labels, spec)
+        flow = max_flow(net, target)
+        for e, (t, h) in enumerate(net.edges):
+            leaves = t in flow.side and (e in target or h not in flow.side)
+            enters = t not in flow.side and h in flow.side and e not in target
+            assert (e in flow.cut) == leaves
+            if leaves:
+                assert flow.values[e] == 1
+            if enters:
+                assert flow.values[e] == 0
+        assert len(flow.cut) == flow.value
 
 
 def test_residual_source_set_singlesink(singlesink):
     node = singlesink.labels.node_labels.index
-    tnet = identity_transform(singlesink.net)
-    flow = max_flow(tnet, target=node("t"))
+    in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
+    flow = max_flow(singlesink.net, in_t)
     assert flow.value == 4
-    side = residual_source_set(tnet, flow)
-    assert side == frozenset(node(lab) for lab in ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9"))
+    assert flow.side == frozenset(node(lab) for lab in SINGLESINK_SIDE)
 
 
 def test_residual_source_set_does_not_depend_on_the_flow(singlesink):
-    # Two different maximum flows must expose the same residual source side.
-    node = singlesink.labels.node_labels.index
-    tnet = identity_transform(singlesink.net)
-    ours = max_flow(tnet, target=node("t"))
-    other = Flow(target=node("t"), values=OTHER_SINGLESINK_FLOW, value=4)
-    decompose_paths(tnet, other)  # feasibility check
-    assert other.values != ours.values
-    assert residual_source_set(tnet, other) == residual_source_set(tnet, ours)
-
-
-def test_base_path_collapses_split_edges():
-    net = build_network([(0, 1), (1, 2)], source=0)
-    tnet = split_and_sink(net, {1})
-    # Augmented path through the split edge and on to the super-sink.
-    assert base_path(tnet, (0, 1, 3)) == (0, 1)
-    # Passing through the split edge without turning off to the sink.
-    assert base_path(tnet, (0, 1, 2)) == (0, 1)
+    # A hand-made maximum flow that differs from the kernel's must expose the
+    # same residual source side.
+    net = singlesink.net
+    in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
+    ours = max_flow(net, in_t)
+    assert list(ours.values) != list(OTHER_SINGLESINK_FLOW)
+    assert sum(OTHER_SINGLESINK_FLOW[e] for e in in_t) == ours.value
+    # residual search; a unit on a target edge leaves the network there
+    other = OTHER_SINGLESINK_FLOW
+    side = {net.source}
+    queue = [net.source]
+    for u in queue:
+        steps = [net.head(e) for e in net.out_edges[u] if e not in in_t and not other[e]]
+        steps += [net.tail(e) for e in net.in_edges[u] if e not in in_t and other[e]]
+        for v in steps:
+            if v not in side:
+                side.add(v)
+                queue.append(v)
+    assert not any(net.tail(e) in side and not other[e] for e in in_t)
+    assert side == ours.side

@@ -1,4 +1,4 @@
-"""Network construction, validation, edge order, and the splitting transform."""
+"""Network construction, validation, and the edge order."""
 
 import pytest
 
@@ -10,12 +10,9 @@ from wtbound import (
     UnknownEdge,
     build_network,
     edge_precedes,
-    identity_transform,
-    split_and_sink,
+    max_flow,
     topological_order,
 )
-
-from helpers import eset
 
 
 def test_build_network_basics():
@@ -70,6 +67,15 @@ def test_check_edge():
         net.check_edge(-1)
 
 
+def test_split_and_sink_rejects_bad_targets(fig1):
+    # A target edge set is checked against the network where the flow kernel
+    # takes it, before any edge gets a sink.
+    with pytest.raises(EmptyTargetSet):
+        max_flow(fig1.net, ())
+    with pytest.raises(UnknownEdge):
+        max_flow(fig1.net, {21})
+
+
 def test_topological_order_is_deterministic_smallest_first():
     net = build_network([(0, 2), (0, 1)], source=0)
     assert topological_order(net) == [0, 1, 2]
@@ -109,44 +115,3 @@ def test_edge_precedes_fig1(fig1):
         if e != ids("e6")
     )
 
-
-def test_split_and_sink_shape(fig1):
-    target = eset(fig1.labels, "e19 e20")
-    tnet = split_and_sink(fig1.net, target)
-    assert tnet.base is fig1.net
-    assert tnet.target == target
-    # Two virtual nodes plus one super-sink on top of the base 12 nodes.
-    assert tnet.num_nodes == 15
-    assert tnet.sink == 14
-    assert tnet.split_nodes == ((18, 12), (19, 13))
-    # 21 base edges, two of them doubled, plus two super-sink edges.
-    assert len(tnet.edges) == 25
-    supers = [k for k, b in enumerate(tnet.back_map) if b is None]
-    assert supers == [23, 24]
-    assert all(tnet.capacities[k] == 22 for k in supers)
-    assert all(tnet.edges[k][1] == 14 for k in supers)
-    assert sum(1 for c in tnet.capacities if c == 1) == 23
-
-
-def test_split_and_sink_halves_share_back_map():
-    net = build_network([(0, 1), (1, 2)], source=0)
-    tnet = split_and_sink(net, {1})
-    # Edge 1 = (1, 2) becomes (1, 3) and (3, 2); edge 0 is untouched.
-    assert tnet.edges == ((0, 1), (1, 3), (3, 2), (3, 4))
-    assert tnet.back_map == (0, 1, 1, None)
-    assert tnet.capacities == (1, 1, 1, 3)
-
-
-def test_split_and_sink_rejects_bad_targets(fig1):
-    with pytest.raises(EmptyTargetSet):
-        split_and_sink(fig1.net, ())
-    with pytest.raises(UnknownEdge):
-        split_and_sink(fig1.net, {21})
-
-
-def test_identity_transform(fig1):
-    tnet = identity_transform(fig1.net)
-    assert tnet.edges == fig1.net.edges
-    assert tnet.sink is None
-    assert tnet.capacities == (1,) * 21
-    assert tnet.back_map == tuple(range(21))

@@ -5,6 +5,7 @@ import pytest
 from wtbound import (
     EmptyTargetSet,
     InstanceTooLarge,
+    ParameterOutOfRange,
     UnknownEdge,
     UnreachableTarget,
     build_network,
@@ -26,6 +27,10 @@ def test_edge_limit_env_override(monkeypatch):
     assert edge_limit() == 25
     monkeypatch.setenv(ENV_EDGE_LIMIT, "")
     assert edge_limit() == DEFAULT_EDGE_LIMIT
+    for raw in ("abc", "0", "-1", "1e3"):
+        monkeypatch.setenv(ENV_EDGE_LIMIT, raw)
+        with pytest.raises(ParameterOutOfRange):
+            edge_limit()
 
 
 def test_enumerate_min_cuts_families(fig1):

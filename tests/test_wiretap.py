@@ -17,7 +17,14 @@ from wtbound import (
     strict_order_pairs,
 )
 
-from helpers import FIG1_CLASSES, FIG1_COVERING, FIG1_MAXIMAL_CUTS, FIG1_ORDER, eset
+from helpers import (
+    FIG1_CLASSES,
+    FIG1_COVERING,
+    FIG1_MAXIMAL_CUTS,
+    FIG1_ORDER,
+    eset,
+    pruning_loop,
+)
 
 
 def test_preprocess_keeps_fig1_intact(fig1):
@@ -35,6 +42,7 @@ def test_preprocess_drops_and_warns():
     coll, warnings = preprocess(net, [{0}, set(), {0}, {1}])
     assert coll.sets == (frozenset({0}),)
     assert coll.mincuts == (1,)
+    assert coll.cuts == (frozenset({0}),)
     assert coll.regular == (True,)
     assert warnings == (
         "empty set dropped",
@@ -139,21 +147,22 @@ def test_compute_bound_fig1_modes(fig1):
 
 
 def test_compute_bound_selection_and_tie_breaks(fig1):
-    lab = fig1.labels
-    expected_b = {eset(lab, s) for s in FIG1_MAXIMAL_CUTS}
-    by_mincut = compute_bound(fig1.net, fig1.coll, select="mincut")
-    assert (by_mincut.n_classes, by_mincut.n_max) == (15, 3)
-    assert {c.edges for c in by_mincut.cuts} == expected_b
-    for seed in range(10):
-        rep = compute_bound(fig1.net, fig1.coll, rng=random.Random(seed))
-        assert (rep.n_classes, rep.n_max) == (15, 3)
-        assert {c.edges for c in rep.cuts} == expected_b
+    # compute_bound lists its cuts in the pruning loop's default pick order;
+    # the other choice key and random tie-breaks only reorder them.
+    net, coll = fig1.net, fig1.coll
+    for mode, per_capacity in (("n", True), ("nmax", False)):
+        got = [c.edges for c in compute_bound(net, coll, mode=mode).cuts]
+        assert got == pruning_loop(net, coll, per_capacity)
+        assert set(pruning_loop(net, coll, per_capacity, "mincut")) == set(got)
+        for seed in range(10):
+            rng = random.Random(seed)
+            assert set(pruning_loop(net, coll, per_capacity, rng=rng)) == set(got)
 
 
 def test_compute_bound_degenerate_inputs(fig1):
     from wtbound import WiretapCollection, build_network
 
-    empty = WiretapCollection(sets=(), mincuts=(), regular=())
+    empty = WiretapCollection(sets=(), mincuts=(), cuts=(), regular=())
     rep = compute_bound(fig1.net, empty)
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
@@ -167,5 +176,3 @@ def test_compute_bound_degenerate_inputs(fig1):
 
     with pytest.raises(ValueError):
         compute_bound(fig1.net, fig1.coll, mode="fast")
-    with pytest.raises(ValueError):
-        compute_bound(fig1.net, fig1.coll, select="size")
