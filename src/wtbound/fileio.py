@@ -74,9 +74,10 @@ def _check_label(label: str, lineno: int) -> str:
 def parse_network(text: str) -> tuple[Network, LabelTable]:
     """Read a network file into a validated Network plus its label table.
 
-    Raises ParseError on malformed lines, unknown or duplicate labels, and a
-    missing or repeated source; construction errors (cycles, edges into the
-    source) pass through from the graph layer.
+    Raises ParseError on malformed lines, labels containing ',' (checked on
+    the line that first names them: node, edge, source or sink), unknown or
+    duplicate labels, and a missing or repeated source; construction errors
+    (cycles, edges into the source) pass through from the graph layer.
     """
     node_labels: list[str] = []
     node_ids: dict[str, int] = {}
@@ -101,23 +102,24 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError(f"line {lineno}: edge takes label, tail, head")
-            lab = _check_label(args[0], lineno)
+            lab, tail, head = (_check_label(arg, lineno) for arg in args)
             if lab in edge_labels:
                 raise ParseError(f"line {lineno}: duplicate edge {lab!r}")
             edge_labels.append(lab)
-            edge_specs.append((lineno, args[1], args[2]))
+            edge_specs.append((lineno, tail, head))
         elif directive == "source":
             if len(args) != 1:
                 raise ParseError(f"line {lineno}: source takes one label")
             if source_label is not None:
                 raise ParseError(f"line {lineno}: source already set on line {source_line}")
-            source_label, source_line = args[0], lineno
+            source_label, source_line = _check_label(args[0], lineno), lineno
         elif directive == "sink":
             if len(args) != 1:
                 raise ParseError(f"line {lineno}: sink takes one label")
-            if args[0] in sink_lines:
-                raise ParseError(f"line {lineno}: duplicate sink {args[0]!r}")
-            sink_lines[args[0]] = lineno
+            lab = _check_label(args[0], lineno)
+            if lab in sink_lines:
+                raise ParseError(f"line {lineno}: duplicate sink {lab!r}")
+            sink_lines[lab] = lineno
         else:
             raise ParseError(f"line {lineno}: unknown directive {directive!r}")
 
@@ -226,7 +228,8 @@ def gen_combination(
         for nodes in combinations(range(1, n + 1), c):
             for pick in product(*(lower[i] for i in nodes)):
                 set_lines.append(" ".join(pick))
-    assert len(set_lines) == total
+    if len(set_lines) != total:
+        raise AssertionError(f"generated {len(set_lines)} sets, the count formula gives {total}")
     return "\n".join(net_lines) + "\n", "\n".join(set_lines) + "\n"
 
 

@@ -10,6 +10,16 @@ search that finally fails reaches exactly the residual source side of the
 flow; the edges leaving it form the primary minimum cut, the least element
 of the min-cut lattice (Picard & Queyranne 1980), whichever maximum flow was
 found.
+
+Every search is restricted to the live nodes: the ancestors of the target
+edges' tails (`Network._ancestors`). The restriction is exact. A dead node
+reaches no target edge, so no unit of flow ever enters one, and no backward
+residual arc leaves one; the dead nodes a search would visit lead only to
+other dead nodes. The live nodes are therefore discovered in the same order,
+the augmenting paths and the flow are the same as without the restriction,
+and the primary cut, which never contains an edge into a dead node, is the
+same too. Only the full residual side, which includes dead nodes, needs the
+unrestricted search; `MaxFlow.side` runs it when read.
 """
 
 from __future__ import annotations
@@ -21,19 +31,39 @@ from .graph import EdgeId, Network, NodeId
 
 
 class MaxFlow(NamedTuple):
-    """A maximum flow from the source to a target edge set.
+    """A maximum flow from the source to the edge set `target` of `net`.
 
     `values[e]` is 1 when a unit crosses base edge e (for a target edge:
-    leaves the network through it); `value` is the number of units. `side`
-    holds the nodes the source reaches in the residual graph and `cut` the
-    edges leaving that side, the primary minimum cut (empty when no target
-    edge is reachable).
+    leaves the network through it); `value` is the number of units. `cut`
+    holds the edges leaving the residual source side, the primary minimum
+    cut (empty when no target edge is reachable).
     """
 
     value: int
     values: bytearray
-    side: frozenset[NodeId]
     cut: frozenset[EdgeId]
+    net: Network
+    target: frozenset[EdgeId]
+
+    @property
+    def side(self) -> frozenset[NodeId]:
+        """The nodes the source reaches in the residual graph.
+
+        Computed on each read by a search over the whole network, dead nodes
+        included; nothing on the flow path needs it.
+        """
+        net, values, target = self.net, self.values, self.target
+        edges = net.edges
+        side = {net.source}
+        queue = [net.source]
+        for u in queue:
+            steps = [edges[e][1] for e in net.out_edges[u] if not values[e] and e not in target]
+            steps += [edges[e][0] for e in net.in_edges[u] if values[e] and e not in target]
+            for v in steps:
+                if v not in side:
+                    side.add(v)
+                    queue.append(v)
+        return frozenset(side)
 
 
 def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
@@ -47,10 +77,13 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     is_target = bytearray(len(net.edges))
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    ancestors = net._ancestors
+    live = 0  # bit v set when node v reaches the tail of some target edge
     for e in tset:
         net.check_edge(e)
         is_target[e] = 1
-    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+        live |= ancestors[edges[e][0]]
     source = net.source
     flow = bytearray(len(edges))
     value = 0
@@ -67,11 +100,12 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
                     exit_edge = e
                     break
                 v = edges[e][1]
-                if v not in pred:
+                if v not in pred and live >> v & 1:
                     pred[v] = e
                     queue.append(v)
             if exit_edge >= 0:
                 break
+            # the tail of an edge carrying flow is always live
             for e in in_edges[u]:
                 if flow[e] and not is_target[e]:
                     v = edges[e][0]
@@ -97,6 +131,6 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
         e
         for u in pred
         for e in out_edges[u]
-        if is_target[e] or edges[e][1] not in pred
+        if is_target[e] or edges[e][1] not in pred and live >> edges[e][1] & 1
     )
-    return MaxFlow(value=value, values=flow, side=frozenset(pred), cut=cut)
+    return MaxFlow(value=value, values=flow, cut=cut, net=net, target=tset)

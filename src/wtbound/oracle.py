@@ -138,6 +138,11 @@ def oracle_primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     one; this reports rather than assumes it).
     """
     family = enumerate_min_cuts(net, target)
+    return Cut(target=family.target, edges=_primary(net, family))
+
+
+def _primary(net: Network, family: MinCutFamily) -> frozenset[EdgeId]:
+    """The primary cut of a family; oracle_primary_min_cut documents the errors."""
     if family.capacity == 0:
         raise UnreachableTarget(
             f"no edge of {sorted(family.target)} is reachable from the source"
@@ -152,7 +157,7 @@ def oracle_primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
             f"{len(least)} candidates among {len(family.cuts)} minimum cuts "
             f"of {sorted(family.target)}"
         )
-    return Cut(target=family.target, edges=least[0])
+    return least[0]
 
 
 class OracleBounds(NamedTuple):
@@ -175,7 +180,14 @@ def oracle_bounds(
     some cut common to all of j's members separates all of i's members.
     """
     sets = list(coll.sets) if hasattr(coll, "sets") else list(coll)
-    families = [set(enumerate_min_cuts(net, s).cuts) for s in sets]
+    return _bounds(net, sets, [enumerate_min_cuts(net, s) for s in sets])
+
+
+def _bounds(
+    net: Network, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
+) -> OracleBounds:
+    """oracle_bounds over sets whose minimum-cut families `fams` are known."""
+    families = [set(fam.cuts) for fam in fams]
 
     unvisited = set(range(len(sets)))
     classes: list[tuple[int, ...]] = []
@@ -237,7 +249,9 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     def record(name: str, ok: bool, detail: str = "") -> None:
         results.append(CheckResult(name, ok, detail))
 
+    # each family is enumerated once and serves every record below
     families = [enumerate_min_cuts(net, s) for s in coll.sets]
+    primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
         fast = coll.mincuts[i]
         slow = families[i].capacity
@@ -247,14 +261,15 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
         fast_cut = coll.cuts[i]
-        slow_cut = oracle_primary_min_cut(net, s).edges
+        slow_cut = _primary(net, families[i])
+        primaries.append(slow_cut)
         record(
             f"primary[{i}]",
             fast_cut == slow_cut,
             f"fast {sorted(fast_cut)}, oracle {sorted(slow_cut)} for {sorted(s)}",
         )
 
-    ob = oracle_bounds(net, coll)
+    ob = _bounds(net, coll.sets, families)
     classes = wiretap.partition_classes(net, coll)
     fast_partition = tuple(cls.members for cls in classes)
     record(
@@ -287,7 +302,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     )
 
     oracle_b = {
-        oracle_primary_min_cut(net, coll.sets[ob.classes[i][0]]).edges
+        primaries[ob.classes[i][0]]
         for i in range(ob.n)
         if not any((i, j) in ob.order for j in range(ob.n))
     }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from wtbound import (
     WiretapCollection,
@@ -16,6 +16,7 @@ from wtbound.fileio import LabelTable
 from wtbound.graph import Network
 
 CORPUS_SEED = 20260814
+CORPUS_SIZE = 500
 
 # Frozen structure of the bundled two-sink instance: its 48 wiretap sets fall
 # into 15 equivalence classes. Each row is (capacity, primary cut, members in
@@ -91,6 +92,84 @@ def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
         size = min(rng.randint(1, 3), n_edges)
         sets.append(frozenset(rng.sample(range(n_edges), size)))
     return net, sets
+
+
+def residual_side(
+    net: Network, target: frozenset[int], values: bytearray | tuple[int, ...]
+) -> frozenset[int]:
+    """The nodes the source reaches in the residual graph of the 0/1 flow
+    `values` toward `target`, by a search over the whole network. A unit on a
+    target edge leaves the network there, so no residual arc runs along a
+    target edge."""
+    side = {net.source}
+    queue = [net.source]
+    for u in queue:
+        steps = [net.head(e) for e in net.out_edges[u] if e not in target and not values[e]]
+        steps += [net.tail(e) for e in net.in_edges[u] if e not in target and values[e]]
+        for v in steps:
+            if v not in side:
+                side.add(v)
+                queue.append(v)
+    return frozenset(side)
+
+
+class ReferenceFlow(NamedTuple):
+    value: int
+    values: bytearray
+    side: frozenset[int]
+    cut: frozenset[int]
+
+
+def reference_max_flow(net: Network, target: Iterable[int]) -> ReferenceFlow:
+    """The flow kernel without the live-node restriction: every search may
+    enter every node. Same scan order as the package's kernel (per node,
+    out-edges then in-edges, ascending ids; a search stops at the first
+    unsaturated target edge), so both must find the same flow, and the last
+    search, which fails, reaches the whole residual source side."""
+    tset = frozenset(target)
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    flow = bytearray(len(edges))
+    value = 0
+    while True:
+        pred = {net.source: -1}  # node -> the edge the search reached it through
+        queue = [net.source]
+        exit_edge = -1
+        for u in queue:
+            for e in out_edges[u]:
+                if flow[e]:
+                    continue
+                if e in tset:
+                    exit_edge = e
+                    break
+                v = edges[e][1]
+                if v not in pred:
+                    pred[v] = e
+                    queue.append(v)
+            if exit_edge >= 0:
+                break
+            for e in in_edges[u]:
+                if flow[e] and e not in tset:
+                    v = edges[e][0]
+                    if v not in pred:
+                        pred[v] = e
+                        queue.append(v)
+        if exit_edge < 0:
+            break
+        flow[exit_edge] = 1
+        v = edges[exit_edge][0]
+        while v != net.source:
+            e = pred[v]
+            tail, head = edges[e]
+            if head == v:  # forward arc: the unit crosses e
+                flow[e] = 1
+                v = tail
+            else:  # backward arc: the unit on e is taken back
+                flow[e] = 0
+                v = head
+        value += 1
+    side = frozenset(pred)
+    cut = frozenset(e for u in side for e in out_edges[u] if e in tset or edges[e][1] not in side)
+    return ReferenceFlow(value=value, values=flow, side=side, cut=cut)
 
 
 def enumerate_decompositions(

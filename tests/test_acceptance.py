@@ -40,6 +40,7 @@ from wtbound.oracle import ENV_EDGE_LIMIT
 
 from helpers import (
     CORPUS_SEED,
+    CORPUS_SIZE,
     FIG1_CLASSES,
     FIG1_COVERING,
     FIG1_MAXIMAL_CUTS,
@@ -49,8 +50,6 @@ from helpers import (
     random_instance,
     result_block,
 )
-
-CORPUS_SIZE = 500
 
 # The two covering pairs (low, high) that earlier documentation of this
 # instance left out, each with a minimum cut shared by the high class's

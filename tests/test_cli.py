@@ -1,5 +1,6 @@
 """The wtb command line: output contracts and exit codes."""
 
+import ast
 import importlib
 import os
 import shutil
@@ -250,6 +251,18 @@ def test_verify_output_is_unchanged_under_python_optimize(data_files):
     assert optimized.returncode == 0
     assert result_block(optimized.stdout)["mismatches"] == "0"
     assert optimized.stdout == plain.stdout
+
+
+def test_package_holds_no_assert_statements():
+    # invariants are explicit checks, so `python -O` leaves them in place
+    package = Path(wtbound.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_collection_warnings_go_to_stderr(data_files, tmp_path, capsys):

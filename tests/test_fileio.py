@@ -1,5 +1,7 @@
 """Text formats, label tables, generators, and DOT export."""
 
+from itertools import product
+
 import pytest
 
 from wtbound import (
@@ -21,6 +23,7 @@ from wtbound import (
     serialize_collection,
     serialize_network,
 )
+from wtbound import fileio
 from wtbound.fileio import LabelTable
 
 from helpers import eset
@@ -68,6 +71,11 @@ def test_parse_network_errors_carry_line_numbers():
         ("edge x a b\nsink b\nsink b\nsource a\n", "duplicate sink"),
         ("edge x a b\n", "no source"),
         ("node a,b\nsource a\n", "','"),
+        ("edge x a b\nsource a,b\n", "line 2: label 'a,b' may not contain ','"),
+        ("node a\nsource a,b\n", "line 2: label 'a,b' may not contain ','"),
+        ("edge x a b\nsource a\n\nsink b,c\n", "line 4: label 'b,c' may not contain ','"),
+        ("edge x a b\nedge y b c,d\nsource a\n", "line 2: label 'c,d' may not contain ','"),
+        ("edge x a,z b\nsource a,z\n", "line 1: label 'a,z' may not contain ','"),
         ("node a\nedge x a b\nsource a\n", "unknown node 'b'"),
         ("edge x a b\nsource c\n", "unknown node 'c'"),
         ("edge x a b\nsink c\nsource a\n", "unknown node 'c'"),
@@ -155,6 +163,13 @@ def test_gen_combination_rejects_bad_parameters():
             gen_combination(n, k, r)
     with pytest.raises(CollectionTooLarge):
         gen_combination(6, 5, 3, max_sets=100)
+
+
+def test_gen_combination_checks_its_set_count(monkeypatch):
+    # the check must raise without `assert`, which `python -O` strips
+    monkeypatch.setattr(fileio, "product", lambda *lists: list(product(*lists))[1:])
+    with pytest.raises(AssertionError, match="count formula gives 2"):
+        gen_combination(2, 1, 1)
 
 
 def test_gen_r_wiretap(fig1):

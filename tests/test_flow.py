@@ -2,9 +2,23 @@
 
 import pytest
 
-from wtbound import EmptyTargetSet, UnknownEdge, build_network, max_flow
+from wtbound import (
+    EmptyTargetSet,
+    UnknownEdge,
+    build_network,
+    gen_combination,
+    max_flow,
+    parse_network,
+)
 
-from helpers import eset
+from helpers import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    eset,
+    random_instance,
+    reference_max_flow,
+    residual_side,
+)
 
 SINGLESINK_SIDE = ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9")
 
@@ -117,16 +131,51 @@ def test_residual_source_set_does_not_depend_on_the_flow(singlesink):
     ours = max_flow(net, in_t)
     assert list(ours.values) != list(OTHER_SINGLESINK_FLOW)
     assert sum(OTHER_SINGLESINK_FLOW[e] for e in in_t) == ours.value
-    # residual search; a unit on a target edge leaves the network there
     other = OTHER_SINGLESINK_FLOW
-    side = {net.source}
-    queue = [net.source]
-    for u in queue:
-        steps = [net.head(e) for e in net.out_edges[u] if e not in in_t and not other[e]]
-        steps += [net.tail(e) for e in net.in_edges[u] if e not in in_t and other[e]]
-        for v in steps:
-            if v not in side:
-                side.add(v)
-                queue.append(v)
+    side = residual_side(net, in_t, other)
     assert not any(net.tail(e) in side and not other[e] for e in in_t)
     assert side == ours.side
+
+
+def assert_matches_reference(net, target):
+    flow = max_flow(net, target)
+    ref = reference_max_flow(net, target)
+    assert (flow.value, flow.values, flow.side, flow.cut) == ref, sorted(target)
+    return flow
+
+
+def test_dead_branches_are_pruned_without_changing_the_flow():
+    # s=0 a=1 b=2 c=3 t=4 x=5 y=6: x and y hang off live nodes but reach no
+    # target tail, and the source reaches them in the residual graph, so the
+    # residual side holds them while the primary cut has no edge into them
+    edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (1, 5), (5, 6), (0, 5), (2, 6), (0, 2)]
+    net = build_network(edges, source=0)
+    flow = assert_matches_reference(net, {3, 4})
+    assert flow.value == 2
+    assert flow.cut == frozenset({0, 9})
+    assert flow.side == frozenset({0, 5, 6})
+    # toward (b, y) only s, a and b are live; the side is every node, and the
+    # edges from a and b into dead nodes stay out of the cut
+    flow = assert_matches_reference(net, {8})
+    assert flow.value == 1
+    assert flow.cut == frozenset({8})
+    assert flow.side == frozenset(range(7))
+
+
+def test_max_flow_matches_the_unpruned_reference_over_the_corpus():
+    checked = 0
+    for i in range(CORPUS_SIZE):
+        net, sets = random_instance(CORPUS_SEED + i)
+        for target in set(sets):
+            assert_matches_reference(net, target)
+            checked += 1
+    assert checked == 3908
+
+
+def test_max_flow_matches_the_unpruned_reference_on_a_combination_network():
+    net_text, sets_text = gen_combination(6, 4, 3)
+    net, labels = parse_network(net_text)
+    lines = sets_text.splitlines()
+    assert len(lines) == 21560
+    for line in lines:
+        assert_matches_reference(net, labels.edge_set(line.split()))

@@ -115,3 +115,15 @@ def test_edge_precedes_fig1(fig1):
         if e != ids("e6")
     )
 
+
+
+def test_ancestor_masks_mirror_descendant_masks(fig1, singlesink):
+    # u is an ancestor of v exactly when v is a descendant of u
+    for net in (fig1.net, singlesink.net):
+        nodes = range(net.num_nodes)
+        assert all(
+            (net._ancestors[v] >> u & 1) == (net._descendants[u] >> v & 1)
+            for u in nodes
+            for v in nodes
+        )
+        assert net._ancestors[net.source] == 1 << net.source
