@@ -61,9 +61,10 @@ def _network_summary(net: Network, labels: LabelTable) -> str:
 def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Optional[str] = None) -> None:
     text = "\n".join(human) + "\n\n[result]\n"
     text += "".join(f"{k}={v}\n" for k, v in machine)
-    print(text, end="")
+    # Write the file first: a run that cannot write it prints no result.
     if report_path:
         Path(report_path).write_text(text)
+    print(text, end="")
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

@@ -8,11 +8,13 @@ treat one class per maximal element of that poset, which is where the
 improved alphabet-size bound comes from: the count N_max of maximal classes,
 always at most the class count N, which is at most the collection size.
 
-One maximum flow per distinct set (in `preprocess`) yields its capacity and
-primary cut. Everything after that is set algebra over the stored cuts: sets
-with the same primary cut form a class, and class j dominates class i when
-j has the larger capacity and deleting j's primary cut severs i's
-representative.
+One maximum flow per distinct reduced flow instance (in `preprocess`)
+yields the capacity and primary cut of every set that poses it: sets whose
+target edges have the same tails, and the same target edges inside the
+searched part of the network, differ only in edges the flow never reads.
+Everything after that is set algebra over the stored cuts: sets with the
+same primary cut form a class, and class j dominates class i when j has the
+larger capacity and deleting j's primary cut severs i's representative.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .cuts import Cut, mincut_capacity, primary_min_cut, reachable_nodes
 from .flow import max_flow
-from .graph import EdgeId, Network
+from .graph import EdgeId, Network, NodeId
 
 SetFormatter = Callable[[frozenset[EdgeId]], str]
 
@@ -102,6 +104,40 @@ class BoundReport:
     sinks_considered: int
 
 
+_FlowKey = tuple[tuple[NodeId, ...], frozenset[EdgeId]]
+
+
+def _flow_key(net: Network, target: frozenset[EdgeId]) -> _FlowKey:
+    """The reduced flow instance a target poses: its tails, with multiplicity,
+    and its target edges whose head is live.
+
+    The flow kernel searches only the live nodes L, the ancestors of the
+    target edges' tails. Inside L the flow problem is fixed by three things:
+    L itself, the exit capacity at each tail (the tail multiset), and which
+    edges inside L stop being pass-through edges (the target edges with a
+    live head). A target edge with a dead head is only an exit at its tail,
+    and a non-target edge into a dead node is never searched. The flow value
+    and the primary source side S (the least min-cut side, Picard & Queyranne
+    1980) depend only on that problem, not on edge ids or on which maximum
+    flow was found. So targets with equal keys have equal capacities, and
+    cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
+    cut's non-target edges (all with a live head, so none is a target edge
+    of another target with the key) and `cut_tails` the tails of its target
+    edges, both taken from the first target solved. Raises UnknownEdge on a
+    bad id.
+    """
+    edges, ancestors = net.edges, net._ancestors
+    tails: list[NodeId] = []
+    live = 0
+    for e in target:
+        net.check_edge(e)
+        tail = edges[e][0]
+        tails.append(tail)
+        live |= ancestors[tail]
+    tails.sort()
+    return tuple(tails), frozenset(e for e in target if live >> edges[e][1] & 1)
+
+
 def preprocess(
     net: Network,
     raw_sets: Iterable[Iterable[EdgeId]],
@@ -109,10 +145,11 @@ def preprocess(
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
     """Deduplicate and drop degenerate sets, caching capacities and cuts.
 
-    Runs one maximum flow per distinct set. Duplicates keep their first
-    occurrence; empty sets and sets none of whose edges is reachable from the
-    source (minimum cut capacity 0) are dropped. Each drop produces a warning
-    line. Raises UnknownEdge on bad ids.
+    Runs one maximum flow per distinct reduced flow instance (`_flow_key`),
+    so distinct sets that pose the same instance share one flow. Duplicates
+    keep their first occurrence; empty sets and sets none of whose edges is
+    reachable from the source (minimum cut capacity 0) are dropped. Each
+    drop produces a warning line. Raises UnknownEdge on bad ids.
     """
     warnings: list[str] = []
     kept: list[frozenset[EdgeId]] = []
@@ -120,6 +157,9 @@ def preprocess(
     cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
+    # reduced instance -> (capacity, non-target cut edges, tails of cut target edges)
+    solved: dict[_FlowKey, tuple[int, frozenset[EdgeId], frozenset[NodeId]]] = {}
+    edges = net.edges
     for raw in raw_sets:
         s = frozenset(raw)
         if not s:
@@ -129,13 +169,19 @@ def preprocess(
             warnings.append(f"duplicate set {describe(s)} dropped")
             continue
         seen.add(s)
-        flow = max_flow(net, s)
-        if flow.value == 0:
+        key = _flow_key(net, s)
+        if key not in solved:
+            flow = max_flow(net, s)
+            cut_tails = frozenset(edges[e][0] for e in flow.cut & s)
+            solved[key] = (flow.value, flow.cut - s, cut_tails)
+        value, base, cut_tails = solved[key]
+        if value == 0:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
+        cut = base | {e for e in s if edges[e][0] in cut_tails}
         kept.append(s)
-        caps.append(flow.value)
-        cuts.append(shared.setdefault(flow.cut, flow.cut))
+        caps.append(value)
+        cuts.append(shared.setdefault(cut, cut))
     coll = WiretapCollection(
         sets=tuple(kept),
         mincuts=tuple(caps),

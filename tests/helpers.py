@@ -8,6 +8,7 @@ from typing import Iterable, NamedTuple, Optional
 from wtbound import (
     WiretapCollection,
     build_network,
+    max_flow,
     mincut_capacity,
     primary_min_cut,
     reachable_after_delete,
@@ -170,6 +171,46 @@ def reference_max_flow(net: Network, target: Iterable[int]) -> ReferenceFlow:
     side = frozenset(pred)
     cut = frozenset(e for u in side for e in out_edges[u] if e in tset or edges[e][1] not in side)
     return ReferenceFlow(value=value, values=flow, side=side, cut=cut)
+
+
+def reference_preprocess(
+    net: Network, raw_sets: Iterable[Iterable[int]]
+) -> tuple[WiretapCollection, tuple[str, ...]]:
+    """`preprocess` with one maximum flow per distinct set and no sharing of
+    flows between sets: the same drops, warnings (in the default set
+    format), capacities and primary cuts."""
+
+    def describe(s: frozenset[int]) -> str:
+        return "{" + ",".join(map(str, sorted(s))) + "}"
+
+    warnings: list[str] = []
+    kept: list[frozenset[int]] = []
+    caps: list[int] = []
+    cuts: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for raw in raw_sets:
+        s = frozenset(raw)
+        if not s:
+            warnings.append("empty set dropped")
+            continue
+        if s in seen:
+            warnings.append(f"duplicate set {describe(s)} dropped")
+            continue
+        seen.add(s)
+        flow = max_flow(net, s)
+        if flow.value == 0:
+            warnings.append(f"unreachable set {describe(s)} dropped")
+            continue
+        kept.append(s)
+        caps.append(flow.value)
+        cuts.append(flow.cut)
+    coll = WiretapCollection(
+        sets=tuple(kept),
+        mincuts=tuple(caps),
+        cuts=tuple(cuts),
+        regular=tuple(len(s) == c for s, c in zip(kept, caps)),
+    )
+    return coll, tuple(warnings)
 
 
 def enumerate_decompositions(

@@ -87,6 +87,24 @@ def test_bound_regularize_and_report(data_files, tmp_path, capsys):
     assert report.read_text() == out
 
 
+def test_bound_report_that_cannot_be_written_prints_no_result(data_files, tmp_path, capsys):
+    # a missing parent directory, and a directory in place of the file
+    for report in (tmp_path / "missing" / "report.txt", tmp_path):
+        code = main(
+            [
+                "bound",
+                str(data_files / "fig1.net"),
+                str(data_files / "fig1.wsets"),
+                "--report",
+                str(report),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(report) in captured.err
+
+
 def test_classes_fig1(data_files, capsys):
     code = main(["classes", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")])
     block = result_block(capsys.readouterr().out)

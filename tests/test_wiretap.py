@@ -1,15 +1,20 @@
 """Collection preprocessing, equivalence classes, domination, and the bounds."""
 
 import random
+from math import comb
 
 import pytest
 
+import wtbound.wiretap
 from wtbound import (
     UnknownEdge,
+    build_network,
     class_hasse,
     compute_bound,
     dominates,
     equivalent,
+    gen_combination,
+    parse_network,
     partition_classes,
     preprocess,
     reachable_after_delete,
@@ -18,13 +23,21 @@ from wtbound import (
 )
 
 from helpers import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
     FIG1_CLASSES,
     FIG1_COVERING,
     FIG1_MAXIMAL_CUTS,
     FIG1_ORDER,
     eset,
     pruning_loop,
+    random_instance,
+    reference_preprocess,
 )
+
+# s=0 a=1 b=2 t=3 c=4 d=5: three parallel edges s->a (0-2), a->b (3), three
+# parallel edges a->t (4-6), b->t (7), and c->d (8), which the source misses
+HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4, 5)]
 
 
 def test_preprocess_keeps_fig1_intact(fig1):
@@ -57,6 +70,71 @@ def test_preprocess_custom_formatter():
     net = build_network([(0, 1)], source=0)
     _, warnings = preprocess(net, [{0}, {0}], describe=lambda s: "<set>")
     assert warnings == ("duplicate set <set> dropped",)
+
+
+def assert_preprocess_matches_reference(net, sets):
+    got = preprocess(net, sets)
+    assert got == reference_preprocess(net, sets)
+    return got
+
+
+def test_preprocess_shares_a_flow_only_between_equal_reduced_instances():
+    net = build_network(HAND_EDGES, source=0)
+    sets = [{4, 5}, {5, 6}, {3, 4}, {4, 5, 6}, {3, 7}, {4, 7}, {8}]
+    coll, warnings = assert_preprocess_matches_reference(net, sets)
+    assert warnings == ("unreachable set {8} dropped",)
+    # Parallel target edges on one tail pose one instance; so does a->b while
+    # b is not a tail, since b then reaches no target. Each set's cut holds
+    # its own target edges.
+    assert coll.sets[:3] == (frozenset({4, 5}), frozenset({5, 6}), frozenset({3, 4}))
+    assert coll.mincuts[:3] == (2, 2, 2)
+    assert coll.cuts[:3] == coll.sets[:3]
+    # Three exits at a: the three edges into a are the cut.
+    assert (coll.mincuts[3], coll.cuts[3]) == (3, frozenset({0, 1, 2}))
+    # Equal tails a and b: with a->b a target, its head b is live and no
+    # unit can pass through it to b->t, so the two sets must not share a flow.
+    key = wtbound.wiretap._flow_key
+    assert key(net, frozenset({3, 7}))[0] == key(net, frozenset({4, 7}))[0]
+    assert key(net, frozenset({3, 7})) != key(net, frozenset({4, 7}))
+    assert (coll.mincuts[4], coll.cuts[4]) == (1, frozenset({3}))
+    assert (coll.mincuts[5], coll.cuts[5]) == (2, frozenset({3, 4}))
+    assert coll.regular == (True, True, True, True, False, True)
+
+
+def test_preprocess_checks_every_id_before_sharing_a_flow():
+    net = build_network(HAND_EDGES, source=0)
+    for bad in ({4, 9}, {4, -1}):
+        with pytest.raises(UnknownEdge):
+            preprocess(net, [{4, 5}, bad])
+
+
+def test_preprocess_matches_the_per_set_reference_over_the_corpus():
+    for i in range(CORPUS_SIZE):
+        net, sets = random_instance(CORPUS_SEED + i)
+        assert_preprocess_matches_reference(net, sets)
+
+
+def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
+    net_text, sets_text = gen_combination(6, 4, 3)
+    net, labels = parse_network(net_text)
+    sets = [labels.edge_set(line.split()) for line in sets_text.splitlines()]
+    assert len(sets) == 21560
+    coll, warnings = assert_preprocess_matches_reference(net, sets)
+    assert len(coll) == 21560 and warnings == ()
+
+    calls = []
+    real = wtbound.wiretap.max_flow
+
+    def counting(net, target):
+        calls.append(target)
+        return real(net, target)
+
+    monkeypatch.setattr(wtbound.wiretap, "max_flow", counting)
+    assert preprocess(net, sets) == (coll, warnings)
+    # A set takes relay-to-sink edges from distinct relays, so its tails are
+    # the relays it taps: one flow per nonempty subset of at most r = 3 of
+    # the 6 relays.
+    assert len(calls) == sum(comb(6, j) for j in (1, 2, 3)) == 41
 
 
 def test_regularize_replaces_a_set_by_its_primary_cut(fig1):
