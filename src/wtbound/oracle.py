@@ -1,12 +1,20 @@
 """Brute-force reference implementations for cross-validation.
 
 Everything in this module works straight from the definitions: minimum cuts
-are found by trying every edge subset in increasing size order, equivalence
-means literally sharing a minimum cut, and domination means some cut common
-to the whole dominating class separates every member of the dominated one.
-Nothing here touches the flow machinery, so agreement with the fast path is
+are found by trying every edge subset in increasing size order, separation
+is checked by a plain search from the source, equivalence means literally
+sharing a minimum cut, and domination means some cut common to the whole
+dominating class separates every member of the dominated one. No function
+here calls the flow kernel (the module imports `cuts` only for the `Cut`
+record, and tests/test_oracle.py runs every public function with the kernel
+replaced by a stub that raises), so agreement with the fast path is
 meaningful evidence. Costs are exponential; the per-target search space is
 capped (WTB_MAX_ORACLE_EDGES, default 18).
+
+Each public function reads that cap once and builds one `_Reached` memo that
+lives for the call: it maps a deleted edge set to the nodes the source still
+reaches, so each distinct set is searched once, however many targets,
+candidate cuts and class members ask about it.
 """
 
 from __future__ import annotations
@@ -55,9 +63,25 @@ class MinCutFamily:
     cuts: tuple[frozenset[EdgeId], ...]
 
 
-def _reachable(net: Network, removed: frozenset[EdgeId]) -> set[int]:
+class _Reached(dict):
+    """Deleted edge set -> bitmask of the nodes the source still reaches.
+
+    A per-call memo: bit v is set when node v is reached. A missing key runs
+    one `_reachable` search and stores its result.
+    """
+
+    def __init__(self, net: Network) -> None:
+        super().__init__()
+        self.net = net
+
+    def __missing__(self, removed: frozenset[EdgeId]) -> int:
+        self[removed] = alive = _reachable(self.net, removed)
+        return alive
+
+
+def _reachable(net: Network, removed: frozenset[EdgeId]) -> int:
     # plain depth-first reachability, kept separate from the fast path on purpose
-    seen = {net.source}
+    seen = 1 << net.source
     stack = [net.source]
     while stack:
         u = stack.pop()
@@ -65,21 +89,23 @@ def _reachable(net: Network, removed: frozenset[EdgeId]) -> set[int]:
             if e in removed:
                 continue
             v = net.edges[e][1]
-            if v not in seen:
-                seen.add(v)
+            if not seen >> v & 1:
+                seen |= 1 << v
                 stack.append(v)
     return seen
 
 
-def _separated(net: Network, blockers: frozenset[EdgeId], target: frozenset[EdgeId]) -> bool:
-    alive = _reachable(net, blockers)
-    return all(e in blockers or net.tail(e) not in alive for e in target)
+def _separated(reached: _Reached, blockers: frozenset[EdgeId], target: frozenset[EdgeId]) -> bool:
+    alive = reached[blockers]
+    tail = reached.net.tail
+    return all(e in blockers or not alive >> tail(e) & 1 for e in target)
 
 
-def _relevant_edges(net: Network, target: frozenset[EdgeId]) -> list[EdgeId]:
+def _relevant_edges(reached: _Reached, target: frozenset[EdgeId]) -> list[EdgeId]:
     """Edges lying on some source-to-target path; only these can appear in a
     minimum cut, since dropping any other edge from a cut keeps it a cut."""
-    alive = _reachable(net, frozenset())
+    net = reached.net
+    alive = reached[frozenset()]
     # nodes from which some target edge's tail can be reached, by reverse walk
     feeds = {net.tail(a) for a in target}
     changed = True
@@ -91,7 +117,7 @@ def _relevant_edges(net: Network, target: frozenset[EdgeId]) -> list[EdgeId]:
                 changed = True
     out = []
     for e, (t, h) in enumerate(net.edges):
-        if t not in alive:
+        if not alive >> t & 1:
             continue
         if e in target or h in feeds:
             out.append(e)
@@ -106,13 +132,18 @@ def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
     paths. An unreachable target yields capacity 0 with the empty cut as the
     family's only member.
     """
+    return _min_cuts(_Reached(net), target, edge_limit())
+
+
+def _min_cuts(reached: _Reached, target: Iterable[EdgeId], limit: int) -> MinCutFamily:
+    """enumerate_min_cuts with the caller's memo and edge limit."""
+    net = reached.net
     tset = frozenset(target)
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     for e in tset:
         net.check_edge(e)
-    universe = _relevant_edges(net, tset)
-    limit = edge_limit()
+    universe = _relevant_edges(reached, tset)
     if len(universe) > limit:
         raise InstanceTooLarge(
             f"{len(universe)} edges lie on paths to the target, limit is {limit} "
@@ -122,7 +153,7 @@ def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
         found = [
             frozenset(combo)
             for combo in combinations(universe, k)
-            if _separated(net, frozenset(combo), tset)
+            if _separated(reached, frozenset(combo), tset)
         ]
         if found:
             found.sort(key=sorted)
@@ -137,11 +168,12 @@ def oracle_primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     such member exists (the fast path's correctness implies there always is
     one; this reports rather than assumes it).
     """
-    family = enumerate_min_cuts(net, target)
-    return Cut(target=family.target, edges=_primary(net, family))
+    reached = _Reached(net)
+    family = _min_cuts(reached, target, edge_limit())
+    return Cut(target=family.target, edges=_primary(reached, family))
 
 
-def _primary(net: Network, family: MinCutFamily) -> frozenset[EdgeId]:
+def _primary(reached: _Reached, family: MinCutFamily) -> frozenset[EdgeId]:
     """The primary cut of a family; oracle_primary_min_cut documents the errors."""
     if family.capacity == 0:
         raise UnreachableTarget(
@@ -150,7 +182,7 @@ def _primary(net: Network, family: MinCutFamily) -> frozenset[EdgeId]:
     least = [
         c
         for c in family.cuts
-        if all(_separated(net, c, other) for other in family.cuts)
+        if all(_separated(reached, c, other) for other in family.cuts)
     ]
     if len(least) != 1:
         raise NoPrimaryFound(
@@ -180,11 +212,12 @@ def oracle_bounds(
     some cut common to all of j's members separates all of i's members.
     """
     sets = list(coll.sets) if hasattr(coll, "sets") else list(coll)
-    return _bounds(net, sets, [enumerate_min_cuts(net, s) for s in sets])
+    reached, limit = _Reached(net), edge_limit()
+    return _bounds(reached, sets, [_min_cuts(reached, s, limit) for s in sets])
 
 
 def _bounds(
-    net: Network, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
+    reached: _Reached, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
 ) -> OracleBounds:
     """oracle_bounds over sets whose minimum-cut families `fams` are known."""
     families = [set(fam.cuts) for fam in fams]
@@ -212,7 +245,7 @@ def _bounds(
             if i == j:
                 continue
             for cand in common[j]:
-                if all(_separated(net, cand, sets[m]) for m in cls_i):
+                if all(_separated(reached, cand, sets[m]) for m in cls_i):
                     order.add((i, j))
                     break
     maximal = [
@@ -250,7 +283,8 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         results.append(CheckResult(name, ok, detail))
 
     # each family is enumerated once and serves every record below
-    families = [enumerate_min_cuts(net, s) for s in coll.sets]
+    reached, limit = _Reached(net), edge_limit()
+    families = [_min_cuts(reached, s, limit) for s in coll.sets]
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
         fast = coll.mincuts[i]
@@ -261,7 +295,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
         fast_cut = coll.cuts[i]
-        slow_cut = _primary(net, families[i])
+        slow_cut = _primary(reached, families[i])
         primaries.append(slow_cut)
         record(
             f"primary[{i}]",
@@ -269,7 +303,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             f"fast {sorted(fast_cut)}, oracle {sorted(slow_cut)} for {sorted(s)}",
         )
 
-    ob = _bounds(net, coll.sets, families)
+    ob = _bounds(reached, coll.sets, families)
     classes = wiretap.partition_classes(net, coll)
     fast_partition = tuple(cls.members for cls in classes)
     record(

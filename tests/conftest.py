@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled example instances, parsed once per session."""
+"""Shared fixtures: the bundled example instances, parsed once per session,
+and the randomized corpus, built once per session."""
 
 from __future__ import annotations
 
@@ -7,7 +8,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from wtbound import parse_collection, parse_network
+from wtbound import (
+    compute_bound,
+    enumerate_min_cuts,
+    oracle_bounds,
+    parse_collection,
+    parse_network,
+    partition_classes,
+    preprocess,
+)
+
+from helpers import CORPUS_SEED, CORPUS_SIZE, random_instance
 
 
 def _read_data(name: str) -> str:
@@ -36,3 +47,31 @@ def data_files(tmp_path_factory):
     for name in ("fig1.net", "fig1.wsets", "singlesink.net"):
         (directory / name).write_text(_read_data(name))
     return directory
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """Randomized little instances with every expensive artifact precomputed.
+
+    Per instance: the network, the preprocessed collection, the exhaustive
+    minimum-cut family of every kept set, the brute-force class structure,
+    the fast class partition, and the fast bound report.
+    """
+    records = []
+    for i in range(CORPUS_SIZE):
+        seed = CORPUS_SEED + i
+        net, raw_sets = random_instance(seed)
+        coll, _ = preprocess(net, raw_sets)
+        fams = [enumerate_min_cuts(net, s) for s in coll.sets]
+        records.append(
+            SimpleNamespace(
+                seed=seed,
+                net=net,
+                coll=coll,
+                fams=fams,
+                ob=oracle_bounds(net, coll),
+                classes=partition_classes(net, coll),
+                report=compute_bound(net, coll),
+            )
+        )
+    return records

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from wtbound import (
@@ -93,6 +95,20 @@ def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
         size = min(rng.randint(1, 3), n_edges)
         sets.append(frozenset(rng.sample(range(n_edges), size)))
     return net, sets
+
+
+def layered_network(width: int, depth: int, fan_in: int, seed: int) -> Network:
+    """The benchmark's layered DAG, from `layered_edges` in wtbench/reference.py
+    (a file that imports nothing from the package), with its source as node 0."""
+    path = Path(__file__).resolve().parents[1] / "wtbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("wtbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    ids = {"s": 0}
+    edges = []
+    for _, tail, head in reference.layered_edges(width, depth, fan_in, seed):
+        edges.append((ids.setdefault(tail, len(ids)), ids.setdefault(head, len(ids))))
+    return build_network(edges, source=0)
 
 
 def residual_side(

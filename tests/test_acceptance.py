@@ -10,7 +10,6 @@ path and the exhaustive brute-force path over a large randomized corpus.
 
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +30,6 @@ from wtbound import (
     parse_collection,
     parse_network,
     partition_classes,
-    preprocess,
     primary_min_cut,
     separates,
 )
@@ -39,7 +37,6 @@ from wtbound.cli import main
 from wtbound.oracle import ENV_EDGE_LIMIT
 
 from helpers import (
-    CORPUS_SEED,
     CORPUS_SIZE,
     FIG1_CLASSES,
     FIG1_COVERING,
@@ -47,7 +44,6 @@ from helpers import (
     enumerate_decompositions,
     eset,
     pruning_loop,
-    random_instance,
     result_block,
 )
 
@@ -57,34 +53,6 @@ from helpers import (
 # wrong: deleting the cut leaves every tail of those edges unreachable, so the
 # definitions force both pairs, and FIG1_COVERING holds all 18.
 DERIVED_COVERING = (((4, 6), "e1 e2", "e18 e19"), ((5, 11), "e4 e5", "e20 e21"))
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """Randomized little instances with every expensive artifact precomputed.
-
-    Per instance: the network, the preprocessed collection, the exhaustive
-    minimum-cut family of every kept set, the brute-force class structure,
-    the fast class partition, and the fast bound report.
-    """
-    records = []
-    for i in range(CORPUS_SIZE):
-        seed = CORPUS_SEED + i
-        net, raw_sets = random_instance(seed)
-        coll, _ = preprocess(net, raw_sets)
-        fams = [enumerate_min_cuts(net, s) for s in coll.sets]
-        records.append(
-            SimpleNamespace(
-                seed=seed,
-                net=net,
-                coll=coll,
-                fams=fams,
-                ob=oracle_bounds(net, coll),
-                classes=partition_classes(net, coll),
-                report=compute_bound(net, coll),
-            )
-        )
-    return records
 
 
 def test_bundled_two_sink_instance_bounds_via_cli(data_files, capsys):

@@ -239,6 +239,11 @@ def test_exit_2_on_input_errors(data_files, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(ENV_EDGE_LIMIT, "abc")
     assert main(["verify", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]) == 2
     assert ENV_EDGE_LIMIT in capsys.readouterr().err
+    # ... also when the collection is empty, so no set reaches the oracle
+    empty = tmp_path / "empty.wsets"
+    empty.write_text("")
+    assert main(["verify", str(data_files / "fig1.net"), str(empty)]) == 2
+    assert ENV_EDGE_LIMIT in capsys.readouterr().err
 
 
 def test_exit_3_when_brute_force_is_too_large(data_files, tmp_path, capsys, monkeypatch):

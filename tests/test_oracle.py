@@ -1,5 +1,8 @@
 """The brute-force reference path: exhaustive cut families and cross-checks."""
 
+import sys
+from itertools import combinations
+
 import pytest
 
 from wtbound import (
@@ -14,10 +17,12 @@ from wtbound import (
     oracle_bounds,
     oracle_primary_min_cut,
     partition_classes,
+    preprocess,
 )
+from wtbound import flow, oracle
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
-from helpers import FIG1_ORDER, eset
+from helpers import FIG1_ORDER, eset, layered_network
 
 
 def test_edge_limit_env_override(monkeypatch):
@@ -106,3 +111,82 @@ def test_cross_check_fig1_all_green(fig1):
     assert bad == []
     names = {r.name for r in results}
     assert {"partition", "domination", "n", "n_max", "maximal_cuts"} <= names
+
+
+class _NoStore(oracle._Reached):
+    """The per-call memo with storing switched off: every question runs its
+    own search, as the oracle did before the memo."""
+
+    def __missing__(self, removed):
+        return oracle._reachable(self.net, removed)
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record the deleted edge set of every `_reachable` search from now on."""
+    calls = []
+    search = oracle._reachable
+
+    def counted(net, removed):
+        calls.append(removed)
+        return search(net, removed)
+
+    monkeypatch.setattr(oracle, "_reachable", counted)
+    return calls
+
+
+def _oracle_answers(net, coll):
+    return (
+        cross_check(net, coll),
+        oracle_bounds(net, coll),
+        [enumerate_min_cuts(net, s) for s in coll.sets],
+        [oracle_primary_min_cut(net, s) for s in coll.sets],
+    )
+
+
+def test_the_reachability_memo_changes_no_result(corpus, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    memoized = [_oracle_answers(rec.net, rec.coll) for rec in corpus]
+    searches = len(calls)
+    monkeypatch.setattr(oracle, "_Reached", _NoStore)
+    for rec, expected in zip(corpus, memoized):
+        assert _oracle_answers(rec.net, rec.coll) == expected, rec.seed
+    # without storing, the same questions must cost more searches, or the
+    # comparison above would not have exercised the memo
+    assert len(calls) - searches > searches
+
+
+def test_one_search_per_distinct_deleted_set(fig1, monkeypatch):
+    # the verify-layered benchmark shape with its r=2 collection: the oracle
+    # asks about the empty set, every single edge and every edge pair
+    net = layered_network(6, 3, 2, 1)
+    sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
+    coll, _ = preprocess(net, sets)
+    assert (len(net.edges), len(coll.sets)) == (30, 465)
+    calls = _count_searches(monkeypatch)
+    assert all(r.ok for r in cross_check(net, coll))
+    assert len(calls) == len(set(calls)) == 1 + 30 + 435
+    calls.clear()
+    assert all(r.ok for r in cross_check(fig1.net, fig1.coll))
+    assert len(calls) == len(set(calls)) > 0
+
+
+def test_the_oracle_runs_without_the_flow_kernel(fig1, corpus, monkeypatch):
+    # every collection here was preprocessed, by the fast path, before the stub
+    instances = [(fig1.net, fig1.coll)] + [(rec.net, rec.coll) for rec in corpus[::25]]
+    kernel = flow.max_flow
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the oracle called the flow kernel")
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wtbound" and getattr(module, "max_flow", None) is kernel:
+            monkeypatch.setattr(module, "max_flow", no_kernel)
+            stubbed.add(name)
+    assert {"wtbound", "wtbound.flow", "wtbound.cuts", "wtbound.wiretap"} <= stubbed
+    for net, coll in instances:
+        for s in coll.sets:
+            family = enumerate_min_cuts(net, s)
+            assert oracle_primary_min_cut(net, s).edges in family.cuts
+        assert oracle_bounds(net, coll).n <= len(coll.sets)
+        assert all(r.ok for r in cross_check(net, coll))

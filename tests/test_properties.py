@@ -6,6 +6,7 @@ import pytest
 from wtbound import (
     build_network,
     compute_bound,
+    cross_check,
     enumerate_min_cuts,
     max_flow,
     oracle_bounds,
@@ -70,3 +71,15 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     report = compute_bound(net, coll)
     oracle = oracle_bounds(net, coll)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(dag_and_collection())
+def test_every_cross_check_record_is_ok(case):
+    # the partition, the domination order and the maximal-cut list, among
+    # the rest, each against the brute-force oracle
+    net, sets = case
+    coll, _ = preprocess(net, sets)
+    results = cross_check(net, coll)
+    assert {"partition", "domination", "maximal_cuts"} <= {r.name for r in results}
+    assert [r for r in results if not r.ok] == []
