@@ -19,7 +19,6 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
-    TargetMismatch,
     UnknownEdge,
     UnknownEdgeLabel,
     UnreachableTarget,
@@ -28,18 +27,14 @@ from .errors import (
 from .graph import (
     Network,
     build_network,
-    edge_precedes,
     topological_order,
 )
 from .flow import max_flow
 from .cuts import (
     Cut,
-    cut_leq,
     mincut_capacity,
-    minord_merge,
     primary_min_cut,
     reachable_nodes,
-    separates,
 )
 from .wiretap import (
     BoundReport,
@@ -48,13 +43,9 @@ from .wiretap import (
     WiretapCollection,
     class_hasse,
     compute_bound,
-    dominates,
-    equivalent,
     partition_classes,
     preprocess,
     reachable_after_delete,
-    regularize,
-    strict_order_pairs,
 )
 from .oracle import (
     CheckResult,
@@ -97,7 +88,6 @@ __all__ = [
     "ParameterOutOfRange",
     "ParseError",
     "SourceHasIncomingEdges",
-    "TargetMismatch",
     "UnknownEdge",
     "UnknownEdgeLabel",
     "UnreachableTarget",
@@ -107,17 +97,12 @@ __all__ = [
     "class_hasse",
     "compute_bound",
     "cross_check",
-    "cut_leq",
-    "dominates",
-    "edge_precedes",
     "enumerate_min_cuts",
-    "equivalent",
     "export_hasse_dot",
     "gen_combination",
     "gen_r_wiretap",
     "max_flow",
     "mincut_capacity",
-    "minord_merge",
     "oracle_bounds",
     "oracle_primary_min_cut",
     "parse_collection",
@@ -127,10 +112,7 @@ __all__ = [
     "primary_min_cut",
     "reachable_after_delete",
     "reachable_nodes",
-    "regularize",
-    "separates",
     "serialize_collection",
     "serialize_network",
-    "strict_order_pairs",
     "topological_order",
 ]

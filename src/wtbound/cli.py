@@ -113,7 +113,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_classes(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     coll, _ = _load_collection(args.collection, net, labels)
-    classes = wiretap.partition_classes(net, coll)
+    classes = wiretap.partition_classes(coll)
     human = [_network_summary(net, labels), f"collection: {len(coll.sets)} sets"]
     human.append(f"{len(classes)} equivalence classes")
     machine: list[tuple[str, object]] = [("sets", len(coll.sets)), ("classes", len(classes))]
@@ -139,7 +139,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 def _cmd_hasse(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     coll, _ = _load_collection(args.collection, net, labels)
-    classes = wiretap.partition_classes(net, coll)
+    classes = wiretap.partition_classes(coll)
     diagram = wiretap.class_hasse(net, classes)
     dot = fileio.export_hasse_dot(diagram)
     Path(args.dot).write_text(dot)

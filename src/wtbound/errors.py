@@ -33,10 +33,6 @@ class EmptyTargetSet(WtbError):
     """A target edge set must be nonempty."""
 
 
-class TargetMismatch(WtbError):
-    """Two cuts being compared or merged separate different target sets."""
-
-
 class UnreachableTarget(WtbError):
     """No edge of the target set is reachable from the source."""
 

@@ -18,8 +18,7 @@ residual arc leaves one; the dead nodes a search would visit lead only to
 other dead nodes. The live nodes are therefore discovered in the same order,
 the augmenting paths and the flow are the same as without the restriction,
 and the primary cut, which never contains an edge into a dead node, is the
-same too. Only the full residual side, which includes dead nodes, needs the
-unrestricted search; `MaxFlow.side` runs it when read.
+same too.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyTargetSet
-from .graph import EdgeId, Network, NodeId
+from .graph import EdgeId, Network
 
 
 class MaxFlow(NamedTuple):
-    """A maximum flow from the source to the edge set `target` of `net`.
+    """A maximum flow from the source to a target edge set.
 
     `values[e]` is 1 when a unit crosses base edge e (for a target edge:
     leaves the network through it); `value` is the number of units. `cut`
@@ -42,28 +41,6 @@ class MaxFlow(NamedTuple):
     value: int
     values: bytearray
     cut: frozenset[EdgeId]
-    net: Network
-    target: frozenset[EdgeId]
-
-    @property
-    def side(self) -> frozenset[NodeId]:
-        """The nodes the source reaches in the residual graph.
-
-        Computed on each read by a search over the whole network, dead nodes
-        included; nothing on the flow path needs it.
-        """
-        net, values, target = self.net, self.values, self.target
-        edges = net.edges
-        side = {net.source}
-        queue = [net.source]
-        for u in queue:
-            steps = [edges[e][1] for e in net.out_edges[u] if not values[e] and e not in target]
-            steps += [edges[e][0] for e in net.in_edges[u] if values[e] and e not in target]
-            for v in steps:
-                if v not in side:
-                    side.add(v)
-                    queue.append(v)
-        return frozenset(side)
 
 
 def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
@@ -133,4 +110,4 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
         for e in out_edges[u]
         if is_target[e] or edges[e][1] not in pred and live >> edges[e][1] & 1
     )
-    return MaxFlow(value=value, values=flow, cut=cut, net=net, target=tset)
+    return MaxFlow(value=value, values=flow, cut=cut)

@@ -59,17 +59,6 @@ class Network:
         return tuple(tuple(lst) for lst in adj)
 
     @cached_property
-    def _descendants(self) -> tuple[int, ...]:
-        """Bitmask per node of all nodes reachable from it (itself included)."""
-        masks = [1 << v for v in range(self.num_nodes)]
-        for v in reversed(topological_order(self)):
-            acc = masks[v]
-            for e in self.out_edges[v]:
-                acc |= masks[self.edges[e][1]]
-            masks[v] = acc
-        return tuple(masks)
-
-    @cached_property
     def _ancestors(self) -> tuple[int, ...]:
         """Bitmask per node of all nodes it is reachable from (itself included)."""
         masks = [1 << v for v in range(self.num_nodes)]
@@ -143,15 +132,3 @@ def topological_order(net: Network) -> list[NodeId]:
         raise CyclicGraph("edge list contains a directed cycle")
     return order
 
-
-def edge_precedes(net: Network, d: EdgeId, e: EdgeId) -> bool:
-    """True when edge d lies on some path ending with edge e.
-
-    Holds when d == e or when a directed path runs from head(d) to tail(e).
-    This is the reflexive reachability order on edges of a DAG.
-    """
-    net.check_edge(d)
-    net.check_edge(e)
-    if d == e:
-        return True
-    return bool(net._descendants[net.head(d)] >> net.tail(e) & 1)

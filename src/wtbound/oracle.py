@@ -259,6 +259,13 @@ def _bounds(
     )
 
 
+def _strict_order_pairs(above: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The relation in `HasseDiagram.above` as (dominated, dominator) pairs."""
+    return frozenset(
+        (i, j) for i, row in enumerate(above) for j in range(row.bit_length()) if row >> j & 1
+    )
+
+
 class CheckResult(NamedTuple):
     name: str
     ok: bool
@@ -304,7 +311,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         )
 
     ob = _bounds(reached, coll.sets, families)
-    classes = wiretap.partition_classes(net, coll)
+    classes = wiretap.partition_classes(coll)
     fast_partition = tuple(cls.members for cls in classes)
     record(
         "partition",
@@ -313,8 +320,8 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     )
 
     diagram = wiretap.class_hasse(net, classes)
-    fast_order = wiretap.strict_order_pairs(diagram)
     above = diagram.above  # bit j of above[i]: class j dominates class i
+    fast_order = _strict_order_pairs(above)
     strict = all(not row >> i & 1 for i, row in enumerate(above)) and all(
         not above[j] >> i & 1 and not above[j] & ~above[i] for i, j in fast_order
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cuts import Cut, mincut_capacity, primary_min_cut, reachable_nodes
+from .cuts import Cut, reachable_nodes
 from .flow import max_flow
 from .graph import EdgeId, Network, NodeId
 
@@ -38,15 +38,13 @@ class WiretapCollection:
     """Deduplicated wiretap sets with cached cut data, in input order.
 
     `mincuts[i]` is the minimum cut capacity of `sets[i]` and `cuts[i]` its
-    primary minimum cut (sets with equal cuts share one frozenset);
-    `regular[i]` says whether the set's size equals its capacity. Build via
+    primary minimum cut (sets with equal cuts share one frozenset). Build via
     `preprocess`.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
     mincuts: tuple[int, ...]
     cuts: tuple[frozenset[EdgeId], ...]
-    regular: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -186,48 +184,11 @@ def preprocess(
         sets=tuple(kept),
         mincuts=tuple(caps),
         cuts=tuple(cuts),
-        regular=tuple(len(s) == c for s, c in zip(kept, caps)),
     )
     return coll, tuple(warnings)
 
 
-def regularize(net: Network, target: Iterable[EdgeId]) -> Cut:
-    """Stand-in of minimal size for a wiretap set: its primary minimum cut.
-
-    Replacing a set by any of its minimum cuts preserves its equivalence
-    class and all domination relations; the primary one makes the choice
-    deterministic. Raises UnreachableTarget on capacity 0.
-    """
-    return primary_min_cut(net, target)
-
-
-def equivalent(net: Network, a1: Iterable[EdgeId], a2: Iterable[EdgeId]) -> bool:
-    """True when the two sets share a minimum cut.
-
-    Equivalent to: both capacities equal the capacity of the union. The
-    relation is reflexive, symmetric, and transitive on sets with at least
-    one reachable edge.
-    """
-    s1, s2 = frozenset(a1), frozenset(a2)
-    c1 = mincut_capacity(net, s1)
-    c2 = mincut_capacity(net, s2)
-    return c1 == c2 == mincut_capacity(net, s1 | s2)
-
-
-def dominates(net: Network, a1: Iterable[EdgeId], a2: Iterable[EdgeId]) -> bool:
-    """True when a2's class strictly dominates a1's.
-
-    Requires a strictly smaller capacity on a1's side and a minimum cut of a2
-    that also covers a1, detected through the union capacity. Never true for
-    equivalent sets, so this induces an irreflexive order on classes.
-    """
-    s1, s2 = frozenset(a1), frozenset(a2)
-    c1 = mincut_capacity(net, s1)
-    c2 = mincut_capacity(net, s2)
-    return c1 < c2 and mincut_capacity(net, s1 | s2) == c2
-
-
-def partition_classes(net: Network, coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
+def partition_classes(coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
     """Group the collection into equivalence classes, by first-member order.
 
     Two sets are equivalent exactly when they share their primary minimum
@@ -291,11 +252,6 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     )
 
 
-def strict_order_pairs(diagram: HasseDiagram) -> frozenset[tuple[int, int]]:
-    """The full domination relation as (dominated, dominator) pairs."""
-    return frozenset((i, j) for i, row in enumerate(diagram.above) for j in _bits(row))
-
-
 def reachable_after_delete(net: Network, removed: Iterable[EdgeId]) -> frozenset[EdgeId]:
     """Edges that still carry information once `removed` is deleted.
 
@@ -334,7 +290,7 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     """
     if mode not in ("nmax", "n", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    classes = partition_classes(net, coll)
+    classes = partition_classes(coll)
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
     if mode in ("nmax", "both"):

@@ -70,7 +70,7 @@ def corpus():
                 coll=coll,
                 fams=fams,
                 ob=oracle_bounds(net, coll),
-                classes=partition_classes(net, coll),
+                classes=partition_classes(coll),
                 report=compute_bound(net, coll),
             )
         )

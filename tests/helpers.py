@@ -8,12 +8,14 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from wtbound import (
+    Cut,
     WiretapCollection,
     build_network,
     max_flow,
     mincut_capacity,
     primary_min_cut,
     reachable_after_delete,
+    reachable_nodes,
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
@@ -220,13 +222,79 @@ def reference_preprocess(
         kept.append(s)
         caps.append(flow.value)
         cuts.append(flow.cut)
-    coll = WiretapCollection(
-        sets=tuple(kept),
-        mincuts=tuple(caps),
-        cuts=tuple(cuts),
-        regular=tuple(len(s) == c for s, c in zip(kept, caps)),
-    )
+    coll = WiretapCollection(sets=tuple(kept), mincuts=tuple(caps), cuts=tuple(cuts))
     return coll, tuple(warnings)
+
+
+def separates(net: Network, blockers: Iterable[int], target: Iterable[int]) -> bool:
+    """True when deleting `blockers` cuts every source path to `target`.
+
+    A target edge in `blockers` is separated outright; any other target edge
+    must have an unreachable tail once the blockers are gone. An empty target
+    is vacuously separated. Raises UnknownEdge on a bad id."""
+    blocked = frozenset(blockers)
+    tset = frozenset(target)
+    for e in blocked | tset:
+        net.check_edge(e)
+    alive = reachable_nodes(net, blocked)
+    return all(e in blocked or net.tail(e) not in alive for e in tset)
+
+
+def cut_leq(net: Network, c1: Cut, c2: Cut) -> bool:
+    """The order among minimum cuts of one target: c1 <= c2 iff c1 separates
+    c2. Its least element is the primary minimum cut."""
+    return separates(net, c1.edges, c2.edges)
+
+
+def minord_merge(net: Network, c1: Cut, c2: Cut) -> Cut:
+    """Greatest lower bound of two minimum cuts of c1's target.
+
+    Decomposes one maximum flow into edge-disjoint paths; each path meets
+    each minimum cut exactly once, and the merge keeps, per path, whichever
+    of the two crossing edges comes first. Raises ValueError when either
+    input is not a minimum cut of the target."""
+    flow = max_flow(net, c1.target)
+    for c in (c1, c2):
+        if len(c.edges) != flow.value:
+            raise ValueError(f"cut {sorted(c.edges)} has capacity {len(c.edges)}, not {flow.value}")
+    # split the flow into unit paths, each following the lowest-id edge that
+    # still carries flow until it leaves the network through a target edge
+    rem = bytearray(flow.values)
+    merged: set[int] = set()
+    for _ in range(flow.value):
+        path: list[int] = []
+        v = net.source
+        while not path or path[-1] not in c1.target:
+            e = next(e for e in net.out_edges[v] if rem[e])
+            rem[e] = 0
+            path.append(e)
+            v = net.head(e)
+        hits1 = [i for i, e in enumerate(path) if e in c1.edges]
+        hits2 = [i for i, e in enumerate(path) if e in c2.edges]
+        if len(hits1) != 1 or len(hits2) != 1:
+            bad = c1 if len(hits1) != 1 else c2
+            raise ValueError(f"cut {sorted(bad.edges)} does not cross every flow path once")
+        merged.add(path[min(hits1[0], hits2[0])])
+    return Cut(target=c1.target, edges=frozenset(merged))
+
+
+def equivalent(net: Network, a1: Iterable[int], a2: Iterable[int]) -> bool:
+    """True when the two sets share a minimum cut: both capacities equal the
+    capacity of their union."""
+    s1, s2 = frozenset(a1), frozenset(a2)
+    c1 = mincut_capacity(net, s1)
+    c2 = mincut_capacity(net, s2)
+    return c1 == c2 == mincut_capacity(net, s1 | s2)
+
+
+def dominates(net: Network, a1: Iterable[int], a2: Iterable[int]) -> bool:
+    """True when a2's class strictly dominates a1's: a1 has the smaller
+    capacity, and a minimum cut of a2 also covers a1, detected through the
+    union capacity. Never true for equivalent sets."""
+    s1, s2 = frozenset(a1), frozenset(a2)
+    c1 = mincut_capacity(net, s1)
+    c2 = mincut_capacity(net, s2)
+    return c1 < c2 and mincut_capacity(net, s1 | s2) == c2
 
 
 def enumerate_decompositions(

@@ -17,21 +17,16 @@ from wtbound import (
     Cut,
     class_hasse,
     compute_bound,
-    cut_leq,
-    dominates,
     enumerate_min_cuts,
-    equivalent,
     gen_combination,
     max_flow,
     mincut_capacity,
-    minord_merge,
     oracle_bounds,
     oracle_primary_min_cut,
     parse_collection,
     parse_network,
     partition_classes,
     primary_min_cut,
-    separates,
 )
 from wtbound.cli import main
 from wtbound.oracle import ENV_EDGE_LIMIT
@@ -41,10 +36,16 @@ from helpers import (
     FIG1_CLASSES,
     FIG1_COVERING,
     FIG1_MAXIMAL_CUTS,
+    cut_leq,
+    dominates,
     enumerate_decompositions,
+    equivalent,
     eset,
+    minord_merge,
     pruning_loop,
+    residual_side,
     result_block,
+    separates,
 )
 
 # The two covering pairs (low, high) that earlier documentation of this
@@ -84,7 +85,7 @@ def test_maximal_cut_list_is_invariant_under_tie_breaking(fig1):
 
 
 def test_two_sink_instance_class_structure(fig1):
-    classes = partition_classes(fig1.net, fig1.coll)
+    classes = partition_classes(fig1.coll)
     assert len(classes) == 15
     assert sorted(len(c.members) for c in classes) == [2] * 9 + [3] * 2 + [4] * 2 + [8] * 2
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
@@ -120,7 +121,7 @@ def test_two_sink_instance_matches_reference_diagram(fig1):
     """
     lab = fig1.labels
     ob = oracle_bounds(fig1.net, fig1.coll)
-    classes = partition_classes(fig1.net, fig1.coll)
+    classes = partition_classes(fig1.coll)
     assert ob.classes == tuple(cls.members for cls in classes)
     families = [
         [enumerate_min_cuts(fig1.net, fig1.coll.sets[m]) for m in members]
@@ -161,7 +162,7 @@ def test_single_sink_primary_cut(singlesink, monkeypatch):
     in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
     flow = max_flow(singlesink.net, in_t)
     assert flow.value == 4
-    assert flow.side == frozenset(
+    assert residual_side(singlesink.net, in_t, flow.values) == frozenset(
         node(lab) for lab in ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9")
     )
     cut = primary_min_cut(singlesink.net, in_t)

@@ -197,12 +197,12 @@ def test_export_hasse_dot_small_golden():
     net_text, sets_text = gen_combination(2, 1, 1)
     net, labels = parse_network(net_text)
     coll, _ = parse_collection(sets_text, net, labels)
-    diagram = class_hasse(net, partition_classes(net, coll))
+    diagram = class_hasse(net, partition_classes(coll))
     assert export_hasse_dot(diagram) == G21_DOT
 
 
 def test_export_hasse_dot_fig1(fig1):
-    diagram = class_hasse(fig1.net, partition_classes(fig1.net, fig1.coll))
+    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
     dot = export_hasse_dot(diagram)
     lines = dot.splitlines()
     assert lines[0] == "digraph classes {"

@@ -32,7 +32,7 @@ def test_max_flow_single_edge():
     flow = max_flow(net, {0})
     assert flow.value == 1
     assert flow.values == bytearray([1])
-    assert flow.side == frozenset({0})
+    assert residual_side(net, {0}, flow.values) == frozenset({0})
     assert flow.cut == frozenset({0})
 
 
@@ -41,7 +41,7 @@ def test_max_flow_to_unreachable_edges_is_zero():
     flow = max_flow(net, {1})
     assert flow.value == 0
     assert flow.values == bytearray([0, 0])
-    assert flow.side == frozenset({0, 1})
+    assert residual_side(net, {1}, flow.values) == frozenset({0, 1})
     assert flow.cut == frozenset()
 
 
@@ -53,6 +53,15 @@ def test_max_flow_identity_requires_explicit_target(fig1):
         max_flow(fig1.net, ())
     with pytest.raises(UnknownEdge):
         max_flow(fig1.net, {0, -1})
+
+
+def test_max_flow_rejects_bad_targets(fig1):
+    # A target edge set is checked against the network where the flow kernel
+    # takes it, before any edge gets a sink.
+    with pytest.raises(EmptyTargetSet):
+        max_flow(fig1.net, ())
+    with pytest.raises(UnknownEdge):
+        max_flow(fig1.net, {21})
 
 
 def test_max_flow_respects_parallel_edges():
@@ -104,9 +113,10 @@ def test_residual_source_set_requires_maximum_flow(fig1):
     for spec in ("e19 e20", "e6 e10 e18", "e9 e15 e21", "e3"):
         target = eset(fig1.labels, spec)
         flow = max_flow(net, target)
+        side = residual_side(net, target, flow.values)
         for e, (t, h) in enumerate(net.edges):
-            leaves = t in flow.side and (e in target or h not in flow.side)
-            enters = t not in flow.side and h in flow.side and e not in target
+            leaves = t in side and (e in target or h not in side)
+            enters = t not in side and h in side and e not in target
             assert (e in flow.cut) == leaves
             if leaves:
                 assert flow.values[e] == 1
@@ -120,7 +130,8 @@ def test_residual_source_set_singlesink(singlesink):
     in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
     flow = max_flow(singlesink.net, in_t)
     assert flow.value == 4
-    assert flow.side == frozenset(node(lab) for lab in SINGLESINK_SIDE)
+    side = residual_side(singlesink.net, in_t, flow.values)
+    assert side == frozenset(node(lab) for lab in SINGLESINK_SIDE)
 
 
 def test_residual_source_set_does_not_depend_on_the_flow(singlesink):
@@ -134,13 +145,14 @@ def test_residual_source_set_does_not_depend_on_the_flow(singlesink):
     other = OTHER_SINGLESINK_FLOW
     side = residual_side(net, in_t, other)
     assert not any(net.tail(e) in side and not other[e] for e in in_t)
-    assert side == ours.side
+    assert side == residual_side(net, in_t, ours.values)
 
 
 def assert_matches_reference(net, target):
     flow = max_flow(net, target)
     ref = reference_max_flow(net, target)
-    assert (flow.value, flow.values, flow.side, flow.cut) == ref, sorted(target)
+    side = residual_side(net, target, flow.values)
+    assert (flow.value, flow.values, side, flow.cut) == ref, sorted(target)
     return flow
 
 
@@ -153,13 +165,13 @@ def test_dead_branches_are_pruned_without_changing_the_flow():
     flow = assert_matches_reference(net, {3, 4})
     assert flow.value == 2
     assert flow.cut == frozenset({0, 9})
-    assert flow.side == frozenset({0, 5, 6})
+    assert residual_side(net, {3, 4}, flow.values) == frozenset({0, 5, 6})
     # toward (b, y) only s, a and b are live; the side is every node, and the
     # edges from a and b into dead nodes stay out of the cut
     flow = assert_matches_reference(net, {8})
     assert flow.value == 1
     assert flow.cut == frozenset({8})
-    assert flow.side == frozenset(range(7))
+    assert residual_side(net, {8}, flow.values) == frozenset(range(7))
 
 
 def test_max_flow_matches_the_unpruned_reference_over_the_corpus():

@@ -1,16 +1,13 @@
-"""Network construction, validation, and the edge order."""
+"""Network construction, validation, topological order, and ancestor masks."""
 
 import pytest
 
 from wtbound import (
     CyclicGraph,
     DanglingEndpoint,
-    EmptyTargetSet,
     SourceHasIncomingEdges,
     UnknownEdge,
     build_network,
-    edge_precedes,
-    max_flow,
     topological_order,
 )
 
@@ -67,15 +64,6 @@ def test_check_edge():
         net.check_edge(-1)
 
 
-def test_split_and_sink_rejects_bad_targets(fig1):
-    # A target edge set is checked against the network where the flow kernel
-    # takes it, before any edge gets a sink.
-    with pytest.raises(EmptyTargetSet):
-        max_flow(fig1.net, ())
-    with pytest.raises(UnknownEdge):
-        max_flow(fig1.net, {21})
-
-
 def test_topological_order_is_deterministic_smallest_first():
     net = build_network([(0, 2), (0, 1)], source=0)
     assert topological_order(net) == [0, 1, 2]
@@ -88,42 +76,18 @@ def test_topological_order_fig1(fig1):
     assert topological_order(fig1.net) == list(range(12))
 
 
-def test_edge_precedes_is_path_reachability():
-    #   0 -e0-> 1 -e2-> 2
-    #   0 -e1-> 1
-    net = build_network([(0, 1), (0, 1), (1, 2)], source=0)
-    assert edge_precedes(net, 0, 0)
-    assert edge_precedes(net, 0, 2)
-    assert edge_precedes(net, 1, 2)
-    assert not edge_precedes(net, 2, 0)
-    # Parallel edges do not precede one another.
-    assert not edge_precedes(net, 0, 1)
-    assert not edge_precedes(net, 1, 0)
-    with pytest.raises(UnknownEdge):
-        edge_precedes(net, 0, 3)
-
-
-def test_edge_precedes_fig1(fig1):
-    ids = fig1.labels.edge_id
-    # e1 reaches e16 through e7, but nothing runs back from e16 to e1.
-    assert edge_precedes(fig1.net, ids("e1"), ids("e16"))
-    assert not edge_precedes(fig1.net, ids("e16"), ids("e1"))
-    # e6 goes straight into a sink, so it precedes no other edge.
-    assert all(
-        not edge_precedes(fig1.net, ids("e6"), e)
-        for e in range(21)
-        if e != ids("e6")
-    )
-
-
-
 def test_ancestor_masks_mirror_descendant_masks(fig1, singlesink):
-    # u is an ancestor of v exactly when v is a descendant of u
+    # u is an ancestor of v exactly when a plain search from u reaches v
     for net in (fig1.net, singlesink.net):
-        nodes = range(net.num_nodes)
-        assert all(
-            (net._ancestors[v] >> u & 1) == (net._descendants[u] >> v & 1)
-            for u in nodes
-            for v in nodes
-        )
+        for u in range(net.num_nodes):
+            reached = {u}
+            stack = [u]
+            while stack:
+                for e in net.out_edges[stack.pop()]:
+                    if net.head(e) not in reached:
+                        reached.add(net.head(e))
+                        stack.append(net.head(e))
+            assert all(
+                (net._ancestors[v] >> u & 1) == (v in reached) for v in range(net.num_nodes)
+            )
         assert net._ancestors[net.source] == 1 << net.source

@@ -91,7 +91,7 @@ def test_oracle_bounds_fig1(fig1):
     assert ob.n == 15
     assert ob.n_max == 3
     assert ob.order == frozenset(FIG1_ORDER)
-    fast = partition_classes(fig1.net, fig1.coll)
+    fast = partition_classes(fig1.coll)
     assert ob.classes == tuple(cls.members for cls in fast)
 
 

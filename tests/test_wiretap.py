@@ -11,15 +11,12 @@ from wtbound import (
     build_network,
     class_hasse,
     compute_bound,
-    dominates,
-    equivalent,
     gen_combination,
     parse_network,
     partition_classes,
     preprocess,
+    primary_min_cut,
     reachable_after_delete,
-    regularize,
-    strict_order_pairs,
 )
 
 from helpers import (
@@ -29,6 +26,8 @@ from helpers import (
     FIG1_COVERING,
     FIG1_MAXIMAL_CUTS,
     FIG1_ORDER,
+    dominates,
+    equivalent,
     eset,
     pruning_loop,
     random_instance,
@@ -43,7 +42,7 @@ HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4
 def test_preprocess_keeps_fig1_intact(fig1):
     assert len(fig1.coll) == 48
     assert fig1.warnings == ()
-    assert all(fig1.coll.regular)
+    assert fig1.coll.mincuts == tuple(len(s) for s in fig1.coll.sets)
     singles = sum(1 for s in fig1.coll.sets if len(s) == 1)
     assert (singles, len(fig1.coll) - singles) == (12, 36)
 
@@ -56,7 +55,6 @@ def test_preprocess_drops_and_warns():
     assert coll.sets == (frozenset({0}),)
     assert coll.mincuts == (1,)
     assert coll.cuts == (frozenset({0}),)
-    assert coll.regular == (True,)
     assert warnings == (
         "empty set dropped",
         "duplicate set {0} dropped",
@@ -98,7 +96,6 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances():
     assert key(net, frozenset({3, 7})) != key(net, frozenset({4, 7}))
     assert (coll.mincuts[4], coll.cuts[4]) == (1, frozenset({3}))
     assert (coll.mincuts[5], coll.cuts[5]) == (2, frozenset({3, 4}))
-    assert coll.regular == (True, True, True, True, False, True)
 
 
 def test_preprocess_checks_every_id_before_sharing_a_flow():
@@ -138,12 +135,13 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
 
 
 def test_regularize_replaces_a_set_by_its_primary_cut(fig1):
+    # `wtb bound --regularize` replaces every set by this stand-in.
     lab = fig1.labels
-    cut = regularize(fig1.net, eset(lab, "e6 e10 e18"))
+    cut = primary_min_cut(fig1.net, eset(lab, "e6 e10 e18"))
     assert cut.edges == eset(lab, "e1 e2 e3")
     assert cut.target == eset(lab, "e6 e10 e18")
     # Regular sets are their own minimum cut but not always their primary one.
-    assert regularize(fig1.net, eset(lab, "e18")).edges == eset(lab, "e16")
+    assert primary_min_cut(fig1.net, eset(lab, "e18")).edges == eset(lab, "e16")
 
 
 def test_equivalent(fig1):
@@ -166,7 +164,7 @@ def test_dominates(fig1):
 
 
 def test_partition_classes_fig1(fig1):
-    classes = partition_classes(fig1.net, fig1.coll)
+    classes = partition_classes(fig1.coll)
     assert len(classes) == 15
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
         assert cls.capacity == cap
@@ -180,10 +178,11 @@ def test_partition_classes_fig1(fig1):
 
 
 def test_class_hasse_fig1(fig1):
-    diagram = class_hasse(fig1.net, partition_classes(fig1.net, fig1.coll))
+    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
     assert sorted(diagram.covering) == FIG1_COVERING
     assert diagram.maximal == (12, 13, 14)
-    assert strict_order_pairs(diagram) == frozenset(FIG1_ORDER)
+    order = {(i, j) for i, row in enumerate(diagram.above) for j in range(15) if row >> j & 1}
+    assert order == set(FIG1_ORDER)
 
 
 def test_reachable_after_delete(fig1):
@@ -240,7 +239,7 @@ def test_compute_bound_selection_and_tie_breaks(fig1):
 def test_compute_bound_degenerate_inputs(fig1):
     from wtbound import WiretapCollection, build_network
 
-    empty = WiretapCollection(sets=(), mincuts=(), cuts=(), regular=())
+    empty = WiretapCollection(sets=(), mincuts=(), cuts=())
     rep = compute_bound(fig1.net, empty)
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
