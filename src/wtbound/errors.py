@@ -11,12 +11,30 @@ class WtbError(Exception):
 
 # graph construction
 
-class CyclicGraph(WtbError):
-    """The edge list contains a directed cycle."""
+class _EdgeFault(WtbError):
+    """A graph error shown by one edge, whose id is `edge`.
+
+    The message is `where` (how the caller names the edge) followed by the
+    class's `problem`.
+    """
+
+    problem = ""
+
+    def __init__(self, where: str, edge: int) -> None:
+        super().__init__(f"{where} {self.problem}")
+        self.edge = edge
 
 
-class SourceHasIncomingEdges(WtbError):
-    """The designated source node has at least one incoming edge."""
+class CyclicGraph(_EdgeFault):
+    """The edge list contains a directed cycle; `edge` lies on one."""
+
+    problem = "lies on a directed cycle"
+
+
+class SourceHasIncomingEdges(_EdgeFault):
+    """The designated source node has an incoming edge; `edge` is the first."""
+
+    problem = "enters the source"
 
 
 class DanglingEndpoint(WtbError):

@@ -18,8 +18,10 @@ from typing import Iterable
 
 from .errors import (
     CollectionTooLarge,
+    CyclicGraph,
     ParameterOutOfRange,
     ParseError,
+    SourceHasIncomingEdges,
     UnknownEdgeLabel,
 )
 from .graph import EdgeId, Network, build_network
@@ -76,8 +78,9 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
 
     Raises ParseError on malformed lines, labels containing ',' (checked on
     the line that first names them: node, edge, source or sink), unknown or
-    duplicate labels, and a missing or repeated source; construction errors
-    (cycles, edges into the source) pass through from the graph layer.
+    duplicate labels, and a missing or repeated source. Raises CyclicGraph
+    and SourceHasIncomingEdges from the graph layer, with the line and
+    labels of the edge they name.
     """
     node_labels: list[str] = []
     node_ids: dict[str, int] = {}
@@ -142,7 +145,12 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
     source = resolve(source_label, source_line, create=False)
     sinks = tuple(resolve(lab, lineno, create=False) for lab, lineno in sink_lines.items())
 
-    net = build_network(edges, source, sinks, num_nodes=len(node_labels))
+    try:
+        net = build_network(edges, source, sinks, num_nodes=len(node_labels))
+    except (CyclicGraph, SourceHasIncomingEdges) as exc:
+        lineno, tail_lab, head_lab = edge_specs[exc.edge]
+        where = f"line {lineno}: edge {edge_labels[exc.edge]!r} ({tail_lab} -> {head_lab})"
+        raise type(exc)(where, exc.edge) from None
     return net, LabelTable(node_labels=tuple(node_labels), edge_labels=tuple(edge_labels))
 
 

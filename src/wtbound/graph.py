@@ -101,7 +101,7 @@ def build_network(
 
     for e, (t, h) in enumerate(edge_list):
         if h == source:
-            raise SourceHasIncomingEdges(f"edge {e} ({t} -> {h}) enters the source")
+            raise SourceHasIncomingEdges(f"edge {e} ({t} -> {h})", e)
 
     net = Network(num_nodes=num_nodes, edges=edge_list, source=source, sinks=tuple(sinks))
     topological_order(net)  # raises CyclicGraph on a cycle
@@ -111,8 +111,8 @@ def build_network(
 def topological_order(net: Network) -> list[NodeId]:
     """Topological order of all nodes, lowest node id first among the ready.
 
-    Deterministic for a given network. Raises CyclicGraph if the edges admit
-    no such order.
+    Deterministic for a given network. Raises CyclicGraph, naming the
+    lowest-id edge of one cycle, if the edges admit no such order.
     """
     indeg = [0] * net.num_nodes
     for _, h in net.edges:
@@ -129,6 +129,26 @@ def topological_order(net: Network) -> list[NodeId]:
             if indeg[h] == 0:
                 heapq.heappush(ready, h)
     if len(order) != net.num_nodes:
-        raise CyclicGraph("edge list contains a directed cycle")
+        e = _edge_on_cycle(net, indeg)
+        t, h = net.edges[e]
+        raise CyclicGraph(f"edge {e} ({t} -> {h})", e)
     return order
+
+
+def _edge_on_cycle(net: Network, indeg: list[int]) -> EdgeId:
+    """The lowest-id edge of one directed cycle, given the in-degrees a
+    topological sort left. Every node it could not order keeps an in-edge
+    from another such node, so walking those edges backwards closes a cycle.
+    """
+    v = next(u for u in range(net.num_nodes) if indeg[u])
+    step: dict[NodeId, EdgeId] = {}  # node -> the in-edge the walk left it by
+    while v not in step:
+        step[v] = next(e for e in net.in_edges[v] if indeg[net.edges[e][0]])
+        v = net.edges[step[v]][0]
+    cycle = [step[v]]
+    u = net.edges[step[v]][0]
+    while u != v:
+        cycle.append(step[u])
+        u = net.edges[step[u]][0]
+    return min(cycle)
 

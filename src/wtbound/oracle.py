@@ -15,6 +15,17 @@ Each public function reads that cap once and builds one `_Reached` memo that
 lives for the call: it maps a deleted edge set to the nodes the source still
 reaches, so each distinct set is searched once, however many targets,
 candidate cuts and class members ask about it.
+
+Separation is one AND of two edge bitmasks. For a deleted set B, exposed(B)
+holds every edge not in B whose tail the source still reaches once B is
+gone. B separates T when every source path to T meets B: each edge of T is
+in B or has an unreachable tail, since a path into an edge ends at its tail
+and a reachable tail with the edge still present is a path through it. That
+is exactly "no edge of T is exposed", mask(T) & exposed(B) == 0. It holds for
+any union of targets at once, so "c separates every member of a class" is
+one AND against the OR of the members' masks. The `_Exposed` memo on top
+of `_Reached` is keyed by the reached node mask, not by B, so every question
+still goes through `_Reached`, the one memo keyed by deleted sets.
 """
 
 from __future__ import annotations
@@ -95,33 +106,60 @@ def _reachable(net: Network, removed: frozenset[EdgeId]) -> int:
     return seen
 
 
-def _separated(reached: _Reached, blockers: frozenset[EdgeId], target: frozenset[EdgeId]) -> bool:
-    alive = reached[blockers]
-    tail = reached.net.tail
-    return all(e in blockers or not alive >> tail(e) & 1 for e in target)
+class _Exposed(dict):
+    """Reached-node bitmask -> bitmask of the edges leaving those nodes.
+
+    A per-call memo over its own `_Reached` memo. Calling it with a deleted
+    set B and mask(B) gives exposed(B): the edges not in B whose tail the
+    source still reaches once B is deleted. B separates T iff
+    mask(T) & exposed(B) is 0 (see the module docstring).
+    """
+
+    def __init__(self, net: Network) -> None:
+        super().__init__()
+        self.net = net
+        self.reached = _Reached(net)
+        self._out = [_mask(out) for out in net.out_edges]
+
+    def __missing__(self, alive: int) -> int:
+        key, leaving = alive, 0
+        while alive:
+            low = alive & -alive
+            leaving |= self._out[low.bit_length() - 1]
+            alive ^= low
+        self[key] = leaving
+        return leaving
+
+    def __call__(self, removed: frozenset[EdgeId], removed_mask: int) -> int:
+        return self[self.reached[removed]] & ~removed_mask
 
 
-def _relevant_edges(reached: _Reached, target: frozenset[EdgeId]) -> list[EdgeId]:
+def _mask(edges: Iterable[EdgeId]) -> int:
+    mask = 0
+    for e in edges:
+        mask |= 1 << e
+    return mask
+
+
+def _relevant_edges(exposed: _Exposed, target: frozenset[EdgeId]) -> list[EdgeId]:
     """Edges lying on some source-to-target path; only these can appear in a
     minimum cut, since dropping any other edge from a cut keeps it a cut."""
-    net = reached.net
-    alive = reached[frozenset()]
-    # nodes from which some target edge's tail can be reached, by reverse walk
-    feeds = {net.tail(a) for a in target}
-    changed = True
-    while changed:
-        changed = False
-        for t, h in net.edges:
-            if h in feeds and t not in feeds:
+    net = exposed.net
+    # nodes from which some target edge's tail can be reached, by reverse search
+    feeds = {net.tail(e) for e in target}
+    stack = list(feeds)
+    while stack:
+        for e in net.in_edges[stack.pop()]:
+            t = net.edges[e][0]
+            if t not in feeds:
                 feeds.add(t)
-                changed = True
-    out = []
-    for e, (t, h) in enumerate(net.edges):
-        if not alive >> t & 1:
-            continue
-        if e in target or h in feeds:
-            out.append(e)
-    return out
+                stack.append(t)
+    live = exposed(frozenset(), 0)
+    return [
+        e
+        for e, (_, h) in enumerate(net.edges)
+        if live >> e & 1 and (e in target or h in feeds)
+    ]
 
 
 def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
@@ -132,28 +170,31 @@ def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
     paths. An unreachable target yields capacity 0 with the empty cut as the
     family's only member.
     """
-    return _min_cuts(_Reached(net), target, edge_limit())
+    return _min_cuts(_Exposed(net), target, edge_limit())
 
 
-def _min_cuts(reached: _Reached, target: Iterable[EdgeId], limit: int) -> MinCutFamily:
+def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId], limit: int) -> MinCutFamily:
     """enumerate_min_cuts with the caller's memo and edge limit."""
-    net = reached.net
+    net = exposed.net
     tset = frozenset(target)
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     for e in tset:
         net.check_edge(e)
-    universe = _relevant_edges(reached, tset)
+    universe = _relevant_edges(exposed, tset)
     if len(universe) > limit:
         raise InstanceTooLarge(
             f"{len(universe)} edges lie on paths to the target, limit is {limit} "
             f"(raise ${ENV_EDGE_LIMIT} to override)"
         )
+    tmask = _mask(tset)
+    bits = [1 << e for e in universe]
     for k in range(len(universe) + 1):
+        masks = map(sum, combinations(bits, k))  # in step with the edge combinations
         found = [
-            frozenset(combo)
-            for combo in combinations(universe, k)
-            if _separated(reached, frozenset(combo), tset)
+            cut
+            for cut, mask in zip(map(frozenset, combinations(universe, k)), masks)
+            if not tmask & exposed(cut, mask)
         ]
         if found:
             found.sort(key=sorted)
@@ -168,22 +209,20 @@ def oracle_primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     such member exists (the fast path's correctness implies there always is
     one; this reports rather than assumes it).
     """
-    reached = _Reached(net)
-    family = _min_cuts(reached, target, edge_limit())
-    return Cut(target=family.target, edges=_primary(reached, family))
+    exposed = _Exposed(net)
+    family = _min_cuts(exposed, target, edge_limit())
+    return Cut(target=family.target, edges=_primary(exposed, family))
 
 
-def _primary(reached: _Reached, family: MinCutFamily) -> frozenset[EdgeId]:
+def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
     """The primary cut of a family; oracle_primary_min_cut documents the errors."""
     if family.capacity == 0:
         raise UnreachableTarget(
             f"no edge of {sorted(family.target)} is reachable from the source"
         )
-    least = [
-        c
-        for c in family.cuts
-        if all(_separated(reached, c, other) for other in family.cuts)
-    ]
+    # a cut separates every member iff it separates the union of their edges
+    span = _mask(e for c in family.cuts for e in c)
+    least = [c for c in family.cuts if not span & exposed(c, _mask(c))]
     if len(least) != 1:
         raise NoPrimaryFound(
             f"{len(least)} candidates among {len(family.cuts)} minimum cuts "
@@ -212,48 +251,45 @@ def oracle_bounds(
     some cut common to all of j's members separates all of i's members.
     """
     sets = list(coll.sets) if hasattr(coll, "sets") else list(coll)
-    reached, limit = _Reached(net), edge_limit()
-    return _bounds(reached, sets, [_min_cuts(reached, s, limit) for s in sets])
+    exposed, limit = _Exposed(net), edge_limit()
+    return _bounds(exposed, sets, [_min_cuts(exposed, s, limit) for s in sets])
 
 
 def _bounds(
-    reached: _Reached, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
+    exposed: _Exposed, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
 ) -> OracleBounds:
     """oracle_bounds over sets whose minimum-cut families `fams` are known."""
-    families = [set(fam.cuts) for fam in fams]
+    # union-find over sets sharing a cut; every root is its component's least index
+    root = list(range(len(sets)))
 
-    unvisited = set(range(len(sets)))
-    classes: list[tuple[int, ...]] = []
-    while unvisited:
-        start = min(unvisited)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in list(unvisited - comp):
-                if families[i] & families[j]:
-                    comp.add(j)
-                    frontier.append(j)
-        unvisited -= comp
-        classes.append(tuple(sorted(comp)))
-    classes.sort(key=lambda c: c[0])
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
 
-    common = [set.intersection(*(families[m] for m in cls)) for cls in classes]
+    holder: dict[frozenset[EdgeId], int] = {}
+    for i, fam in enumerate(fams):
+        for c in fam.cuts:
+            a, b = find(holder.setdefault(c, i)), find(i)
+            root[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(sets)):
+        groups.setdefault(find(i), []).append(i)
+    classes = [tuple(members) for members in groups.values()]
+
+    # class i is below class j iff deleting some cut common to j's members
+    # exposes no edge of any member of i
+    spans = [_mask(e for m in cls for e in sets[m]) for cls in classes]
     order: set[tuple[int, int]] = set()
-    for i, cls_i in enumerate(classes):
-        for j in range(len(classes)):
-            if i == j:
-                continue
-            for cand in common[j]:
-                if all(_separated(reached, cand, sets[m]) for m in cls_i):
-                    order.add((i, j))
-                    break
-    maximal = [
-        i for i in range(len(classes)) if not any((i, j) in order for j in range(len(classes)))
-    ]
+    for j, cls_j in enumerate(classes):
+        common = set.intersection(*(set(fams[m].cuts) for m in cls_j))
+        for cand in common:
+            exp = exposed(cand, _mask(cand))
+            order.update((i, j) for i, span in enumerate(spans) if i != j and not span & exp)
+    dominated = {i for i, _ in order}
     return OracleBounds(
         n=len(classes),
-        n_max=len(maximal),
+        n_max=len(classes) - len(dominated),
         classes=tuple(classes),
         order=frozenset(order),
     )
@@ -290,8 +326,8 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         results.append(CheckResult(name, ok, detail))
 
     # each family is enumerated once and serves every record below
-    reached, limit = _Reached(net), edge_limit()
-    families = [_min_cuts(reached, s, limit) for s in coll.sets]
+    exposed, limit = _Exposed(net), edge_limit()
+    families = [_min_cuts(exposed, s, limit) for s in coll.sets]
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
         fast = coll.mincuts[i]
@@ -302,7 +338,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
         fast_cut = coll.cuts[i]
-        slow_cut = _primary(reached, families[i])
+        slow_cut = _primary(exposed, families[i])
         primaries.append(slow_cut)
         record(
             f"primary[{i}]",
@@ -310,7 +346,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             f"fast {sorted(fast_cut)}, oracle {sorted(slow_cut)} for {sorted(s)}",
         )
 
-    ob = _bounds(reached, coll.sets, families)
+    ob = _bounds(exposed, coll.sets, families)
     classes = wiretap.partition_classes(coll)
     fast_partition = tuple(cls.members for cls in classes)
     record(
@@ -342,11 +378,8 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         + ("" if ordered else f"; n_max <= n <= {len(coll.sets)} sets fails"),
     )
 
-    oracle_b = {
-        primaries[ob.classes[i][0]]
-        for i in range(ob.n)
-        if not any((i, j) in ob.order for j in range(ob.n))
-    }
+    dominated = {i for i, _ in ob.order}
+    oracle_b = {primaries[cls[0]] for i, cls in enumerate(ob.classes) if i not in dominated}
     fast_b = {cut.edges for cut in report.cuts}
     record(
         "maximal_cuts",

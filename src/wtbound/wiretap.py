@@ -105,9 +105,10 @@ class BoundReport:
 _FlowKey = tuple[tuple[NodeId, ...], frozenset[EdgeId]]
 
 
-def _flow_key(net: Network, target: frozenset[EdgeId]) -> _FlowKey:
-    """The reduced flow instance a target poses: its tails, with multiplicity,
-    and its target edges whose head is live.
+def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
+    """The function that maps a target to the reduced flow instance it
+    poses: its tails, with multiplicity, and its target edges whose head is
+    live. Its ids must be valid; it reads arrays built once here.
 
     The flow kernel searches only the live nodes L, the ancestors of the
     target edges' tails. Inside L the flow problem is fixed by three things:
@@ -121,19 +122,22 @@ def _flow_key(net: Network, target: frozenset[EdgeId]) -> _FlowKey:
     cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
     cut's non-target edges (all with a live head, so none is a target edge
     of another target with the key) and `cut_tails` the tails of its target
-    edges, both taken from the first target solved. Raises UnknownEdge on a
-    bad id.
+    edges, both taken from the first target solved.
     """
-    edges, ancestors = net.edges, net._ancestors
-    tails: list[NodeId] = []
-    live = 0
-    for e in target:
-        net.check_edge(e)
-        tail = edges[e][0]
-        tails.append(tail)
-        live |= ancestors[tail]
-    tails.sort()
-    return tuple(tails), frozenset(e for e in target if live >> edges[e][1] & 1)
+    tails = [t for t, _ in net.edges]
+    heads = [h for _, h in net.edges]
+    tail_ancestors = [net._ancestors[t] for t in tails]
+
+    def key(target: frozenset[EdgeId]) -> _FlowKey:
+        live = 0
+        for e in target:
+            live |= tail_ancestors[e]
+        return (
+            tuple(sorted([tails[e] for e in target])),
+            frozenset(e for e in target if live >> heads[e] & 1),
+        )
+
+    return key
 
 
 def preprocess(
@@ -143,7 +147,7 @@ def preprocess(
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
     """Deduplicate and drop degenerate sets, caching capacities and cuts.
 
-    Runs one maximum flow per distinct reduced flow instance (`_flow_key`),
+    Runs one maximum flow per distinct reduced flow instance (`_flow_keys`),
     so distinct sets that pose the same instance share one flow. Duplicates
     keep their first occurrence; empty sets and sets none of whose edges is
     reachable from the source (minimum cut capacity 0) are dropped. Each
@@ -157,7 +161,9 @@ def preprocess(
     seen: set[frozenset[EdgeId]] = set()
     # reduced instance -> (capacity, non-target cut edges, tails of cut target edges)
     solved: dict[_FlowKey, tuple[int, frozenset[EdgeId], frozenset[NodeId]]] = {}
+    flow_key = _flow_keys(net)
     edges = net.edges
+    ids = frozenset(range(len(edges)))
     for raw in raw_sets:
         s = frozenset(raw)
         if not s:
@@ -167,7 +173,10 @@ def preprocess(
             warnings.append(f"duplicate set {describe(s)} dropped")
             continue
         seen.add(s)
-        key = _flow_key(net, s)
+        if not s <= ids:
+            for e in s:
+                net.check_edge(e)  # raises UnknownEdge on the first bad id
+        key = flow_key(s)
         if key not in solved:
             flow = max_flow(net, s)
             cut_tails = frozenset(edges[e][0] for e in flow.cut & s)
@@ -176,7 +185,8 @@ def preprocess(
         if value == 0:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
-        cut = base | {e for e in s if edges[e][0] in cut_tails}
+        hits = [e for e in s if edges[e][0] in cut_tails]
+        cut = base.union(hits) if hits else base
         kept.append(s)
         caps.append(value)
         cuts.append(shared.setdefault(cut, cut))
@@ -229,7 +239,13 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
 
 
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of `mask`, ascending, one lowest-set-bit step each."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.util
 import random
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from wtbound import (
     Cut,
@@ -19,6 +19,7 @@ from wtbound import (
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
+from wtbound.oracle import MinCutFamily, OracleBounds, _Reached
 
 CORPUS_SEED = 20260814
 CORPUS_SIZE = 500
@@ -385,3 +386,60 @@ def pruning_loop(
             cuts = [c for c in cuts if c & survivors]
         cuts.append(cut)
     return cuts
+
+
+def reference_separated(
+    reached: _Reached, blockers: frozenset[int], target: frozenset[int]
+) -> bool:
+    """The separation test read off the definition, one target edge at a
+    time: each edge of `target` is in `blockers` or has a tail the source no
+    longer reaches once `blockers` is deleted."""
+    alive = reached[blockers]
+    tail = reached.net.tail
+    return all(e in blockers or not alive >> tail(e) & 1 for e in target)
+
+
+def reference_bounds(
+    reached: _Reached, sets: Sequence[frozenset[int]], fams: Sequence[MinCutFamily]
+) -> OracleBounds:
+    """`oracle_bounds` by the pairwise definitions, given the sets' minimum-cut
+    families: components of "the families intersect" by a frontier scan, and
+    class i below class j when some cut common to j's members separates each
+    member of i, tested set by set with `reference_separated`."""
+    families = [set(fam.cuts) for fam in fams]
+
+    unvisited = set(range(len(sets)))
+    classes: list[tuple[int, ...]] = []
+    while unvisited:
+        start = min(unvisited)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in list(unvisited - comp):
+                if families[i] & families[j]:
+                    comp.add(j)
+                    frontier.append(j)
+        unvisited -= comp
+        classes.append(tuple(sorted(comp)))
+    classes.sort(key=lambda c: c[0])
+
+    common = [set.intersection(*(families[m] for m in cls)) for cls in classes]
+    order: set[tuple[int, int]] = set()
+    for i, cls_i in enumerate(classes):
+        for j in range(len(classes)):
+            if i == j:
+                continue
+            for cand in common[j]:
+                if all(reference_separated(reached, cand, sets[m]) for m in cls_i):
+                    order.add((i, j))
+                    break
+    maximal = [
+        i for i in range(len(classes)) if not any((i, j) in order for j in range(len(classes)))
+    ]
+    return OracleBounds(
+        n=len(classes),
+        n_max=len(maximal),
+        classes=tuple(classes),
+        order=frozenset(order),
+    )

@@ -88,10 +88,21 @@ def test_parse_network_errors_carry_line_numbers():
 
 
 def test_parse_network_graph_errors_pass_through():
-    with pytest.raises(CyclicGraph):
-        parse_network("edge x a b\nedge y b c\nedge z c b\nsource a\n")
-    with pytest.raises(SourceHasIncomingEdges):
-        parse_network("edge x a b\nsource b\n")
+    # each carries the line and the file's labels of the edge it names
+    cases = [
+        (CyclicGraph, "edge x a b\nedge y b c\nedge z c b\nsource a\n",
+         "line 2: edge 'y' (b -> c) lies on a directed cycle"),
+        (CyclicGraph, "edge x a b\n\n# loop\nedge l b b\nsource a\n",
+         "line 4: edge 'l' (b -> b) lies on a directed cycle"),
+        (SourceHasIncomingEdges, "edge x a b\nsource b\n",
+         "line 1: edge 'x' (a -> b) enters the source"),
+        (SourceHasIncomingEdges, "edge e1 s a\nedge e2 a s\nsource s\n",
+         "line 2: edge 'e2' (a -> s) enters the source"),
+    ]
+    for error, text, message in cases:
+        with pytest.raises(error) as exc:
+            parse_network(text)
+        assert str(exc.value) == message, text
 
 
 def test_serialize_network_round_trip(fig1, singlesink):

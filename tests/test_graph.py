@@ -53,6 +53,12 @@ def test_build_network_rejects_cycles():
         build_network([(0, 1), (1, 2), (2, 1)], source=0)
     with pytest.raises(CyclicGraph):
         build_network([(1, 1)], source=0, num_nodes=2)
+    # the error names the lowest-id edge of one cycle, here 3 -> 4 -> 5 -> 3,
+    # and not edge 1, which leaves the cycle for node 2
+    with pytest.raises(CyclicGraph) as exc:
+        build_network([(0, 6), (3, 2), (6, 3), (3, 4), (4, 5), (5, 3)], source=0)
+    assert exc.value.edge == 3
+    assert str(exc.value) == "edge 3 (3 -> 4) lies on a directed cycle"
 
 
 def test_check_edge():

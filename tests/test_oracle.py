@@ -1,6 +1,7 @@
 """The brute-force reference path: exhaustive cut families and cross-checks."""
 
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,7 @@ from wtbound import (
 from wtbound import flow, oracle
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
-from helpers import FIG1_ORDER, eset, layered_network
+from helpers import FIG1_ORDER, eset, layered_network, reference_bounds, reference_separated
 
 
 def test_edge_limit_env_override(monkeypatch):
@@ -111,6 +112,38 @@ def test_cross_check_fig1_all_green(fig1):
     assert bad == []
     names = {r.name for r in results}
     assert {"partition", "domination", "n", "n_max", "maximal_cuts"} <= names
+
+
+def test_oracle_bounds_equal_the_pairwise_reference_over_the_corpus(corpus):
+    for rec in corpus:
+        reference = reference_bounds(oracle._Reached(rec.net), rec.coll.sets, rec.fams)
+        assert rec.ob == reference, rec.seed
+
+
+def test_oracle_bounds_equal_the_pairwise_reference_on_the_verify_shape():
+    # the verify-layered benchmark shape with its r=2 collection
+    net = layered_network(6, 3, 2, 1)
+    sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
+    coll, _ = preprocess(net, sets)
+    fams = [enumerate_min_cuts(net, s) for s in coll.sets]
+    ob = oracle_bounds(net, coll)
+    assert ob == reference_bounds(oracle._Reached(net), coll.sets, fams)
+    assert 0 < ob.n_max < ob.n and ob.order
+
+
+def test_the_exposed_mask_is_the_separation_definition(corpus):
+    # every (minimum cut, set) pair of the corpus, with both answers present
+    answers = Counter()
+    for rec in corpus:
+        exposed = oracle._Exposed(rec.net)
+        reached = exposed.reached
+        for cut in {c for fam in rec.fams for c in fam.cuts}:
+            mask = exposed(cut, oracle._mask(cut))
+            for s in rec.coll.sets:
+                separated = reference_separated(reached, cut, s)
+                assert (not oracle._mask(s) & mask) == separated, (rec.seed, cut, s)
+                answers[separated] += 1
+    assert min(answers.values()) > 1000, answers
 
 
 class _NoStore(oracle._Reached):

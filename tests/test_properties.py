@@ -20,7 +20,8 @@ from wtbound import (
     serialize_network,
 )
 
-from helpers import reference_preprocess
+from helpers import reference_bounds, reference_preprocess
+from wtbound.oracle import _Reached
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -77,6 +78,8 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     report = compute_bound(net, coll)
     oracle = oracle_bounds(net, coll)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
+    fams = [enumerate_min_cuts(net, s) for s in coll.sets]
+    assert oracle == reference_bounds(_Reached(net), coll.sets, fams)
 
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
