@@ -34,7 +34,6 @@ from .cuts import (
     Cut,
     mincut_capacity,
     primary_min_cut,
-    reachable_nodes,
 )
 from .wiretap import (
     BoundReport,
@@ -45,7 +44,6 @@ from .wiretap import (
     compute_bound,
     partition_classes,
     preprocess,
-    reachable_after_delete,
 )
 from .oracle import (
     CheckResult,
@@ -110,8 +108,6 @@ __all__ = [
     "partition_classes",
     "preprocess",
     "primary_min_cut",
-    "reachable_after_delete",
-    "reachable_nodes",
     "serialize_collection",
     "serialize_network",
     "topological_order",

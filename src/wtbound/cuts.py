@@ -10,13 +10,12 @@ closest to the source.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnreachableTarget
 from .flow import max_flow
-from .graph import EdgeId, Network, NodeId
+from .graph import EdgeId, Network
 
 
 @dataclass(frozen=True)
@@ -34,22 +33,6 @@ class Cut:
     @property
     def capacity(self) -> int:
         return len(self.edges)
-
-
-def reachable_nodes(net: Network, removed: frozenset[EdgeId] = frozenset()) -> frozenset[NodeId]:
-    """Nodes reachable from the source once `removed` edges are deleted."""
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for e in net.out_edges[u]:
-            if e in removed:
-                continue
-            v = net.edges[e][1]
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
 
 
 def mincut_capacity(net: Network, target: Iterable[EdgeId]) -> int:

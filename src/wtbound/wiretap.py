@@ -15,6 +15,10 @@ searched part of the network, differ only in edges the flow never reads.
 Everything after that is set algebra over the stored cuts: sets with the
 same primary cut form a class, and class j dominates class i when j has the
 larger capacity and deleting j's primary cut severs i's representative.
+The order takes one search per class j: from the source, skipping j's cut
+edges, it crosses exactly the edges that stay reachable once the cut is
+deleted. A representative none of whose edges it crosses is severed, so j
+dominates exactly the lower-capacity classes the search leaves unmarked.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cuts import Cut, reachable_nodes
+from .cuts import Cut
 from .flow import max_flow
 from .graph import EdgeId, Network, NodeId
 
@@ -222,20 +226,47 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
     """Row i: bitmask of the classes that dominate class i.
 
     Class j dominates class i when its capacity is larger and deleting its
-    primary cut leaves no edge of i's representative reachable.
+    primary cut leaves no edge of i's representative reachable. One search
+    per class j decides its whole column: from the source, skipping j's cut
+    edges, it crosses exactly the edges that survive the deletion with a
+    reached tail, and marks every class whose representative holds one of
+    them. A class it leaves unmarked has each representative edge in j's
+    cut or behind it, so j dominates exactly the unmarked classes of lower
+    capacity. Raises UnknownEdge on a bad representative or cut id.
     """
-    reps = [_edge_mask(c.representative) for c in classes]
-    survivors = [
-        _edge_mask(reachable_after_delete(net, c.primary_cut.edges)) for c in classes
-    ]
-    return [
-        sum(
-            1 << j
-            for j, cj in enumerate(classes)
-            if ci.capacity < cj.capacity and not reps[i] & survivors[j]
-        )
-        for i, ci in enumerate(classes)
-    ]
+    holders = [0] * len(net.edges)  # edge -> classes whose representative holds it
+    by_capacity: dict[int, int] = {}
+    for i, c in enumerate(classes):
+        for e in c.representative | c.primary_cut.edges:
+            net.check_edge(e)
+        for e in c.representative:
+            holders[e] |= 1 << i
+        by_capacity[c.capacity] = by_capacity.get(c.capacity, 0) | 1 << i
+    lower: dict[int, int] = {}  # capacity -> classes of lower capacity
+    acc = 0
+    for cap in sorted(by_capacity):
+        lower[cap] = acc
+        acc |= by_capacity[cap]
+    out_edges, edges = net.out_edges, net.edges
+    rows = [0] * len(classes)
+    for j, c in enumerate(classes):
+        cut = c.primary_cut.edges
+        seen = bytearray(net.num_nodes)
+        seen[net.source] = 1
+        stack = [net.source]
+        marked = 0
+        while stack:
+            for e in out_edges[stack.pop()]:
+                if e in cut:
+                    continue
+                marked |= holders[e]
+                v = edges[e][1]
+                if not seen[v]:
+                    seen[v] = 1
+                    stack.append(v)
+        for i in _bits(lower[c.capacity] & ~marked):
+            rows[i] |= 1 << j
+    return rows
 
 
 def _bits(mask: int) -> list[int]:
@@ -266,29 +297,6 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     return HasseDiagram(
         classes=tuple(classes), covering=tuple(covering), maximal=maximal, above=tuple(above)
     )
-
-
-def reachable_after_delete(net: Network, removed: Iterable[EdgeId]) -> frozenset[EdgeId]:
-    """Edges that still carry information once `removed` is deleted.
-
-    These are the surviving edges whose tail the source still reaches. A
-    wiretap set contained in the complement is already separated by
-    `removed`; that is the pruning test of the bound computation.
-    """
-    gone = frozenset(removed)
-    for e in gone:
-        net.check_edge(e)
-    alive = reachable_nodes(net, gone)
-    return frozenset(
-        e for e in range(len(net.edges)) if e not in gone and net.tail(e) in alive
-    )
-
-
-def _edge_mask(edges: Iterable[EdgeId]) -> int:
-    mask = 0
-    for e in edges:
-        mask |= 1 << e
-    return mask
 
 
 def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> BoundReport:

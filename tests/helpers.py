@@ -14,12 +14,11 @@ from wtbound import (
     max_flow,
     mincut_capacity,
     primary_min_cut,
-    reachable_after_delete,
-    reachable_nodes,
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
 from wtbound.oracle import MinCutFamily, OracleBounds, _Reached
+from wtbound.wiretap import EquivalenceClass
 
 CORPUS_SEED = 20260814
 CORPUS_SIZE = 500
@@ -225,6 +224,54 @@ def reference_preprocess(
         cuts.append(flow.cut)
     coll = WiretapCollection(sets=tuple(kept), mincuts=tuple(caps), cuts=tuple(cuts))
     return coll, tuple(warnings)
+
+
+def reachable_nodes(net: Network, removed: frozenset[int] = frozenset()) -> frozenset[int]:
+    """Nodes reachable from the source once `removed` edges are deleted."""
+    seen = {net.source}
+    queue = [net.source]
+    for u in queue:
+        for e in net.out_edges[u]:
+            if e in removed:
+                continue
+            v = net.head(e)
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return frozenset(seen)
+
+
+def reachable_after_delete(net: Network, removed: Iterable[int]) -> frozenset[int]:
+    """Edges that still carry information once `removed` is deleted: the
+    surviving edges whose tail the source still reaches. A set inside the
+    complement is separated by `removed`. Raises UnknownEdge on a bad id."""
+    gone = frozenset(removed)
+    for e in gone:
+        net.check_edge(e)
+    alive = reachable_nodes(net, gone)
+    return frozenset(
+        e for e in range(len(net.edges)) if e not in gone and net.tail(e) in alive
+    )
+
+
+def reference_domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[int]:
+    """`wiretap._domination_rows` pair by pair: bit j of row i is set when
+    class j has the larger capacity and no edge of class i's representative
+    survives the deletion of j's primary cut."""
+
+    def mask(edges: Iterable[int]) -> int:
+        return sum(1 << e for e in edges)
+
+    reps = [mask(c.representative) for c in classes]
+    survivors = [mask(reachable_after_delete(net, c.primary_cut.edges)) for c in classes]
+    return [
+        sum(
+            1 << j
+            for j, cj in enumerate(classes)
+            if ci.capacity < cj.capacity and not reps[i] & survivors[j]
+        )
+        for i, ci in enumerate(classes)
+    ]
 
 
 def separates(net: Network, blockers: Iterable[int], target: Iterable[int]) -> bool:

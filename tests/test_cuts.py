@@ -10,10 +10,9 @@ from wtbound import (
     build_network,
     mincut_capacity,
     primary_min_cut,
-    reachable_nodes,
 )
 
-from helpers import cut_leq, eset, minord_merge, separates
+from helpers import cut_leq, eset, minord_merge, reachable_nodes, separates
 
 
 def test_reachable_nodes(fig1):

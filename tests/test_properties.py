@@ -15,13 +15,15 @@ from wtbound import (
     oracle_primary_min_cut,
     parse_collection,
     parse_network,
+    partition_classes,
     preprocess,
     serialize_collection,
     serialize_network,
 )
 
-from helpers import reference_bounds, reference_preprocess
+from helpers import reference_bounds, reference_domination_rows, reference_preprocess
 from wtbound.oracle import _Reached
+from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -78,6 +80,8 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     report = compute_bound(net, coll)
     oracle = oracle_bounds(net, coll)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
+    classes = partition_classes(coll)
+    assert _domination_rows(net, classes) == reference_domination_rows(net, classes)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
     assert oracle == reference_bounds(_Reached(net), coll.sets, fams)
 

@@ -1,13 +1,17 @@
 """Collection preprocessing, equivalence classes, domination, and the bounds."""
 
 import random
+from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
 
 import wtbound.wiretap
 from wtbound import (
+    Cut,
     UnknownEdge,
+    WiretapCollection,
     build_network,
     class_hasse,
     compute_bound,
@@ -16,7 +20,6 @@ from wtbound import (
     partition_classes,
     preprocess,
     primary_min_cut,
-    reachable_after_delete,
 )
 
 from helpers import (
@@ -29,8 +32,11 @@ from helpers import (
     dominates,
     equivalent,
     eset,
+    layered_network,
     pruning_loop,
     random_instance,
+    reachable_after_delete,
+    reference_domination_rows,
     reference_preprocess,
 )
 
@@ -197,6 +203,69 @@ def test_reachable_after_delete(fig1):
     assert reachable_after_delete(fig1.net, eset(lab, "e1 e2 e3 e4 e5")) == frozenset()
     with pytest.raises(UnknownEdge):
         reachable_after_delete(fig1.net, {77})
+
+
+def assert_rows_match_reference(net, coll):
+    classes = partition_classes(coll)
+    rows = wtbound.wiretap._domination_rows(net, classes)
+    assert rows == reference_domination_rows(net, classes)
+    return rows
+
+
+def test_domination_rows_match_the_pairwise_reference_over_the_corpus(corpus):
+    for rec in corpus:
+        assert_rows_match_reference(rec.net, rec.coll)
+
+
+def test_domination_rows_match_the_pairwise_reference_on_combination_6_4_3():
+    net_text, sets_text = gen_combination(6, 4, 3)
+    net, labels = parse_network(net_text)
+    coll, _ = preprocess(net, (labels.edge_set(line.split()) for line in sets_text.splitlines()))
+    rows = assert_rows_match_reference(net, coll)
+    # the 20 classes of capacity 3 are the maximal ones
+    assert sum(1 for row in rows if not row) == comb(6, 3)
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 2, 1), (6, 3, 2, 1)])
+def test_domination_rows_match_the_pairwise_reference_on_layered_networks(shape):
+    # the layered-hasse and verify-layered benchmark shapes, r=2
+    net = layered_network(*shape)
+    sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
+    coll, _ = preprocess(net, sets)
+    rows = assert_rows_match_reference(net, coll)
+    assert any(rows) and not all(rows)
+
+
+def test_domination_rows_read_each_class_representative(fig1):
+    # Any member of a class gives the same rows, so hand-built classes with
+    # their representatives rotated, each now off its own cut's target,
+    # show which edge set the rows read.
+    classes = partition_classes(fig1.coll)
+    rotated = [
+        replace(c, representative=classes[i - 1].representative) for i, c in enumerate(classes)
+    ]
+    rows = wtbound.wiretap._domination_rows(fig1.net, rotated)
+    assert rows == reference_domination_rows(fig1.net, rotated)
+    assert rows != wtbound.wiretap._domination_rows(fig1.net, classes)
+
+
+def test_bad_class_ids_raise_unknown_edge():
+    # a 3-edge path s -> a -> b -> t, hand-built classes around a good one
+    net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
+    good = partition_classes(preprocess(net, [{1, 2}])[0])[0]
+    bad = [
+        replace(good, primary_cut=Cut(target=good.representative, edges=frozenset({5}))),
+        replace(good, representative=frozenset({-1})),
+        replace(good, representative=frozenset({9})),
+    ]
+    for cls in bad:
+        coll = WiretapCollection(
+            sets=(cls.representative,), mincuts=(cls.capacity,), cuts=(cls.primary_cut.edges,)
+        )
+        with pytest.raises(UnknownEdge):
+            class_hasse(net, [good, cls])
+        with pytest.raises(UnknownEdge):
+            compute_bound(net, coll)
 
 
 def test_compute_bound_fig1_modes(fig1):
