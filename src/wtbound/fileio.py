@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     CollectionTooLarge,
@@ -58,13 +58,12 @@ class LabelTable:
         return "{" + self.format_edges(edges) + "}"
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with a token before any '#'."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
-    return out
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _check_label(label: str, lineno: int) -> str:
@@ -174,14 +173,23 @@ def parse_collection(
     Returns the deduplicated collection plus human-readable warnings for
     every dropped line. Raises UnknownEdgeLabel with a line number when a
     label is not in the table.
+
+    One pass: `preprocess` pulls the sets from a generator, one per content
+    line, so neither the token lists nor the resolved sets are held at once.
     """
-    sets = []
-    for lineno, tokens in _content_lines(text):
-        try:
-            sets.append(labels.edge_set(tokens))
-        except UnknownEdgeLabel as exc:
-            raise UnknownEdgeLabel(f"line {lineno}: {exc}") from None
-    return preprocess(net, sets, describe=labels.format_set)
+    ids = labels._edge_ids
+
+    def sets() -> Iterator[frozenset[EdgeId]]:
+        for lineno, tokens in _content_lines(text):
+            try:
+                s = frozenset(map(ids.__getitem__, tokens))
+            except KeyError as exc:
+                raise UnknownEdgeLabel(
+                    f"line {lineno}: unknown edge label {exc.args[0]!r}"
+                ) from None
+            yield s
+
+    return preprocess(net, sets(), describe=labels.format_set)
 
 
 def serialize_collection(

@@ -24,7 +24,7 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .cuts import Cut
 from .flow import max_flow
@@ -106,7 +106,7 @@ class BoundReport:
     sinks_considered: int
 
 
-_FlowKey = tuple[tuple[NodeId, ...], frozenset[EdgeId]]
+_FlowKey = Union[int, tuple[int, frozenset[EdgeId]]]
 
 
 def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
@@ -127,19 +127,35 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     cut's non-target edges (all with a live head, so none is a target edge
     of another target with the key) and `cut_tails` the tails of its target
     edges, both taken from the first target solved.
+
+    The encoding is exact. The tail multiset is one int: edge e weighs
+    1 << B*tail(e) with B = len(net.edges).bit_length(), so the sum over T
+    holds each tail's multiplicity in its own field of B bits. A
+    multiplicity is at most the number of edges, which is below 2**B, so no
+    field carries into the next and equal ints mean equal multisets. L is
+    the union of the tails' ancestors, a function of that int, so the edges
+    with a head in L are cached per int, and T's live-headed edges are one
+    intersection with them. The key is the int alone when the intersection
+    is empty and the pair (int, intersection) otherwise; an int never
+    equals a pair, so each reduced instance has exactly one key.
     """
-    tails = [t for t, _ in net.edges]
+    width = len(net.edges).bit_length()
+    weight = [1 << width * t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
-    tail_ancestors = [net._ancestors[t] for t in tails]
+    tail_ancestors = [net._ancestors[t] for t, _ in net.edges]
+    live_headed: dict[int, frozenset[EdgeId]] = {}  # tail key -> edges with a live head
 
     def key(target: frozenset[EdgeId]) -> _FlowKey:
-        live = 0
-        for e in target:
-            live |= tail_ancestors[e]
-        return (
-            tuple(sorted([tails[e] for e in target])),
-            frozenset(e for e in target if live >> heads[e] & 1),
-        )
+        tail_key = sum(map(weight.__getitem__, target))
+        inside = live_headed.get(tail_key)
+        if inside is None:
+            live = 0
+            for e in target:
+                live |= tail_ancestors[e]
+            inside = frozenset(e for e, h in enumerate(heads) if live >> h & 1)
+            live_headed[tail_key] = inside
+        inside = target & inside
+        return (tail_key, inside) if inside else tail_key
 
     return key
 
@@ -166,8 +182,8 @@ def preprocess(
     # reduced instance -> (capacity, non-target cut edges, tails of cut target edges)
     solved: dict[_FlowKey, tuple[int, frozenset[EdgeId], frozenset[NodeId]]] = {}
     flow_key = _flow_keys(net)
-    edges = net.edges
-    ids = frozenset(range(len(edges)))
+    tails = [t for t, _ in net.edges]
+    ids = frozenset(range(len(tails)))
     for raw in raw_sets:
         s = frozenset(raw)
         if not s:
@@ -183,14 +199,14 @@ def preprocess(
         key = flow_key(s)
         if key not in solved:
             flow = max_flow(net, s)
-            cut_tails = frozenset(edges[e][0] for e in flow.cut & s)
+            cut_tails = frozenset(tails[e] for e in flow.cut & s)
             solved[key] = (flow.value, flow.cut - s, cut_tails)
         value, base, cut_tails = solved[key]
         if value == 0:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
-        hits = [e for e in s if edges[e][0] in cut_tails]
-        cut = base.union(hits) if hits else base
+        # s has the solved target's tails, so it has an edge at each cut tail.
+        cut = base.union([e for e in s if tails[e] in cut_tails]) if cut_tails else base
         kept.append(s)
         caps.append(value)
         cuts.append(shared.setdefault(cut, cut))
@@ -323,7 +339,10 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         n_max = len(classes)
 
     def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
-        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
+        # Only members of the largest size can win, so only those are sorted.
+        members = list(map(coll.sets.__getitem__, cls.members))
+        size = max(map(len, members))
+        return -size, min(map(sorted, [s for s in members if len(s) == size]))
 
     picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
     cuts = tuple(

@@ -226,6 +226,38 @@ def reference_preprocess(
     return coll, tuple(warnings)
 
 
+def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The reduced flow instance `target` poses, as a tuple: its sorted
+    tails and its edges whose head is an ancestor of some tail. Sets with
+    equal keys must get equal keys from `wiretap._flow_keys`, and only
+    those."""
+    live = 0
+    for e in target:
+        live |= net._ancestors[net.tail(e)]
+    return (
+        tuple(sorted(net.tail(e) for e in target)),
+        frozenset(e for e in target if live >> net.head(e) & 1),
+    )
+
+
+def reference_pick_key(coll: WiretapCollection, cls: EquivalenceClass) -> tuple[int, list[int]]:
+    """`compute_bound`'s pick key, sorting every member: the largest member
+    size first, then the smallest sorted edge list."""
+    return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
+
+
+def reference_bound_cuts(
+    coll: WiretapCollection, classes: Sequence[EquivalenceClass]
+) -> tuple[Cut, ...]:
+    """The cuts of `classes` in the pruning loop's pick order, by
+    `reference_pick_key`, each targeting the member it picks."""
+    picks = sorted((reference_pick_key(coll, cls), i) for i, cls in enumerate(classes))
+    return tuple(
+        Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
+        for (_, edges), i in picks
+    )
+
+
 def reachable_nodes(net: Network, removed: frozenset[int] = frozenset()) -> frozenset[int]:
     """Nodes reachable from the source once `removed` edges are deleted."""
     seen = {net.source}

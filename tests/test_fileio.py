@@ -136,6 +136,39 @@ def test_parse_collection_reports_lines_and_warnings(fig1):
     assert warnings == ("duplicate set {e6} dropped",)
 
 
+# edge d starts at y, which the source misses, so a set of d alone is dropped
+STREAM_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n"
+
+
+def test_parse_collection_names_the_true_line_of_a_bad_label():
+    net, labels = parse_network(STREAM_NETWORK)
+    cases = [
+        ("a\nb\nz", 3),
+        ("a\nb\nz\n", 3),
+        ("# only a comment\n\n   \nz a\n", 4),
+        ("a\n# x\n\nb c  # z\n\t\nb z\n", 6),
+        ("a\r\n\r\nc z\r\n", 3),
+    ]
+    for text, line in cases:
+        with pytest.raises(UnknownEdgeLabel) as exc:
+            parse_collection(text, net, labels)
+        assert str(exc.value) == f"line {line}: unknown edge label 'z'", text
+
+
+def test_parse_collection_lines_comments_and_warnings():
+    net, labels = parse_network(STREAM_NETWORK)
+    text = "a a  # z is no label\nd\n\nc # c\na\nd\nb c\nc b\n"
+    for newline in ("\n", "\r\n"):
+        coll, warnings = parse_collection(text.replace("\n", newline), net, labels)
+        assert coll.sets == (frozenset({0}), frozenset({2}), frozenset({1, 2}))
+        assert warnings == (
+            "unreachable set {d} dropped",
+            "duplicate set {a} dropped",
+            "duplicate set {d} dropped",
+            "duplicate set {b,c} dropped",
+        )
+
+
 def test_serialize_collection_round_trip(fig1):
     text = serialize_collection(fig1.coll.sets, fig1.labels)
     coll2, warnings = parse_collection(text, fig1.net, fig1.labels)

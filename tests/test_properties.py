@@ -1,6 +1,8 @@
 """Property tests drawn by Hypothesis: the fast path against the brute-force
 oracle on small random DAGs, and the text parsers on drawn texts."""
 
+from itertools import combinations
+
 import pytest
 
 from wtbound import (
@@ -21,9 +23,14 @@ from wtbound import (
     serialize_network,
 )
 
-from helpers import reference_bounds, reference_domination_rows, reference_preprocess
+from helpers import (
+    reference_bounds,
+    reference_domination_rows,
+    reference_flow_key,
+    reference_preprocess,
+)
 from wtbound.oracle import _Reached
-from wtbound.wiretap import _domination_rows
+from wtbound.wiretap import _domination_rows, _flow_keys
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -96,6 +103,40 @@ def test_every_cross_check_record_is_ok(case):
     results = cross_check(net, coll)
     assert {"partition", "domination", "maximal_cuts"} <= {r.name for r in results}
     assert [r for r in results if not r.ok] == []
+
+
+def star(parallel: int, onward: bool):
+    """`parallel` edges s->a and, when `onward`, the path s->x->t, with every
+    nonempty edge set as a target (s, x, a, t are nodes 0 to 3). Without the
+    path, the set of all edges has tail s with multiplicity len(net.edges).
+    With it, when `parallel` is a power of two, a tail field one bit
+    narrower than len(net.edges).bit_length() would carry: the s->a edges
+    together would share a key with x->t alone."""
+    edges = [(0, 2)] * parallel + [(0, 1), (1, 3)] * onward
+    net = build_network(edges, source=0, num_nodes=4)
+    ids = range(len(edges))
+    targets = [frozenset(c) for size in ids for c in combinations(ids, size + 1)]
+    return net, targets
+
+
+@st.composite
+def dag_and_targets(draw):
+    """A DAG from `draw_dag` and up to 12 nonempty edge sets of up to 5 edges."""
+    net = draw_dag(draw)
+    target = st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=5)
+    return net, draw(st.lists(target, min_size=1, max_size=12))
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@hypothesis.given(dag_and_targets())
+@hypothesis.example(star(8, False))
+@hypothesis.example(star(4, True))
+@hypothesis.example(star(8, True))
+def test_flow_keys_are_equal_exactly_when_the_reference_keys_are(case):
+    net, targets = case
+    key = _flow_keys(net)
+    pairs = {(key(t), reference_flow_key(net, t)) for t in targets}
+    assert len({new for new, _ in pairs}) == len(pairs) == len({ref for _, ref in pairs})
 
 
 NODE_LABELS = ("s", "a", "b", "t")
