@@ -24,7 +24,7 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cuts import Cut
 from .flow import max_flow
@@ -106,7 +106,7 @@ class BoundReport:
     sinks_considered: int
 
 
-_FlowKey = Union[int, tuple[int, frozenset[EdgeId]]]
+_FlowKey = int | tuple[int, frozenset[EdgeId]]
 
 
 def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:

@@ -59,6 +59,10 @@ FIG1_ORDER = FIG1_COVERING + [
 
 FIG1_MAXIMAL_CUTS = ("e1 e2 e3", "e3 e4 e5", "e16 e17")
 
+# A four-edge network for collection texts: edge d starts at y, which the
+# source misses, so a set of d alone is dropped.
+COLLECTION_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n"
+
 
 def eset(labels: LabelTable, spec: str) -> frozenset[int]:
     """Edge-id set from a space-separated label string."""

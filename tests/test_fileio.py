@@ -26,7 +26,7 @@ from wtbound import (
 from wtbound import fileio
 from wtbound.fileio import LabelTable
 
-from helpers import eset
+from helpers import COLLECTION_NETWORK, eset
 
 G21_DOT = (
     "digraph classes {\n"
@@ -136,12 +136,8 @@ def test_parse_collection_reports_lines_and_warnings(fig1):
     assert warnings == ("duplicate set {e6} dropped",)
 
 
-# edge d starts at y, which the source misses, so a set of d alone is dropped
-STREAM_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n"
-
-
 def test_parse_collection_names_the_true_line_of_a_bad_label():
-    net, labels = parse_network(STREAM_NETWORK)
+    net, labels = parse_network(COLLECTION_NETWORK)
     cases = [
         ("a\nb\nz", 3),
         ("a\nb\nz\n", 3),
@@ -156,7 +152,7 @@ def test_parse_collection_names_the_true_line_of_a_bad_label():
 
 
 def test_parse_collection_lines_comments_and_warnings():
-    net, labels = parse_network(STREAM_NETWORK)
+    net, labels = parse_network(COLLECTION_NETWORK)
     text = "a a  # z is no label\nd\n\nc # c\na\nd\nb c\nc b\n"
     for newline in ("\n", "\r\n"):
         coll, warnings = parse_collection(text.replace("\n", newline), net, labels)

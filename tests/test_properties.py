@@ -24,6 +24,7 @@ from wtbound import (
 )
 
 from helpers import (
+    COLLECTION_NETWORK,
     reference_bounds,
     reference_domination_rows,
     reference_flow_key,
@@ -169,8 +170,6 @@ def test_network_texts_round_trip_or_raise_a_typed_error(text):
     assert parse_network(serialize_network(net, labels)) == (net, labels)
 
 
-# edge d starts at y, which the source misses, so a set of d alone is dropped
-COLLECTION_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n"
 COLLECTION_TOKENS = ("a", "b", "c", "d", "z", "x,y", "#")
 
 
