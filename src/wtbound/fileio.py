@@ -48,7 +48,10 @@ class LabelTable:
             raise UnknownEdgeLabel(f"unknown edge label {label!r}") from None
 
     def edge_set(self, labels: Iterable[str]) -> frozenset[EdgeId]:
-        return frozenset(self.edge_id(lab) for lab in labels)
+        try:
+            return frozenset(map(self._edge_ids.__getitem__, labels))
+        except KeyError as exc:
+            raise UnknownEdgeLabel(f"unknown edge label {exc.args[0]!r}") from None
 
     def format_edges(self, edges: Iterable[EdgeId]) -> str:
         """Comma-joined labels in ascending id order."""
@@ -177,16 +180,13 @@ def parse_collection(
     One pass: `preprocess` pulls the sets from a generator, one per content
     line, so neither the token lists nor the resolved sets are held at once.
     """
-    ids = labels._edge_ids
 
     def sets() -> Iterator[frozenset[EdgeId]]:
         for lineno, tokens in _content_lines(text):
             try:
-                s = frozenset(map(ids.__getitem__, tokens))
-            except KeyError as exc:
-                raise UnknownEdgeLabel(
-                    f"line {lineno}: unknown edge label {exc.args[0]!r}"
-                ) from None
+                s = labels.edge_set(tokens)
+            except UnknownEdgeLabel as exc:
+                raise UnknownEdgeLabel(f"line {lineno}: {exc}") from None
             yield s
 
     return preprocess(net, sets(), describe=labels.format_set)

@@ -128,22 +128,36 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     of another target with the key) and `cut_tails` the tails of its target
     edges, both taken from the first target solved.
 
-    The encoding is exact. The tail multiset is one int: edge e weighs
-    1 << B*tail(e) with B = len(net.edges).bit_length(), so the sum over T
-    holds each tail's multiplicity in its own field of B bits. A
+    The encoding is exact. The tail multiset is one int: the network's
+    distinct tails are numbered 0, 1, ... and edge e weighs 1 << B*i, with i
+    the number of its tail and B = len(net.edges).bit_length(), so the sum
+    over T holds each tail's multiplicity in its own field of B bits. A
     multiplicity is at most the number of edges, which is below 2**B, so no
     field carries into the next and equal ints mean equal multisets. L is
     the union of the tails' ancestors, a function of that int, so the edges
-    with a head in L are cached per int, and T's live-headed edges are one
-    intersection with them. The key is the int alone when the intersection
-    is empty and the pair (int, intersection) otherwise; an int never
-    equals a pair, so each reduced instance has exactly one key.
+    leaving those tails with a head in L are cached per int; every edge of
+    T leaves one of the tails, so T's live-headed edges are one intersection
+    with that entry. The key is the int alone when the intersection is empty
+    and the pair (int, intersection) otherwise; an int never equals a pair,
+    so each reduced instance has exactly one key.
+
+    The cache serves collections whose sets share tail multisets: the 21,560
+    sets of combination 6/4/3 have 41. An entry holds out-edges of T's tails
+    only, and there is at most one per distinct reduced instance. The ints
+    grow with the network: with k distinct tails a weight or key has up to
+    k*B bits, so the weights take about k*k*B/16 bytes (7.3 MB for a layered
+    DAG with 2,775 tails and 8,800 edges). The encoding is meant for networks
+    of up to a few thousand nodes.
     """
-    width = len(net.edges).bit_length()
-    weight = [1 << width * t for t, _ in net.edges]
+    tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
-    tail_ancestors = [net._ancestors[t] for t, _ in net.edges]
-    live_headed: dict[int, frozenset[EdgeId]] = {}  # tail key -> edges with a live head
+    width = len(tails).bit_length()
+    field: dict[NodeId, int] = {}  # tail -> its weight; tails numbered densely
+    weight = [field.setdefault(t, 1 << width * len(field)) for t in tails]
+    out_edges = net.out_edges
+    tail_ancestors = [net._ancestors[t] for t in tails]
+    # tail key -> edges leaving those tails whose head is live
+    live_headed: dict[int, frozenset[EdgeId]] = {}
 
     def key(target: frozenset[EdgeId]) -> _FlowKey:
         tail_key = sum(map(weight.__getitem__, target))
@@ -152,7 +166,9 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
             live = 0
             for e in target:
                 live |= tail_ancestors[e]
-            inside = frozenset(e for e, h in enumerate(heads) if live >> h & 1)
+            inside = frozenset(
+                f for e in target for f in out_edges[tails[e]] if live >> heads[f] & 1
+            )
             live_headed[tail_key] = inside
         inside = target & inside
         return (tail_key, inside) if inside else tail_key
@@ -339,10 +355,7 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         n_max = len(classes)
 
     def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
-        # Only members of the largest size can win, so only those are sorted.
-        members = list(map(coll.sets.__getitem__, cls.members))
-        size = max(map(len, members))
-        return -size, min(map(sorted, [s for s in members if len(s) == size]))
+        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
 
     picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
     cuts = tuple(

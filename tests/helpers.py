@@ -244,24 +244,6 @@ def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int,
     )
 
 
-def reference_pick_key(coll: WiretapCollection, cls: EquivalenceClass) -> tuple[int, list[int]]:
-    """`compute_bound`'s pick key, sorting every member: the largest member
-    size first, then the smallest sorted edge list."""
-    return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
-
-
-def reference_bound_cuts(
-    coll: WiretapCollection, classes: Sequence[EquivalenceClass]
-) -> tuple[Cut, ...]:
-    """The cuts of `classes` in the pruning loop's pick order, by
-    `reference_pick_key`, each targeting the member it picks."""
-    picks = sorted((reference_pick_key(coll, cls), i) for i, cls in enumerate(classes))
-    return tuple(
-        Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
-        for (_, edges), i in picks
-    )
-
-
 def reachable_nodes(net: Network, removed: frozenset[int] = frozenset()) -> frozenset[int]:
     """Nodes reachable from the source once `removed` edges are deleted."""
     seen = {net.source}
