@@ -29,9 +29,9 @@ from .graph import (
     build_network,
     topological_order,
 )
-from .flow import max_flow
-from .cuts import (
+from .flow import (
     Cut,
+    max_flow,
     mincut_capacity,
     primary_min_cut,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio, oracle, wiretap
-from .cuts import mincut_capacity, primary_min_cut
+from .flow import mincut_capacity, primary_min_cut
 from .errors import InstanceTooLarge, WtbError
 from .fileio import LabelTable
 from .graph import Network
@@ -36,13 +36,11 @@ def _load_network(path: str) -> tuple[Network, LabelTable]:
     return fileio.parse_network(Path(path).read_text())
 
 
-def _load_collection(
-    path: str, net: Network, labels: LabelTable
-) -> tuple[WiretapCollection, tuple[str, ...]]:
+def _load_collection(path: str, net: Network, labels: LabelTable) -> WiretapCollection:
     coll, warnings = fileio.parse_collection(Path(path).read_text(), net, labels)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return coll, warnings
+    return coll
 
 
 def _parse_target(spec: str, labels: LabelTable) -> frozenset[int]:
@@ -69,7 +67,7 @@ def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Op
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
-    coll, _ = _load_collection(args.collection, net, labels)
+    coll = _load_collection(args.collection, net, labels)
     human = [_network_summary(net, labels)]
     machine: list[tuple[str, object]] = [
         ("nodes", net.num_nodes),
@@ -112,7 +110,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
-    coll, _ = _load_collection(args.collection, net, labels)
+    coll = _load_collection(args.collection, net, labels)
     classes = wiretap.partition_classes(coll)
     human = [_network_summary(net, labels), f"collection: {len(coll.sets)} sets"]
     human.append(f"{len(classes)} equivalence classes")
@@ -138,7 +136,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
-    coll, _ = _load_collection(args.collection, net, labels)
+    coll = _load_collection(args.collection, net, labels)
     classes = wiretap.partition_classes(coll)
     diagram = wiretap.class_hasse(net, classes)
     dot = fileio.export_hasse_dot(diagram)
@@ -233,7 +231,7 @@ def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
-    coll, _ = _load_collection(args.collection, net, labels)
+    coll = _load_collection(args.collection, net, labels)
     checks = oracle.cross_check(net, coll)
     bad = [c for c in checks if not c.ok]
     human = []

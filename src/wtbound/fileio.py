@@ -87,6 +87,7 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
     node_labels: list[str] = []
     node_ids: dict[str, int] = {}
     edge_labels: list[str] = []
+    edge_seen: set[str] = set()  # edge_labels as a set, for the duplicate check
     edge_specs: list[tuple[int, str, str]] = []  # lineno, tail label, head label
     source_label: str | None = None
     source_line = 0
@@ -108,8 +109,9 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
             if len(args) != 3:
                 raise ParseError(f"line {lineno}: edge takes label, tail, head")
             lab, tail, head = (_check_label(arg, lineno) for arg in args)
-            if lab in edge_labels:
+            if lab in edge_seen:
                 raise ParseError(f"line {lineno}: duplicate edge {lab!r}")
+            edge_seen.add(lab)
             edge_labels.append(lab)
             edge_specs.append((lineno, tail, head))
         elif directive == "source":

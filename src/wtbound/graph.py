@@ -58,17 +58,6 @@ class Network:
             adj[h].append(e)
         return tuple(tuple(lst) for lst in adj)
 
-    @cached_property
-    def _ancestors(self) -> tuple[int, ...]:
-        """Bitmask per node of all nodes it is reachable from (itself included)."""
-        masks = [1 << v for v in range(self.num_nodes)]
-        for v in topological_order(self):
-            acc = masks[v]
-            for e in self.in_edges[v]:
-                acc |= masks[self.edges[e][0]]
-            masks[v] = acc
-        return tuple(masks)
-
 
 def build_network(
     edges: Iterable[tuple[NodeId, NodeId]],

@@ -5,7 +5,7 @@ are found by trying every edge subset in increasing size order, separation
 is checked by a plain search from the source, equivalence means literally
 sharing a minimum cut, and domination means some cut common to the whole
 dominating class separates every member of the dominated one. No function
-here calls the flow kernel (the module imports `cuts` only for the `Cut`
+here calls the flow kernel (the module imports `flow` only for the `Cut`
 record, and tests/test_oracle.py runs every public function with the kernel
 replaced by a stub that raises), so agreement with the fast path is
 meaningful evidence. Costs are exponential; the per-target search space is
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 if TYPE_CHECKING:
     from .wiretap import WiretapCollection
 
-from .cuts import Cut
+from .flow import Cut
 from .errors import (
     EmptyTargetSet,
     InstanceTooLarge,

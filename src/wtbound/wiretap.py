@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cuts import Cut
-from .flow import max_flow
-from .graph import EdgeId, Network, NodeId
+from .flow import Cut, _solver
+from .graph import EdgeId, Network
 
 SetFormatter = Callable[[frozenset[EdgeId]], str]
 
@@ -106,76 +105,6 @@ class BoundReport:
     sinks_considered: int
 
 
-_FlowKey = int | tuple[int, frozenset[EdgeId]]
-
-
-def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
-    """The function that maps a target to the reduced flow instance it
-    poses: its tails, with multiplicity, and its target edges whose head is
-    live. Its ids must be valid; it reads arrays built once here.
-
-    The flow kernel searches only the live nodes L, the ancestors of the
-    target edges' tails. Inside L the flow problem is fixed by three things:
-    L itself, the exit capacity at each tail (the tail multiset), and which
-    edges inside L stop being pass-through edges (the target edges with a
-    live head). A target edge with a dead head is only an exit at its tail,
-    and a non-target edge into a dead node is never searched. The flow value
-    and the primary source side S (the least min-cut side, Picard & Queyranne
-    1980) depend only on that problem, not on edge ids or on which maximum
-    flow was found. So targets with equal keys have equal capacities, and
-    cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
-    cut's non-target edges (all with a live head, so none is a target edge
-    of another target with the key) and `cut_tails` the tails of its target
-    edges, both taken from the first target solved.
-
-    The encoding is exact. The tail multiset is one int: the network's
-    distinct tails are numbered 0, 1, ... and edge e weighs 1 << B*i, with i
-    the number of its tail and B = len(net.edges).bit_length(), so the sum
-    over T holds each tail's multiplicity in its own field of B bits. A
-    multiplicity is at most the number of edges, which is below 2**B, so no
-    field carries into the next and equal ints mean equal multisets. L is
-    the union of the tails' ancestors, a function of that int, so the edges
-    leaving those tails with a head in L are cached per int; every edge of
-    T leaves one of the tails, so T's live-headed edges are one intersection
-    with that entry. The key is the int alone when the intersection is empty
-    and the pair (int, intersection) otherwise; an int never equals a pair,
-    so each reduced instance has exactly one key.
-
-    The cache serves collections whose sets share tail multisets: the 21,560
-    sets of combination 6/4/3 have 41. An entry holds out-edges of T's tails
-    only, and there is at most one per distinct reduced instance. The ints
-    grow with the network: with k distinct tails a weight or key has up to
-    k*B bits, so the weights take about k*k*B/16 bytes (7.3 MB for a layered
-    DAG with 2,775 tails and 8,800 edges). The encoding is meant for networks
-    of up to a few thousand nodes.
-    """
-    tails = [t for t, _ in net.edges]
-    heads = [h for _, h in net.edges]
-    width = len(tails).bit_length()
-    field: dict[NodeId, int] = {}  # tail -> its weight; tails numbered densely
-    weight = [field.setdefault(t, 1 << width * len(field)) for t in tails]
-    out_edges = net.out_edges
-    tail_ancestors = [net._ancestors[t] for t in tails]
-    # tail key -> edges leaving those tails whose head is live
-    live_headed: dict[int, frozenset[EdgeId]] = {}
-
-    def key(target: frozenset[EdgeId]) -> _FlowKey:
-        tail_key = sum(map(weight.__getitem__, target))
-        inside = live_headed.get(tail_key)
-        if inside is None:
-            live = 0
-            for e in target:
-                live |= tail_ancestors[e]
-            inside = frozenset(
-                f for e in target for f in out_edges[tails[e]] if live >> heads[f] & 1
-            )
-            live_headed[tail_key] = inside
-        inside = target & inside
-        return (tail_key, inside) if inside else tail_key
-
-    return key
-
-
 def preprocess(
     net: Network,
     raw_sets: Iterable[Iterable[EdgeId]],
@@ -183,11 +112,11 @@ def preprocess(
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
     """Deduplicate and drop degenerate sets, caching capacities and cuts.
 
-    Runs one maximum flow per distinct reduced flow instance (`_flow_keys`),
-    so distinct sets that pose the same instance share one flow. Duplicates
-    keep their first occurrence; empty sets and sets none of whose edges is
-    reachable from the source (minimum cut capacity 0) are dropped. Each
-    drop produces a warning line. Raises UnknownEdge on bad ids.
+    Distinct sets that pose the same reduced flow instance share one
+    maximum flow (`flow._solver`). Duplicates keep their first occurrence;
+    empty sets and sets none of whose edges is reachable from the source
+    (minimum cut capacity 0) are dropped. Each drop produces a warning line.
+    Raises UnknownEdge on bad ids.
     """
     warnings: list[str] = []
     kept: list[frozenset[EdgeId]] = []
@@ -195,11 +124,7 @@ def preprocess(
     cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
-    # reduced instance -> (capacity, non-target cut edges, tails of cut target edges)
-    solved: dict[_FlowKey, tuple[int, frozenset[EdgeId], frozenset[NodeId]]] = {}
-    flow_key = _flow_keys(net)
-    tails = [t for t, _ in net.edges]
-    ids = frozenset(range(len(tails)))
+    solve = _solver(net)
     for raw in raw_sets:
         s = frozenset(raw)
         if not s:
@@ -209,28 +134,14 @@ def preprocess(
             warnings.append(f"duplicate set {describe(s)} dropped")
             continue
         seen.add(s)
-        if not s <= ids:
-            for e in s:
-                net.check_edge(e)  # raises UnknownEdge on the first bad id
-        key = flow_key(s)
-        if key not in solved:
-            flow = max_flow(net, s)
-            cut_tails = frozenset(tails[e] for e in flow.cut & s)
-            solved[key] = (flow.value, flow.cut - s, cut_tails)
-        value, base, cut_tails = solved[key]
+        value, cut = solve(s)
         if value == 0:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
-        # s has the solved target's tails, so it has an edge at each cut tail.
-        cut = base.union([e for e in s if tails[e] in cut_tails]) if cut_tails else base
         kept.append(s)
         caps.append(value)
         cuts.append(shared.setdefault(cut, cut))
-    coll = WiretapCollection(
-        sets=tuple(kept),
-        mincuts=tuple(caps),
-        cuts=tuple(cuts),
-    )
+    coll = WiretapCollection(sets=tuple(kept), mincuts=tuple(caps), cuts=tuple(cuts))
     return coll, tuple(warnings)
 
 

@@ -233,15 +233,25 @@ def reference_preprocess(
 def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:
     """The reduced flow instance `target` poses, as a tuple: its sorted
     tails and its edges whose head is an ancestor of some tail. Sets with
-    equal keys must get equal keys from `wiretap._flow_keys`, and only
+    equal keys must get equal keys from `flow._flow_keys`, and only
     those."""
-    live = 0
-    for e in target:
-        live |= net._ancestors[net.tail(e)]
+    tails = {net.tail(e) for e in target}
     return (
         tuple(sorted(net.tail(e) for e in target)),
-        frozenset(e for e in target if live >> net.head(e) & 1),
+        frozenset(e for e in target if tails & descendants(net, net.head(e))),
     )
+
+
+def descendants(net: Network, u: int) -> set[int]:
+    """Nodes a plain forward search from `u` reaches, `u` included."""
+    reached = {u}
+    stack = [u]
+    while stack:
+        for e in net.out_edges[stack.pop()]:
+            if net.head(e) not in reached:
+                reached.add(net.head(e))
+                stack.append(net.head(e))
+    return reached
 
 
 def reachable_nodes(net: Network, removed: frozenset[int] = frozenset()) -> frozenset[int]:

@@ -195,12 +195,12 @@ def test_verify_clean_instance(g21, capsys):
 
 
 def test_verify_reports_mismatches_with_exit_4(g21, capsys, monkeypatch):
-    import wtbound.wiretap
+    import wtbound.flow
 
     # a flow kernel that overstates every capacity
-    real = wtbound.wiretap.max_flow
+    real = wtbound.flow.max_flow
     monkeypatch.setattr(
-        wtbound.wiretap, "max_flow", lambda net, target: real(net, target)._replace(value=7)
+        wtbound.flow, "max_flow", lambda net, target: real(net, target)._replace(value=7)
     )
     net_path, sets_path = g21
     code = main(["verify", str(net_path), str(sets_path)])

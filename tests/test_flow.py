@@ -1,5 +1,7 @@
 """The unit-capacity flow kernel: values, flows, residual sides, primary cuts."""
 
+from itertools import combinations
+
 import pytest
 
 from wtbound import (
@@ -10,10 +12,12 @@ from wtbound import (
     max_flow,
     parse_network,
 )
+from wtbound.flow import _live_nodes
 
 from helpers import (
     CORPUS_SEED,
     CORPUS_SIZE,
+    descendants,
     eset,
     random_instance,
     reference_max_flow,
@@ -172,6 +176,16 @@ def test_dead_branches_are_pruned_without_changing_the_flow():
     assert flow.value == 1
     assert flow.cut == frozenset({8})
     assert residual_side(net, {8}, flow.values) == frozenset(range(7))
+
+
+def test_live_nodes_mirror_descendant_searches(fig1, singlesink):
+    # u is live for some tails exactly when a plain search from u reaches one
+    for net in (fig1.net, singlesink.net):
+        nodes = range(net.num_nodes)
+        reach = [descendants(net, u) for u in nodes]
+        for tails in [(t,) for t in nodes] + list(combinations(nodes, 2)):
+            live = _live_nodes(net, tails)
+            assert list(live) == [int(not reach[u].isdisjoint(tails)) for u in nodes]
 
 
 def test_max_flow_matches_the_unpruned_reference_over_the_corpus():

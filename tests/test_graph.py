@@ -1,4 +1,4 @@
-"""Network construction, validation, topological order, and ancestor masks."""
+"""Network construction, validation, and topological order."""
 
 import pytest
 
@@ -81,19 +81,3 @@ def test_topological_order_is_deterministic_smallest_first():
 def test_topological_order_fig1(fig1):
     assert topological_order(fig1.net) == list(range(12))
 
-
-def test_ancestor_masks_mirror_descendant_masks(fig1, singlesink):
-    # u is an ancestor of v exactly when a plain search from u reaches v
-    for net in (fig1.net, singlesink.net):
-        for u in range(net.num_nodes):
-            reached = {u}
-            stack = [u]
-            while stack:
-                for e in net.out_edges[stack.pop()]:
-                    if net.head(e) not in reached:
-                        reached.add(net.head(e))
-                        stack.append(net.head(e))
-            assert all(
-                (net._ancestors[v] >> u & 1) == (v in reached) for v in range(net.num_nodes)
-            )
-        assert net._ancestors[net.source] == 1 << net.source

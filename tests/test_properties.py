@@ -31,7 +31,8 @@ from helpers import (
     reference_preprocess,
 )
 from wtbound.oracle import _Reached
-from wtbound.wiretap import _domination_rows, _flow_keys
+from wtbound.flow import _flow_keys
+from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import wtbound.flow
 import wtbound.wiretap
 from wtbound import (
     Cut,
@@ -97,7 +98,7 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances():
     assert (coll.mincuts[3], coll.cuts[3]) == (3, frozenset({0, 1, 2}))
     # Equal tails a and b: with a->b a target, its head b is live and no
     # unit can pass through it to b->t, so the two sets must not share a flow.
-    key = wtbound.wiretap._flow_keys(net)
+    key = wtbound.flow._flow_keys(net)
     assert key(frozenset({3, 7}))[0] == key(frozenset({4, 7}))
     assert key(frozenset({3, 7})) != key(frozenset({4, 7}))
     assert (coll.mincuts[4], coll.cuts[4]) == (1, frozenset({3}))
@@ -126,13 +127,13 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
     assert len(coll) == 21560 and warnings == ()
 
     calls = []
-    real = wtbound.wiretap.max_flow
+    real = wtbound.flow.max_flow
 
     def counting(net, target):
         calls.append(target)
         return real(net, target)
 
-    monkeypatch.setattr(wtbound.wiretap, "max_flow", counting)
+    monkeypatch.setattr(wtbound.flow, "max_flow", counting)
     assert preprocess(net, sets) == (coll, warnings)
     # A set takes relay-to-sink edges from distinct relays, so its tails are
     # the relays it taps: one flow per nonempty subset of at most r = 3 of
