@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import fileio, oracle, wiretap
 from .flow import mincut_capacity, primary_min_cut
-from .errors import InstanceTooLarge, WtbError
+from .errors import InstanceTooLarge, ParseError, WtbError
 from .fileio import LabelTable
 from .graph import Network
 from .wiretap import WiretapCollection
@@ -32,12 +32,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not valid UTF-8") from None
+
+
 def _load_network(path: str) -> tuple[Network, LabelTable]:
-    return fileio.parse_network(Path(path).read_text())
+    return fileio.parse_network(_read_text(path))
 
 
 def _load_collection(path: str, net: Network, labels: LabelTable) -> WiretapCollection:
-    coll, warnings = fileio.parse_collection(Path(path).read_text(), net, labels)
+    coll, warnings = fileio.parse_collection(_read_text(path), net, labels)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return coll

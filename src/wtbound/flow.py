@@ -25,7 +25,8 @@ only to other dead nodes. The live nodes are therefore discovered in the
 same order, the augmenting paths and the flow are the same as without the
 restriction, and the primary cut, which never contains an edge into a dead
 node, is the same too. Sets that pose the same flow problem on their live
-nodes share one flow (`_flow_keys`, `_solver`).
+nodes, the same tail multiset and the same target edges with a live head,
+share one flow (`_flow_keys`, `_solver`).
 """
 
 from __future__ import annotations
@@ -177,13 +178,13 @@ def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     return Cut(target=tset, edges=flow.cut)
 
 
-_FlowKey = int | tuple[int, frozenset[EdgeId]]
+_FlowKey = tuple[tuple[NodeId, ...], frozenset[EdgeId]]
 
 
 def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     """The function that maps a target to the reduced flow instance it
-    poses: its tails, with multiplicity, and its target edges whose head is
-    live. Its ids must be valid; it reads arrays built once here.
+    poses: its sorted tails, with multiplicity, and its target edges whose
+    head is live. Its ids must be valid; it reads arrays built once here.
 
     The flow kernel searches only the live nodes L, the ancestors of the
     target edges' tails. Inside L the flow problem is fixed by three things:
@@ -199,48 +200,31 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     of another target with the key) and `cut_tails` the tails of its target
     edges, both taken from the first target solved (`_solver`).
 
-    The encoding is exact. The tail multiset is one int: the network's
-    distinct tails are numbered 0, 1, ... and edge e weighs 1 << B*i, with i
-    the number of its tail and B = len(net.edges).bit_length(), so the sum
-    over T holds each tail's multiplicity in its own field of B bits. A
-    multiplicity is at most the number of edges, which is below 2**B, so no
-    field carries into the next and equal ints mean equal multisets. L is
-    the union of the tails' ancestors, a function of that int, so the edges
-    leaving those tails with a head in L are cached per int; on a miss, L
-    comes from the same reverse search `max_flow` runs (`_live_nodes`).
-    Every edge of T leaves one of the tails, so T's live-headed edges are
-    one intersection with that entry. The key is the int alone when the
-    intersection is empty and the pair (int, intersection) otherwise; an int
-    never equals a pair, so each reduced instance has exactly one key.
-
-    The cache serves collections whose sets share tail multisets: the 21,560
-    sets of combination 6/4/3 have 41. An entry holds out-edges of T's tails
-    only, and there is at most one per distinct reduced instance. The ints
-    grow with the network: with k distinct tails a weight or key has up to
-    k*B bits, so the weights take about k*k*B/16 bytes whatever the
-    collection (7.3 MB for a layered DAG with 2,775 tails and 8,800 edges,
-    about 91 MB at 10,001 nodes and 29,800 edges). The encoding is meant for
-    networks of up to a few thousand nodes.
+    The key is that instance itself, so equal keys are equal instances. L
+    is a function of the tails, so the edges leaving them with a live head
+    are cached per tail tuple; on a miss, L comes from the same reverse
+    search `max_flow` runs (`_live_nodes`). Every edge of T leaves one of
+    the tails, so T's live-headed edges are one intersection with that
+    entry. A key costs O(|T| log |T|) per set beyond the misses. The cache
+    holds one entry per distinct tail multiset the collection uses, each
+    with out-edges of those tails only, so it grows with the collection,
+    not with the network: at worst, one entry per set.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
-    width = len(tails).bit_length()
-    field: dict[NodeId, int] = {}  # tail -> its weight; tails numbered densely
-    weight = [field.setdefault(t, 1 << width * len(field)) for t in tails]
     out_edges = net.out_edges
-    # tail key -> edges leaving those tails whose head is live
-    live_headed: dict[int, frozenset[EdgeId]] = {}
+    # tail tuple -> edges leaving those tails whose head is live
+    live_headed: dict[tuple[NodeId, ...], frozenset[EdgeId]] = {}
 
     def key(target: frozenset[EdgeId]) -> _FlowKey:
-        tail_key = sum(map(weight.__getitem__, target))
-        inside = live_headed.get(tail_key)
+        tail_tuple = tuple(sorted(map(tails.__getitem__, target)))
+        inside = live_headed.get(tail_tuple)
         if inside is None:
-            ends = {tails[e] for e in target}
+            ends = set(tail_tuple)
             live = _live_nodes(net, ends)
             inside = frozenset(f for t in ends for f in out_edges[t] if live[heads[f]])
-            live_headed[tail_key] = inside
-        inside = target & inside
-        return (tail_key, inside) if inside else tail_key
+            live_headed[tail_tuple] = inside
+        return tail_tuple, target & inside
 
     return key
 

@@ -60,7 +60,7 @@ def edge_limit() -> int:
     raw = os.environ.get(ENV_EDGE_LIMIT)
     if not raw:
         return DEFAULT_EDGE_LIMIT
-    if not (raw.isdigit() and int(raw) > 0):
+    if not (raw.isdecimal() and int(raw) > 0):
         raise ParameterOutOfRange(f"${ENV_EDGE_LIMIT} must be a positive integer, got {raw!r}")
     return int(raw)
 

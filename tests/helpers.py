@@ -231,10 +231,9 @@ def reference_preprocess(
 
 
 def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The reduced flow instance `target` poses, as a tuple: its sorted
-    tails and its edges whose head is an ancestor of some tail. Sets with
-    equal keys must get equal keys from `flow._flow_keys`, and only
-    those."""
+    """The reduced flow instance `target` poses: its sorted tails and its
+    edges whose head is an ancestor of some tail. `flow._flow_keys` must
+    return exactly this key."""
     tails = {net.tail(e) for e in target}
     return (
         tuple(sorted(net.tail(e) for e in target)),

@@ -224,6 +224,15 @@ def test_exit_2_on_input_errors(data_files, tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.net"
     bad.write_text("flow x\n")
     assert main(["mincut", str(bad), "--target", "x"]) == 2
+    # files that are not valid UTF-8, named with the offset of the bad byte
+    latin = tmp_path / "latin.net"
+    latin.write_bytes(b"edge a s t\n# caf\xe9\nsource s\n")
+    assert main(["mincut", str(latin), "--target", "a"]) == 2
+    assert f"{latin}: byte 16: not valid UTF-8" in capsys.readouterr().err
+    latin_sets = tmp_path / "latin.wsets"
+    latin_sets.write_bytes(b"a\xff\n")
+    assert main(["bound", str(data_files / "fig1.net"), str(latin_sets)]) == 2
+    assert f"{latin_sets}: byte 1: not valid UTF-8" in capsys.readouterr().err
     # unknown edge label in a target
     assert main(["mincut", str(data_files / "fig1.net"), "--target", "zz"]) == 2
     # unreachable target edge

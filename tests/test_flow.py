@@ -1,5 +1,6 @@
 """The unit-capacity flow kernel: values, flows, residual sides, primary cuts."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from wtbound import (
     max_flow,
     parse_network,
 )
-from wtbound.flow import _live_nodes
+from wtbound.flow import _flow_keys, _live_nodes
 
 from helpers import (
     CORPUS_SEED,
@@ -205,3 +206,23 @@ def test_max_flow_matches_the_unpruned_reference_on_a_combination_network():
     assert len(lines) == 21560
     for line in lines:
         assert_matches_reference(net, labels.edge_set(line.split()))
+
+
+def test_flow_keys_take_memory_in_the_targets_not_the_network():
+    # A ladder of 3,000 nodes, each with edges to the next two, so nearly
+    # every node is a tail: a table over the network's tails would take
+    # megabytes here.
+    n = 3000
+    net = build_network([(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n], source=0)
+    last = len(net.edges) - 1
+    targets = [frozenset({0, 1}), frozenset({2000, 4000, last}), frozenset(range(last - 6, last + 1))]
+    net.out_edges, net.in_edges  # the network's own adjacency, built once
+    tracemalloc.start()
+    try:
+        key = _flow_keys(net)
+        for t in targets:
+            key(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

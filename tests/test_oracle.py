@@ -33,7 +33,7 @@ def test_edge_limit_env_override(monkeypatch):
     assert edge_limit() == 25
     monkeypatch.setenv(ENV_EDGE_LIMIT, "")
     assert edge_limit() == DEFAULT_EDGE_LIMIT
-    for raw in ("abc", "0", "-1", "1e3"):
+    for raw in ("abc", "0", "-1", "1e3", "²"):
         monkeypatch.setenv(ENV_EDGE_LIMIT, raw)
         with pytest.raises(ParameterOutOfRange):
             edge_limit()

@@ -111,9 +111,8 @@ def star(parallel: int, onward: bool):
     """`parallel` edges s->a and, when `onward`, the path s->x->t, with every
     nonempty edge set as a target (s, x, a, t are nodes 0 to 3). Without the
     path, the set of all edges has tail s with multiplicity len(net.edges).
-    With it, when `parallel` is a power of two, a tail field one bit
-    narrower than len(net.edges).bit_length() would carry: the s->a edges
-    together would share a key with x->t alone."""
+    With it, many targets differ only in how often s occurs among their
+    tails."""
     edges = [(0, 2)] * parallel + [(0, 1), (1, 3)] * onward
     net = build_network(edges, source=0, num_nodes=4)
     ids = range(len(edges))
@@ -137,8 +136,8 @@ def dag_and_targets(draw):
 def test_flow_keys_are_equal_exactly_when_the_reference_keys_are(case):
     net, targets = case
     key = _flow_keys(net)
-    pairs = {(key(t), reference_flow_key(net, t)) for t in targets}
-    assert len({new for new, _ in pairs}) == len(pairs) == len({ref for _, ref in pairs})
+    for t in targets:
+        assert key(t) == reference_flow_key(net, t)
 
 
 NODE_LABELS = ("s", "a", "b", "t")
