@@ -34,9 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not valid UTF-8") from None
+    return text.removeprefix("\ufeff")  # a byte-order mark is not content
 
 
 def _load_network(path: str) -> tuple[Network, LabelTable]:
@@ -82,7 +83,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     ]
     if args.regularize:
         before = len(coll.sets)
-        coll, _ = wiretap.preprocess(net, coll.cuts, describe=labels.format_set)
+        # A primary cut is its own primary cut, so no flow runs here.
+        cuts = tuple(dict.fromkeys(coll.cuts))
+        coll = WiretapCollection(sets=cuts, cuts=cuts)
         human.append(
             f"regularized: {before} sets replaced by {len(coll.sets)} distinct minimum cuts"
         )
@@ -124,12 +127,12 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     machine: list[tuple[str, object]] = [("sets", len(coll.sets)), ("classes", len(classes))]
     for i, cls in enumerate(classes, start=1):
         human.append(
-            f"class {i}: capacity {cls.capacity}, primary cut "
+            f"class {i}: capacity {cls.primary_cut.capacity}, primary cut "
             f"{labels.format_set(cls.primary_cut.edges)}, {len(cls.members)} sets"
         )
         human += [f"  {labels.format_set(coll.sets[m])}" for m in cls.members]
         machine += [
-            (f"class.{i}.capacity", cls.capacity),
+            (f"class.{i}.capacity", cls.primary_cut.capacity),
             (f"class.{i}.cut", labels.format_edges(cls.primary_cut.edges)),
             (f"class.{i}.size", len(cls.members)),
             (

@@ -229,29 +229,30 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     return key
 
 
-def _solver(net: Network) -> Callable[[frozenset[EdgeId]], tuple[int, frozenset[EdgeId]]]:
-    """`solve(target) -> (capacity, primary cut)` for nonempty targets, with
-    one `max_flow` per reduced flow instance (`_flow_keys`). Raises
-    UnknownEdge on a bad id."""
+def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
+    """`solve(target) -> primary cut` for nonempty targets, with one
+    `max_flow` per reduced flow instance (`_flow_keys`). The cut is empty
+    exactly when no target edge is reachable; otherwise its size is the
+    capacity. Raises UnknownEdge on a bad id."""
     flow_key = _flow_keys(net)
     tails = [t for t, _ in net.edges]
     ids = frozenset(range(len(tails)))
-    # reduced instance -> (capacity, non-target cut edges, tails of cut target edges)
-    solved: dict[_FlowKey, tuple[int, frozenset[EdgeId], frozenset[NodeId]]] = {}
+    # reduced instance -> (non-target cut edges, tails of cut target edges)
+    solved: dict[_FlowKey, tuple[frozenset[EdgeId], frozenset[NodeId]]] = {}
 
-    def solve(target: frozenset[EdgeId]) -> tuple[int, frozenset[EdgeId]]:
+    def solve(target: frozenset[EdgeId]) -> frozenset[EdgeId]:
         if not target <= ids:
             for e in target:
                 net.check_edge(e)  # raises UnknownEdge on the first bad id
         key = flow_key(target)
-        if key not in solved:
-            flow = max_flow(net, target)
-            cut_tails = frozenset(tails[e] for e in flow.cut & target)
-            solved[key] = (flow.value, flow.cut - target, cut_tails)
-        value, base, cut_tails = solved[key]
+        entry = solved.get(key)
+        if entry is None:
+            cut = max_flow(net, target).cut
+            entry = solved[key] = (cut - target, frozenset(tails[e] for e in cut & target))
+        base, cut_tails = entry
         if not cut_tails:
-            return value, base
+            return base
         # target has the solved target's tails, so it has an edge at each cut tail.
-        return value, base.union([e for e in target if tails[e] in cut_tails])
+        return base.union([e for e in target if tails[e] in cut_tails])
 
     return solve

@@ -311,10 +311,10 @@ class CheckResult(NamedTuple):
 def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
-    The fast side is what the flow pass stored on the collection (capacity
-    and primary cut per set) and the class table derived from it. Returns one
-    record per check; `ok` False means the two implementations disagree,
-    which is always a bug in one of them. The domination record also fails
+    The fast side is what the flow pass stored on the collection (the
+    primary cut per set, whose size is the set's capacity) and the class
+    table derived from it. Returns one record per check; `ok` False means
+    the two implementations disagree, which is always a bug in one of them. The domination record also fails
     when the fast relation is not a strict partial order, and the n_max
     record when n_max <= n <= len(sets) does not hold.
     """
@@ -330,14 +330,13 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     families = [_min_cuts(exposed, s, limit) for s in coll.sets]
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
-        fast = coll.mincuts[i]
-        slow = families[i].capacity
+        fast_cut = coll.cuts[i]
+        fast, slow = len(fast_cut), families[i].capacity
         record(
             f"mincut[{i}]",
             fast == slow,
             f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
-        fast_cut = coll.cuts[i]
         slow_cut = _primary(exposed, families[i])
         primaries.append(slow_cut)
         record(

@@ -9,12 +9,13 @@ improved alphabet-size bound comes from: the count N_max of maximal classes,
 always at most the class count N, which is at most the collection size.
 
 One maximum flow per distinct reduced flow instance (in `preprocess`)
-yields the capacity and primary cut of every set that poses it: sets whose
-target edges have the same tails, and the same target edges inside the
-searched part of the network, differ only in edges the flow never reads.
-Everything after that is set algebra over the stored cuts: sets with the
-same primary cut form a class, and class j dominates class i when j has the
-larger capacity and deleting j's primary cut severs i's representative.
+yields the primary cut of every set that poses it: sets whose target edges
+have the same tails, and the same target edges inside the searched part of
+the network, differ only in edges the flow never reads. The cut is the only
+fact stored per set; its size is the set's capacity. Everything after that
+is set algebra over the stored cuts: sets with the same primary cut form a
+class, and class j dominates class i when j has the larger capacity and
+deleting j's primary cut severs i's representative.
 The order takes one search per class j: from the source, skipping j's cut
 edges, it crosses exactly the edges that stay reachable once the cut is
 deleted. A representative none of whose edges it crosses is severed, so j
@@ -38,15 +39,14 @@ def _default_format(edges: frozenset[EdgeId]) -> str:
 
 @dataclass(frozen=True)
 class WiretapCollection:
-    """Deduplicated wiretap sets with cached cut data, in input order.
+    """Deduplicated wiretap sets with their primary cuts, in input order.
 
-    `mincuts[i]` is the minimum cut capacity of `sets[i]` and `cuts[i]` its
-    primary minimum cut (sets with equal cuts share one frozenset). Build via
-    `preprocess`.
+    `cuts[i]` is the primary minimum cut of `sets[i]` (sets with equal cuts
+    share one frozenset), and `len(cuts[i])` its minimum cut capacity. Build
+    via `preprocess`.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
-    mincuts: tuple[int, ...]
     cuts: tuple[frozenset[EdgeId], ...]
 
     def __len__(self) -> int:
@@ -57,15 +57,13 @@ class WiretapCollection:
 class EquivalenceClass:
     """One class of mutually equivalent wiretap sets.
 
-    `members` are indices into the owning collection, ascending;
-    `representative` is the first member's edge set; every member shares
-    `primary_cut` and `capacity`.
+    `members` are indices into the owning collection, ascending; every
+    member shares `primary_cut`, whose target is the first member's edge
+    set, the class's representative.
     """
 
     members: tuple[int, ...]
-    representative: frozenset[EdgeId]
     primary_cut: Cut
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -110,17 +108,16 @@ def preprocess(
     raw_sets: Iterable[Iterable[EdgeId]],
     describe: SetFormatter = _default_format,
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
-    """Deduplicate and drop degenerate sets, caching capacities and cuts.
+    """Deduplicate and drop degenerate sets, caching primary cuts.
 
     Distinct sets that pose the same reduced flow instance share one
     maximum flow (`flow._solver`). Duplicates keep their first occurrence;
     empty sets and sets none of whose edges is reachable from the source
-    (minimum cut capacity 0) are dropped. Each drop produces a warning line.
+    (an empty primary cut) are dropped. Each drop produces a warning line.
     Raises UnknownEdge on bad ids.
     """
     warnings: list[str] = []
     kept: list[frozenset[EdgeId]] = []
-    caps: list[int] = []
     cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
@@ -134,14 +131,13 @@ def preprocess(
             warnings.append(f"duplicate set {describe(s)} dropped")
             continue
         seen.add(s)
-        value, cut = solve(s)
-        if value == 0:
+        cut = solve(s)
+        if not cut:
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
         kept.append(s)
-        caps.append(value)
         cuts.append(shared.setdefault(cut, cut))
-    coll = WiretapCollection(sets=tuple(kept), mincuts=tuple(caps), cuts=tuple(cuts))
+    coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
     return coll, tuple(warnings)
 
 
@@ -155,12 +151,7 @@ def partition_classes(coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
     for i, cut in enumerate(coll.cuts):
         groups.setdefault(cut, []).append(i)
     return tuple(
-        EquivalenceClass(
-            members=tuple(mem),
-            representative=coll.sets[mem[0]],
-            primary_cut=Cut(target=coll.sets[mem[0]], edges=cut),
-            capacity=coll.mincuts[mem[0]],
-        )
+        EquivalenceClass(members=tuple(mem), primary_cut=Cut(coll.sets[mem[0]], cut))
         for cut, mem in groups.items()
     )
 
@@ -169,22 +160,24 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
     """Row i: bitmask of the classes that dominate class i.
 
     Class j dominates class i when its capacity is larger and deleting its
-    primary cut leaves no edge of i's representative reachable. One search
-    per class j decides its whole column: from the source, skipping j's cut
-    edges, it crosses exactly the edges that survive the deletion with a
-    reached tail, and marks every class whose representative holds one of
-    them. A class it leaves unmarked has each representative edge in j's
-    cut or behind it, so j dominates exactly the unmarked classes of lower
-    capacity. Raises UnknownEdge on a bad representative or cut id.
+    primary cut leaves no edge of i's representative (the target of i's
+    primary cut) reachable. One search per class j decides its whole
+    column: from the source, skipping j's cut edges, it crosses exactly the
+    edges that survive the deletion with a reached tail, and marks every
+    class whose representative holds one of them. A class it leaves
+    unmarked has each representative edge in j's cut or behind it, so j
+    dominates exactly the unmarked classes of lower capacity. Raises
+    UnknownEdge on a bad representative or cut id.
     """
     holders = [0] * len(net.edges)  # edge -> classes whose representative holds it
     by_capacity: dict[int, int] = {}
     for i, c in enumerate(classes):
-        for e in c.representative | c.primary_cut.edges:
+        rep, cap = c.primary_cut.target, c.primary_cut.capacity
+        for e in rep | c.primary_cut.edges:
             net.check_edge(e)
-        for e in c.representative:
+        for e in rep:
             holders[e] |= 1 << i
-        by_capacity[c.capacity] = by_capacity.get(c.capacity, 0) | 1 << i
+        by_capacity[cap] = by_capacity.get(cap, 0) | 1 << i
     lower: dict[int, int] = {}  # capacity -> classes of lower capacity
     acc = 0
     for cap in sorted(by_capacity):
@@ -207,7 +200,7 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
                 if not seen[v]:
                     seen[v] = 1
                     stack.append(v)
-        for i in _bits(lower[c.capacity] & ~marked):
+        for i in _bits(lower[c.primary_cut.capacity] & ~marked):
             rows[i] |= 1 << j
     return rows
 

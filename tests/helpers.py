@@ -200,14 +200,13 @@ def reference_preprocess(
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
     """`preprocess` with one maximum flow per distinct set and no sharing of
     flows between sets: the same drops, warnings (in the default set
-    format), capacities and primary cuts."""
+    format) and primary cuts."""
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ",".join(map(str, sorted(s))) + "}"
 
     warnings: list[str] = []
     kept: list[frozenset[int]] = []
-    caps: list[int] = []
     cuts: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
     for raw in raw_sets:
@@ -224,9 +223,8 @@ def reference_preprocess(
             warnings.append(f"unreachable set {describe(s)} dropped")
             continue
         kept.append(s)
-        caps.append(flow.value)
         cuts.append(flow.cut)
-    coll = WiretapCollection(sets=tuple(kept), mincuts=tuple(caps), cuts=tuple(cuts))
+    coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
     return coll, tuple(warnings)
 
 
@@ -289,13 +287,13 @@ def reference_domination_rows(net: Network, classes: Sequence[EquivalenceClass])
     def mask(edges: Iterable[int]) -> int:
         return sum(1 << e for e in edges)
 
-    reps = [mask(c.representative) for c in classes]
+    reps = [mask(c.primary_cut.target) for c in classes]
     survivors = [mask(reachable_after_delete(net, c.primary_cut.edges)) for c in classes]
     return [
         sum(
             1 << j
             for j, cj in enumerate(classes)
-            if ci.capacity < cj.capacity and not reps[i] & survivors[j]
+            if ci.primary_cut.capacity < cj.primary_cut.capacity and not reps[i] & survivors[j]
         )
         for i, ci in enumerate(classes)
     ]
@@ -438,7 +436,7 @@ def pruning_loop(
     without it the kept cuts the new cut separates are dropped too, leaving
     the primary cuts of the maximal classes. Returns the cuts in pick order.
     """
-    size = coll.mincuts if select == "mincut" else [len(s) for s in coll.sets]
+    size = [len(c) for c in coll.cuts] if select == "mincut" else [len(s) for s in coll.sets]
     remaining = list(range(len(coll.sets)))
     cuts: list[frozenset[int]] = []
     while remaining:
@@ -451,9 +449,9 @@ def pruning_loop(
         cut = primary_min_cut(net, coll.sets[idx]).edges
         survivors = reachable_after_delete(net, cut)
         if per_capacity:
-            cap = coll.mincuts[idx]
+            cap = len(coll.cuts[idx])
             remaining = [
-                i for i in remaining if coll.mincuts[i] != cap or coll.sets[i] & survivors
+                i for i in remaining if len(coll.cuts[i]) != cap or coll.sets[i] & survivors
             ]
         else:
             remaining = [i for i in remaining if coll.sets[i] & survivors]

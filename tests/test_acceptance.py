@@ -10,6 +10,7 @@ path and the exhaustive brute-force path over a large randomized corpus.
 
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -89,14 +90,14 @@ def test_two_sink_instance_class_structure(fig1):
     assert len(classes) == 15
     assert sorted(len(c.members) for c in classes) == [2] * 9 + [3] * 2 + [4] * 2 + [8] * 2
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
-        assert cls.capacity == cap
+        assert cls.primary_cut.capacity == cap
         assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
         assert [fig1.coll.sets[m] for m in cls.members] == [
             eset(fig1.labels, spec) for spec in member_specs
         ]
     diagram = class_hasse(fig1.net, classes)
     assert diagram.maximal == (12, 13, 14)
-    maximal_reps = {classes[i].representative for i in diagram.maximal}
+    maximal_reps = {classes[i].primary_cut.target for i in diagram.maximal}
     assert maximal_reps == {
         eset(fig1.labels, spec) for spec in ("e18 e20", "e1 e3 e16", "e3 e5 e17")
     }
@@ -187,12 +188,34 @@ def test_generated_benchmark_bounds_and_runtime():
     assert elapsed < 30.0
 
 
+def test_combination_family_meets_its_closed_forms():
+    # With at least two lower edges per relay, every relay subset of size
+    # 1..r is its own class and the r-subsets are the maximal ones.
+    cases = 0
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            per_relay = comb(n - 1, k - 1)
+            for r in range(1, n + 1):
+                total = sum(comb(n, c) * per_relay**c for c in range(1, r + 1))
+                if per_relay < 2 or total > 30_000:
+                    continue
+                net_text, sets_text = gen_combination(n, k, r, max_sets=total)
+                net, labels = parse_network(net_text)
+                coll, warnings = parse_collection(sets_text, net, labels)
+                report = compute_bound(net, coll)
+                assert (len(coll), warnings) == (total, ()), (n, k, r)
+                n_classes = sum(comb(n, c) for c in range(1, r + 1))
+                assert (report.n_classes, report.n_max) == (n_classes, comb(n, r)), (n, k, r)
+                cases += 1
+    assert cases == 40
+
+
 def test_fast_path_matches_brute_force_over_the_corpus(corpus):
     assert len(corpus) == CORPUS_SIZE
     for rec in corpus:
         net, coll = rec.net, rec.coll
         for i, s in enumerate(coll.sets):
-            assert coll.mincuts[i] == rec.fams[i].capacity, (rec.seed, sorted(s))
+            assert len(coll.cuts[i]) == rec.fams[i].capacity, (rec.seed, sorted(s))
             assert mincut_capacity(net, s) == rec.fams[i].capacity, (rec.seed, sorted(s))
             fast_cut = primary_min_cut(net, s).edges
             assert fast_cut == oracle_primary_min_cut(net, s).edges, (rec.seed, sorted(s))
@@ -203,7 +226,7 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
         fast_order = set()
         for i, ci in enumerate(rec.classes):
             for j, cj in enumerate(rec.classes):
-                if i != j and dominates(net, ci.representative, cj.representative):
+                if i != j and dominates(net, ci.primary_cut.target, cj.primary_cut.target):
                     fast_order.add((i, j))
         assert fast_order == set(rec.ob.order), rec.seed
 

@@ -197,17 +197,38 @@ def test_verify_clean_instance(g21, capsys):
 def test_verify_reports_mismatches_with_exit_4(g21, capsys, monkeypatch):
     import wtbound.flow
 
-    # a flow kernel that overstates every capacity
+    # a flow kernel that adds edge 0 to every cut
     real = wtbound.flow.max_flow
-    monkeypatch.setattr(
-        wtbound.flow, "max_flow", lambda net, target: real(net, target)._replace(value=7)
-    )
+
+    def corrupt(net, target):
+        flow = real(net, target)
+        return flow._replace(cut=flow.cut | {0})
+
+    monkeypatch.setattr(wtbound.flow, "max_flow", corrupt)
     net_path, sets_path = g21
     code = main(["verify", str(net_path), str(sets_path)])
     out = capsys.readouterr().out
     assert code == 4
     assert "MISMATCH" in out
     assert result_block(out)["mismatches"] != "0"
+
+
+def test_files_with_a_byte_order_mark_read_as_without(data_files, tmp_path, capsys):
+    plain = [data_files / "fig1.net", data_files / "fig1.wsets"]
+    marked = []
+    for path in plain:
+        copy = tmp_path / path.name
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked.append(copy)
+    assert main(["bound", *map(str, plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["bound", *map(str, marked)]) == 0
+    assert capsys.readouterr().out == want
+    # a decode error still names the file's own byte offset, the mark counted
+    bad = tmp_path / "bad.wsets"
+    bad.write_bytes(b"\xef\xbb\xbfa\xff\n")
+    assert main(["bound", str(marked[0]), str(bad)]) == 2
+    assert f"{bad}: byte 4: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_exit_1_on_usage_errors(capsys):

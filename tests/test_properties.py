@@ -7,6 +7,7 @@ import pytest
 
 from wtbound import (
     UnknownEdgeLabel,
+    WiretapCollection,
     WtbError,
     build_network,
     compute_bound,
@@ -19,6 +20,7 @@ from wtbound import (
     parse_network,
     partition_classes,
     preprocess,
+    primary_min_cut,
     serialize_collection,
     serialize_network,
 )
@@ -138,6 +140,26 @@ def test_flow_keys_are_equal_exactly_when_the_reference_keys_are(case):
     key = _flow_keys(net)
     for t in targets:
         assert key(t) == reference_flow_key(net, t)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@hypothesis.given(dag_and_targets())
+def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
+    # `wtb bound --regularize` keeps each distinct stored cut as its own set
+    # and cut, which holds when every primary cut is its own primary cut.
+    net, targets = case
+    coll, _ = preprocess(net, targets)
+    for c in coll.cuts:
+        assert primary_min_cut(net, c).edges == c
+    cuts = tuple(dict.fromkeys(coll.cuts))
+    regular = WiretapCollection(sets=cuts, cuts=cuts)
+    assert preprocess(net, coll.cuts)[0] == regular
+
+    def summary(c):
+        report = compute_bound(net, c)
+        return report.n_classes, report.n_max, {cut.edges for cut in report.cuts}
+
+    assert summary(regular) == summary(coll)
 
 
 NODE_LABELS = ("s", "a", "b", "t")

@@ -10,7 +10,6 @@ import pytest
 import wtbound.flow
 import wtbound.wiretap
 from wtbound import (
-    Cut,
     UnknownEdge,
     WiretapCollection,
     build_network,
@@ -49,7 +48,7 @@ HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4
 def test_preprocess_keeps_fig1_intact(fig1):
     assert len(fig1.coll) == 48
     assert fig1.warnings == ()
-    assert fig1.coll.mincuts == tuple(len(s) for s in fig1.coll.sets)
+    assert tuple(map(len, fig1.coll.cuts)) == tuple(len(s) for s in fig1.coll.sets)
     singles = sum(1 for s in fig1.coll.sets if len(s) == 1)
     assert (singles, len(fig1.coll) - singles) == (12, 36)
 
@@ -60,7 +59,6 @@ def test_preprocess_drops_and_warns():
     net = build_network([(0, 1), (2, 3)], source=0)
     coll, warnings = preprocess(net, [{0}, set(), {0}, {1}])
     assert coll.sets == (frozenset({0}),)
-    assert coll.mincuts == (1,)
     assert coll.cuts == (frozenset({0}),)
     assert warnings == (
         "empty set dropped",
@@ -92,17 +90,16 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances():
     # b is not a tail, since b then reaches no target. Each set's cut holds
     # its own target edges.
     assert coll.sets[:3] == (frozenset({4, 5}), frozenset({5, 6}), frozenset({3, 4}))
-    assert coll.mincuts[:3] == (2, 2, 2)
     assert coll.cuts[:3] == coll.sets[:3]
     # Three exits at a: the three edges into a are the cut.
-    assert (coll.mincuts[3], coll.cuts[3]) == (3, frozenset({0, 1, 2}))
+    assert coll.cuts[3] == frozenset({0, 1, 2})
     # Equal tails a and b: with a->b a target, its head b is live and no
     # unit can pass through it to b->t, so the two sets must not share a flow.
     key = wtbound.flow._flow_keys(net)
     assert key(frozenset({3, 7}))[0] == key(frozenset({4, 7}))[0]
     assert key(frozenset({3, 7})) != key(frozenset({4, 7}))
-    assert (coll.mincuts[4], coll.cuts[4]) == (1, frozenset({3}))
-    assert (coll.mincuts[5], coll.cuts[5]) == (2, frozenset({3, 4}))
+    assert coll.cuts[4] == frozenset({3})
+    assert coll.cuts[5] == frozenset({3, 4})
 
 
 def test_preprocess_checks_every_id_before_sharing_a_flow():
@@ -174,11 +171,11 @@ def test_partition_classes_fig1(fig1):
     classes = partition_classes(fig1.coll)
     assert len(classes) == 15
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
-        assert cls.capacity == cap
+        assert cls.primary_cut.capacity == cap
         assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
         got = [fig1.coll.sets[m] for m in cls.members]
         assert got == [eset(fig1.labels, spec) for spec in member_specs]
-        assert cls.representative == got[0]
+        assert cls.primary_cut.target == got[0]
     # Classes partition the collection.
     all_members = sorted(m for cls in classes for m in cls.members)
     assert all_members == list(range(48))
@@ -239,11 +236,12 @@ def test_domination_rows_match_the_pairwise_reference_on_layered_networks(shape)
 
 def test_domination_rows_read_each_class_representative(fig1):
     # Any member of a class gives the same rows, so hand-built classes with
-    # their representatives rotated, each now off its own cut's target,
-    # show which edge set the rows read.
+    # their representatives (their cuts' targets) rotated, each now off its
+    # own cut, show which edge set the rows read.
     classes = partition_classes(fig1.coll)
     rotated = [
-        replace(c, representative=classes[i - 1].representative) for i, c in enumerate(classes)
+        replace(c, primary_cut=replace(c.primary_cut, target=classes[i - 1].primary_cut.target))
+        for i, c in enumerate(classes)
     ]
     rows = wtbound.wiretap._domination_rows(fig1.net, rotated)
     assert rows == reference_domination_rows(fig1.net, rotated)
@@ -255,14 +253,12 @@ def test_bad_class_ids_raise_unknown_edge():
     net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
     good = partition_classes(preprocess(net, [{1, 2}])[0])[0]
     bad = [
-        replace(good, primary_cut=Cut(target=good.representative, edges=frozenset({5}))),
-        replace(good, representative=frozenset({-1})),
-        replace(good, representative=frozenset({9})),
+        replace(good, primary_cut=replace(good.primary_cut, edges=frozenset({5}))),
+        replace(good, primary_cut=replace(good.primary_cut, target=frozenset({-1}))),
+        replace(good, primary_cut=replace(good.primary_cut, target=frozenset({9}))),
     ]
     for cls in bad:
-        coll = WiretapCollection(
-            sets=(cls.representative,), mincuts=(cls.capacity,), cuts=(cls.primary_cut.edges,)
-        )
+        coll = WiretapCollection(sets=(cls.primary_cut.target,), cuts=(cls.primary_cut.edges,))
         with pytest.raises(UnknownEdge):
             class_hasse(net, [good, cls])
         with pytest.raises(UnknownEdge):
@@ -309,7 +305,7 @@ def test_compute_bound_selection_and_tie_breaks(fig1):
 def test_compute_bound_degenerate_inputs(fig1):
     from wtbound import WiretapCollection, build_network
 
-    empty = WiretapCollection(sets=(), mincuts=(), cuts=())
+    empty = WiretapCollection(sets=(), cuts=())
     rep = compute_bound(fig1.net, empty)
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
