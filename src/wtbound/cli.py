@@ -111,7 +111,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     human.append(
         f"an alphabet with more than {bound} symbols suffices for this collection; "
         f"recommended size at least {result.recommended_alphabet} "
-        f"(covers {result.sinks_considered} sinks)"
+        f"(covers {len(net.sinks)} sinks)"
     )
     machine.append(("recommended_alphabet", result.recommended_alphabet))
     _finish(human, machine, args.report)

@@ -41,12 +41,6 @@ class LabelTable:
     def _edge_ids(self) -> dict[str, EdgeId]:
         return {lab: i for i, lab in enumerate(self.edge_labels)}
 
-    def edge_id(self, label: str) -> EdgeId:
-        try:
-            return self._edge_ids[label]
-        except KeyError:
-            raise UnknownEdgeLabel(f"unknown edge label {label!r}") from None
-
     def edge_set(self, labels: Iterable[str]) -> frozenset[EdgeId]:
         try:
             return frozenset(map(self._edge_ids.__getitem__, labels))
@@ -175,12 +169,14 @@ def parse_collection(
 ) -> tuple[WiretapCollection, tuple[str, ...]]:
     """Read a collection file and preprocess it against `net`.
 
-    Returns the deduplicated collection plus human-readable warnings for
-    every dropped line. Raises UnknownEdgeLabel with a line number when a
-    label is not in the table.
+    Returns the deduplicated collection plus one warning per dropped line,
+    naming the line. Raises UnknownEdgeLabel with a line number when a label
+    is not in the table.
 
     One pass: `preprocess` pulls the sets from a generator, one per content
     line, so neither the token lists nor the resolved sets are held at once.
+    Only when a set was dropped does a second pass map drop positions (the
+    k-th content line) back to line numbers.
     """
 
     def sets() -> Iterator[frozenset[EdgeId]]:
@@ -191,7 +187,15 @@ def parse_collection(
                 raise UnknownEdgeLabel(f"line {lineno}: {exc}") from None
             yield s
 
-    return preprocess(net, sets(), describe=labels.format_set)
+    coll, drops = preprocess(net, sets())
+    if not drops:
+        return coll, ()
+    positions = {pos for pos, _, _ in drops}
+    linenos = [n for pos, (n, _) in enumerate(_content_lines(text)) if pos in positions]
+    return coll, tuple(
+        f"line {n}: {kind} set {labels.format_set(s)} dropped"
+        for n, (_, kind, s) in zip(linenos, drops)
+    )
 
 
 def serialize_collection(

@@ -25,16 +25,10 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .flow import Cut, _solver
 from .graph import EdgeId, Network
-
-SetFormatter = Callable[[frozenset[EdgeId]], str]
-
-
-def _default_format(edges: frozenset[EdgeId]) -> str:
-    return "{" + ",".join(str(e) for e in sorted(edges)) + "}"
 
 
 @dataclass(frozen=True)
@@ -92,53 +86,50 @@ class BoundReport:
     paper's pruning loop would pick, and the cuts come in that pick order.
     `recommended_alphabet` is the smallest size satisfying both this bound
     (strictly more symbols than maximal classes) and the decodability needs
-    of `sinks_considered` sink nodes.
+    of the network's sink nodes.
     """
 
-    collection_size: int
     n_classes: Optional[int]
     n_max: Optional[int]
     cuts: tuple[Cut, ...]
     recommended_alphabet: int
-    sinks_considered: int
 
 
 def preprocess(
-    net: Network,
-    raw_sets: Iterable[Iterable[EdgeId]],
-    describe: SetFormatter = _default_format,
-) -> tuple[WiretapCollection, tuple[str, ...]]:
+    net: Network, raw_sets: Iterable[Iterable[EdgeId]]
+) -> tuple[WiretapCollection, tuple[tuple[int, str, frozenset[EdgeId]], ...]]:
     """Deduplicate and drop degenerate sets, caching primary cuts.
 
     Distinct sets that pose the same reduced flow instance share one
     maximum flow (`flow._solver`). Duplicates keep their first occurrence;
     empty sets and sets none of whose edges is reachable from the source
-    (an empty primary cut) are dropped. Each drop produces a warning line.
-    Raises UnknownEdge on bad ids.
+    (an empty primary cut) are dropped. Each drop is recorded as
+    `(position, kind, set)`: the 0-based index in `raw_sets` and one of
+    "empty", "duplicate" or "unreachable". Raises UnknownEdge on bad ids.
     """
-    warnings: list[str] = []
+    drops: list[tuple[int, str, frozenset[EdgeId]]] = []
     kept: list[frozenset[EdgeId]] = []
     cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
     solve = _solver(net)
-    for raw in raw_sets:
+    for pos, raw in enumerate(raw_sets):
         s = frozenset(raw)
         if not s:
-            warnings.append("empty set dropped")
+            drops.append((pos, "empty", s))
             continue
         if s in seen:
-            warnings.append(f"duplicate set {describe(s)} dropped")
+            drops.append((pos, "duplicate", s))
             continue
         seen.add(s)
         cut = solve(s)
         if not cut:
-            warnings.append(f"unreachable set {describe(s)} dropped")
+            drops.append((pos, "unreachable", s))
             continue
         kept.append(s)
         cuts.append(shared.setdefault(cut, cut))
     coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
-    return coll, tuple(warnings)
+    return coll, tuple(drops)
 
 
 def partition_classes(coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
@@ -268,10 +259,8 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     )
     bound = n_max if n_max is not None else n_classes
     return BoundReport(
-        collection_size=len(coll.sets),
         n_classes=n_classes,
         n_max=n_max,
         cuts=cuts,
         recommended_alphabet=max(bound + 1, len(net.sinks)),
-        sinks_considered=len(net.sinks),
     )

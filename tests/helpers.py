@@ -66,7 +66,7 @@ COLLECTION_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n
 
 def eset(labels: LabelTable, spec: str) -> frozenset[int]:
     """Edge-id set from a space-separated label string."""
-    return frozenset(labels.edge_id(tok) for tok in spec.split())
+    return labels.edge_set(spec.split())
 
 
 def result_block(output: str) -> dict[str, str]:
@@ -197,35 +197,31 @@ def reference_max_flow(net: Network, target: Iterable[int]) -> ReferenceFlow:
 
 def reference_preprocess(
     net: Network, raw_sets: Iterable[Iterable[int]]
-) -> tuple[WiretapCollection, tuple[str, ...]]:
+) -> tuple[WiretapCollection, tuple[tuple[int, str, frozenset[int]], ...]]:
     """`preprocess` with one maximum flow per distinct set and no sharing of
-    flows between sets: the same drops, warnings (in the default set
-    format) and primary cuts."""
-
-    def describe(s: frozenset[int]) -> str:
-        return "{" + ",".join(map(str, sorted(s))) + "}"
-
-    warnings: list[str] = []
+    flows between sets: the same drop records (position, kind, set) and
+    primary cuts."""
+    drops: list[tuple[int, str, frozenset[int]]] = []
     kept: list[frozenset[int]] = []
     cuts: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for raw in raw_sets:
+    for pos, raw in enumerate(raw_sets):
         s = frozenset(raw)
         if not s:
-            warnings.append("empty set dropped")
+            drops.append((pos, "empty", s))
             continue
         if s in seen:
-            warnings.append(f"duplicate set {describe(s)} dropped")
+            drops.append((pos, "duplicate", s))
             continue
         seen.add(s)
         flow = max_flow(net, s)
         if flow.value == 0:
-            warnings.append(f"unreachable set {describe(s)} dropped")
+            drops.append((pos, "unreachable", s))
             continue
         kept.append(s)
         cuts.append(flow.cut)
     coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
-    return coll, tuple(warnings)
+    return coll, tuple(drops)
 
 
 def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:

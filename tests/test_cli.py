@@ -324,7 +324,7 @@ def test_collection_warnings_go_to_stderr(data_files, tmp_path, capsys):
     code = main(["bound", str(data_files / "fig1.net"), str(sets_path)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "duplicate set {e6} dropped" in captured.err
+    assert captured.err == "warning: line 2: duplicate set {e6} dropped\n"
     assert "duplicate" not in captured.out
     assert result_block(captured.out)["sets"] == "1"
 

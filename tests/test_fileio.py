@@ -116,12 +116,12 @@ def test_serialize_network_round_trip(fig1, singlesink):
 
 def test_label_table():
     table = LabelTable(node_labels=("a", "b"), edge_labels=("x", "y", "z"))
-    assert table.edge_id("y") == 1
+    assert table.edge_set(["y"]) == frozenset({1})
     assert table.edge_set(["z", "x"]) == frozenset({0, 2})
     assert table.format_edges({2, 0}) == "x,z"
     assert table.format_set({2, 0}) == "{x,z}"
     with pytest.raises(UnknownEdgeLabel):
-        table.edge_id("w")
+        table.edge_set(["w"])
 
 
 def test_parse_collection_reports_lines_and_warnings(fig1):
@@ -133,7 +133,7 @@ def test_parse_collection_reports_lines_and_warnings(fig1):
         "e6\n# comment\n\ne6\ne7 e6\n", fig1.net, fig1.labels
     )
     assert coll.sets == (eset(fig1.labels, "e6"), eset(fig1.labels, "e6 e7"))
-    assert warnings == ("duplicate set {e6} dropped",)
+    assert warnings == ("line 4: duplicate set {e6} dropped",)
 
 
 def test_parse_collection_names_the_true_line_of_a_bad_label():
@@ -158,10 +158,10 @@ def test_parse_collection_lines_comments_and_warnings():
         coll, warnings = parse_collection(text.replace("\n", newline), net, labels)
         assert coll.sets == (frozenset({0}), frozenset({2}), frozenset({1, 2}))
         assert warnings == (
-            "unreachable set {d} dropped",
-            "duplicate set {a} dropped",
-            "duplicate set {d} dropped",
-            "duplicate set {b,c} dropped",
+            "line 2: unreachable set {d} dropped",
+            "line 5: duplicate set {a} dropped",
+            "line 6: duplicate set {d} dropped",
+            "line 8: duplicate set {b,c} dropped",
         )
 
 

@@ -86,8 +86,8 @@ def test_max_flow_agrees_with_the_oracle(case):
 @hypothesis.given(dag_and_collection())
 def test_preprocess_and_bounds_agree_with_the_references(case):
     net, sets = case
-    coll, warnings = preprocess(net, sets)
-    assert (coll, warnings) == reference_preprocess(net, sets)
+    coll, drops = preprocess(net, sets)
+    assert (coll, drops) == reference_preprocess(net, sets)
     report = compute_bound(net, coll)
     oracle = oracle_bounds(net, coll)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
@@ -154,12 +154,39 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
     cuts = tuple(dict.fromkeys(coll.cuts))
     regular = WiretapCollection(sets=cuts, cuts=cuts)
     assert preprocess(net, coll.cuts)[0] == regular
+    assert bound_summary(net, regular) == bound_summary(net, coll)
 
-    def summary(c):
-        report = compute_bound(net, c)
-        return report.n_classes, report.n_max, {cut.edges for cut in report.cuts}
 
-    assert summary(regular) == summary(coll)
+def bound_summary(net, coll):
+    """N, N_max and the set of maximal cuts of `coll`."""
+    report = compute_bound(net, coll)
+    return report.n_classes, report.n_max, {cut.edges for cut in report.cuts}
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@hypothesis.given(dag_and_targets(), st.data())
+def test_relabelling_the_edges_keeps_the_bound(case, data):
+    # Classes and domination depend on the edges, not on their ids: build
+    # the network from a permuted edge list, and map the cuts back.
+    net, targets = case
+    perm = data.draw(st.permutations(range(len(net.edges))))  # new id i is old edge perm[i]
+    new_id = {old: new for new, old in enumerate(perm)}
+    relabelled = build_network(
+        [net.edges[old] for old in perm], source=net.source, num_nodes=net.num_nodes
+    )
+    coll, _ = preprocess(relabelled, [frozenset(new_id[e] for e in t) for t in targets])
+    n, n_max, cuts = bound_summary(relabelled, coll)
+    mapped_back = {frozenset(perm[e] for e in cut) for cut in cuts}
+    assert (n, n_max, mapped_back) == bound_summary(net, preprocess(net, targets)[0])
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@hypothesis.given(dag_and_targets(), st.data())
+def test_shuffling_the_collection_keeps_the_bound(case, data):
+    net, targets = case
+    shuffled = data.draw(st.permutations(targets))
+    got = bound_summary(net, preprocess(net, shuffled)[0])
+    assert got == bound_summary(net, preprocess(net, targets)[0])
 
 
 NODE_LABELS = ("s", "a", "b", "t")

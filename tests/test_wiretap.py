@@ -57,22 +57,14 @@ def test_preprocess_drops_and_warns():
     from wtbound import build_network
 
     net = build_network([(0, 1), (2, 3)], source=0)
-    coll, warnings = preprocess(net, [{0}, set(), {0}, {1}])
+    coll, drops = preprocess(net, [{0}, set(), {0}, {1}])
     assert coll.sets == (frozenset({0}),)
     assert coll.cuts == (frozenset({0}),)
-    assert warnings == (
-        "empty set dropped",
-        "duplicate set {0} dropped",
-        "unreachable set {1} dropped",
+    assert drops == (
+        (1, "empty", frozenset()),
+        (2, "duplicate", frozenset({0})),
+        (3, "unreachable", frozenset({1})),
     )
-
-
-def test_preprocess_custom_formatter():
-    from wtbound import build_network
-
-    net = build_network([(0, 1)], source=0)
-    _, warnings = preprocess(net, [{0}, {0}], describe=lambda s: "<set>")
-    assert warnings == ("duplicate set <set> dropped",)
 
 
 def assert_preprocess_matches_reference(net, sets):
@@ -84,8 +76,8 @@ def assert_preprocess_matches_reference(net, sets):
 def test_preprocess_shares_a_flow_only_between_equal_reduced_instances():
     net = build_network(HAND_EDGES, source=0)
     sets = [{4, 5}, {5, 6}, {3, 4}, {4, 5, 6}, {3, 7}, {4, 7}, {8}]
-    coll, warnings = assert_preprocess_matches_reference(net, sets)
-    assert warnings == ("unreachable set {8} dropped",)
+    coll, drops = assert_preprocess_matches_reference(net, sets)
+    assert drops == ((6, "unreachable", frozenset({8})),)
     # Parallel target edges on one tail pose one instance; so does a->b while
     # b is not a tail, since b then reaches no target. Each set's cut holds
     # its own target edges.
@@ -120,8 +112,8 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
     net, labels = parse_network(net_text)
     sets = [labels.edge_set(line.split()) for line in sets_text.splitlines()]
     assert len(sets) == 21560
-    coll, warnings = assert_preprocess_matches_reference(net, sets)
-    assert len(coll) == 21560 and warnings == ()
+    coll, drops = assert_preprocess_matches_reference(net, sets)
+    assert len(coll) == 21560 and drops == ()
 
     calls = []
     real = wtbound.flow.max_flow
@@ -131,7 +123,7 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
         return real(net, target)
 
     monkeypatch.setattr(wtbound.flow, "max_flow", counting)
-    assert preprocess(net, sets) == (coll, warnings)
+    assert preprocess(net, sets) == (coll, drops)
     # A set takes relay-to-sink edges from distinct relays, so its tails are
     # the relays it taps: one flow per nonempty subset of at most r = 3 of
     # the 6 relays.
@@ -271,9 +263,7 @@ def test_compute_bound_fig1_modes(fig1):
 
     both = compute_bound(fig1.net, fig1.coll)
     assert (both.n_classes, both.n_max) == (15, 3)
-    assert both.collection_size == 48
     assert both.recommended_alphabet == 4
-    assert both.sinks_considered == 2
     assert {c.edges for c in both.cuts} == expected_b
 
     nmax_only = compute_bound(fig1.net, fig1.coll, mode="nmax")
