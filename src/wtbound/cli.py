@@ -130,15 +130,13 @@ def _cmd_classes(args: argparse.Namespace) -> int:
             f"class {i}: capacity {cls.primary_cut.capacity}, primary cut "
             f"{labels.format_set(cls.primary_cut.edges)}, {len(cls.members)} sets"
         )
-        human += [f"  {labels.format_set(coll.sets[m])}" for m in cls.members]
+        members = [labels.format_set(coll.sets[m]) for m in cls.members]
+        human += [f"  {member}" for member in members]
         machine += [
             (f"class.{i}.capacity", cls.primary_cut.capacity),
             (f"class.{i}.cut", labels.format_edges(cls.primary_cut.edges)),
             (f"class.{i}.size", len(cls.members)),
-            (
-                f"class.{i}.members",
-                ";".join(labels.format_set(coll.sets[m]) for m in cls.members),
-            ),
+            (f"class.{i}.members", ";".join(members)),
         ]
     _finish(human, machine)
     return 0

@@ -10,11 +10,10 @@ labels. Both formats round-trip exactly through the serializers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CollectionTooLarge,
@@ -30,12 +29,17 @@ from .wiretap import HasseDiagram, WiretapCollection, preprocess
 DEFAULT_MAX_SETS = 100_000
 
 
-@dataclass(frozen=True)
-class LabelTable:
-    """Two-way mapping between file labels and internal integer ids."""
-
+class _LabelFields(NamedTuple):
     node_labels: tuple[str, ...]
     edge_labels: tuple[str, ...]
+
+
+class LabelTable(_LabelFields):
+    """Two-way mapping between file labels and internal integer ids.
+
+    Like `graph.Network`, a field-only NamedTuple base plus a subclass
+    whose instances have a `__dict__` for the cached id map.
+    """
 
     @cached_property
     def _edge_ids(self) -> dict[str, EdgeId]:

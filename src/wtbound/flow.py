@@ -31,15 +31,13 @@ share one flow (`_flow_keys`, `_solver`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import EmptyTargetSet, UnreachableTarget
 from .graph import EdgeId, Network, NodeId
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """An edge set separating `target` from the source in some network.
 
     Instances are plain values; nothing checks on construction that `edges`

@@ -8,9 +8,8 @@ edges are identified by their integer id, not by their endpoints.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CyclicGraph, DanglingEndpoint, SourceHasIncomingEdges, UnknownEdge
 
@@ -18,19 +17,22 @@ NodeId = int
 EdgeId = int
 
 
-@dataclass(frozen=True)
-class Network:
-    """Validated unit-capacity DAG. Build through `build_network`.
-
-    Nodes are 0..num_nodes-1 and edges are indexed by position in `edges`,
-    each entry being a (tail, head) pair. `sinks` is advisory metadata used
-    for reporting; it plays no role in cut computations.
-    """
-
+class _NetworkFields(NamedTuple):
     num_nodes: int
     edges: tuple[tuple[NodeId, NodeId], ...]
     source: NodeId
     sinks: tuple[NodeId, ...] = ()
+
+
+class Network(_NetworkFields):
+    """Validated unit-capacity DAG. Build through `build_network`.
+
+    Nodes are 0..num_nodes-1 and edges are indexed by position in `edges`,
+    each entry being a (tail, head) pair. `sinks` is advisory metadata used
+    for reporting; it plays no role in cut computations. The fields live in
+    a NamedTuple base; this subclass declares no `__slots__`, so each
+    instance has the `__dict__` that caches `out_edges` and `in_edges`.
+    """
 
     def tail(self, e: EdgeId) -> NodeId:
         return self.edges[e][0]

@@ -31,7 +31,6 @@ still goes through `_Reached`, the one memo keyed by deleted sets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
@@ -65,8 +64,7 @@ def edge_limit() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class MinCutFamily:
+class MinCutFamily(NamedTuple):
     """All minimum cuts of one target, sorted by ascending edge ids."""
 
     target: frozenset[EdgeId]

@@ -24,31 +24,26 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flow import Cut, _solver
 from .graph import EdgeId, Network
 
 
-@dataclass(frozen=True)
-class WiretapCollection:
+class WiretapCollection(NamedTuple):
     """Deduplicated wiretap sets with their primary cuts, in input order.
 
     `cuts[i]` is the primary minimum cut of `sets[i]` (sets with equal cuts
     share one frozenset), and `len(cuts[i])` its minimum cut capacity. Build
-    via `preprocess`.
+    via `preprocess`. The set count is `len(coll.sets)`; `len(coll)` counts
+    the record's two fields.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
     cuts: tuple[frozenset[EdgeId], ...]
 
-    def __len__(self) -> int:
-        return len(self.sets)
 
-
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """One class of mutually equivalent wiretap sets.
 
     `members` are indices into the owning collection, ascending; every
@@ -60,8 +55,7 @@ class EquivalenceClass:
     primary_cut: Cut
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """The domination order on classes, reduced to covering pairs.
 
     A pair (i, j) in `covering` means class j dominates class i with nothing
@@ -76,8 +70,7 @@ class HasseDiagram:
     above: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of `compute_bound`.
 
     `n_classes` / `n_max` are None when the mode skipped them. `cuts` holds

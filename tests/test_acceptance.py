@@ -182,7 +182,7 @@ def test_generated_benchmark_bounds_and_runtime():
     report = compute_bound(net, coll)
     elapsed = time.perf_counter() - started
     assert warnings == ()
-    assert len(coll) == 2905
+    assert len(coll.sets) == 2905
     assert (report.n_classes, report.n_max) == (41, 20)
     assert report.n_max <= report.n_classes <= len(coll.sets)
     assert elapsed < 30.0
@@ -203,7 +203,7 @@ def test_combination_family_meets_its_closed_forms():
                 net, labels = parse_network(net_text)
                 coll, warnings = parse_collection(sets_text, net, labels)
                 report = compute_bound(net, coll)
-                assert (len(coll), warnings) == (total, ()), (n, k, r)
+                assert (len(coll.sets), warnings) == (total, ()), (n, k, r)
                 n_classes = sum(comb(n, c) for c in range(1, r + 1))
                 assert (report.n_classes, report.n_max) == (n_classes, comb(n, r)), (n, k, r)
                 cases += 1

@@ -289,12 +289,18 @@ def test_exit_3_when_brute_force_is_too_large(data_files, tmp_path, capsys, monk
     assert main(["verify", str(data_files / "singlesink.net"), str(sets_path)]) == 0
 
 
-def test_verify_output_is_unchanged_under_python_optimize(data_files):
-    # `python -O` strips assert statements; no check may depend on them.
+def _env_with_package() -> dict[str, str]:
+    """The environment, with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     env.pop(ENV_EDGE_LIMIT, None)
     src = str(Path(wtbound.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_verify_output_is_unchanged_under_python_optimize(data_files):
+    # `python -O` strips assert statements; no check may depend on them.
+    env = _env_with_package()
     files = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
     argv = ["-m", "wtbound.cli", "verify", *files]
     plain, optimized = (
@@ -316,6 +322,28 @@ def test_package_holds_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every `wtb` process pays for its imports; `dataclasses` alone pulls in
+    # `inspect`, `ast`, `dis` and `tokenize`. Compare with a bare interpreter,
+    # since `site` loads more on some installs.
+    probe = "import sys; {}; print(*sys.modules, sep='\\n')"
+    bare, cli = (
+        set(
+            subprocess.run(
+                [sys.executable, "-c", probe.format(statement)],
+                capture_output=True,
+                text=True,
+                env=_env_with_package(),
+                check=True,
+            ).stdout.split()
+        )
+        for statement in ("pass", "import wtbound.cli")
+    )
+    added = cli - bare
+    assert "wtbound.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
 
 
 def test_collection_warnings_go_to_stderr(data_files, tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_primary_min_cut_unreachable_target():
         primary_min_cut(net, {1})
 
 
-def test_cut_dataclass_helpers():
+def test_cut_capacity_is_its_edge_count():
     cut = Cut(target=frozenset({5}), edges=frozenset({4, 2, 9}))
     assert cut.capacity == 3
 

@@ -190,7 +190,7 @@ def test_gen_combination_shape_and_bound():
     net, labels = parse_network(net_text)
     coll, warnings = parse_collection(sets_text, net, labels)
     assert (net.num_nodes, len(net.edges), len(net.sinks)) == (9, 16, 4)
-    assert len(coll) == 66
+    assert len(coll.sets) == 66
     assert warnings == ()
     report = compute_bound(net, coll)
     assert (report.n_classes, report.n_max) == (10, 6)
@@ -227,7 +227,7 @@ def test_gen_r_wiretap(fig1):
 def test_gen_r_wiretap_pipeline_bound(fig1):
     text = gen_r_wiretap(fig1.net, fig1.labels, 2)
     coll, warnings = parse_collection(text, fig1.net, fig1.labels)
-    assert len(coll) == 231
+    assert len(coll.sets) == 231
     assert warnings == ()
     report = compute_bound(fig1.net, coll)
     assert (report.n_classes, report.n_max) == (24, 17)

@@ -1,7 +1,6 @@
 """Collection preprocessing, equivalence classes, domination, and the bounds."""
 
 import random
-from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -46,11 +45,11 @@ HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4
 
 
 def test_preprocess_keeps_fig1_intact(fig1):
-    assert len(fig1.coll) == 48
+    assert len(fig1.coll.sets) == 48
     assert fig1.warnings == ()
     assert tuple(map(len, fig1.coll.cuts)) == tuple(len(s) for s in fig1.coll.sets)
     singles = sum(1 for s in fig1.coll.sets if len(s) == 1)
-    assert (singles, len(fig1.coll) - singles) == (12, 36)
+    assert (singles, len(fig1.coll.sets) - singles) == (12, 36)
 
 
 def test_preprocess_drops_and_warns():
@@ -113,7 +112,7 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
     sets = [labels.edge_set(line.split()) for line in sets_text.splitlines()]
     assert len(sets) == 21560
     coll, drops = assert_preprocess_matches_reference(net, sets)
-    assert len(coll) == 21560 and drops == ()
+    assert len(coll.sets) == 21560 and drops == ()
 
     calls = []
     real = wtbound.flow.max_flow
@@ -232,7 +231,7 @@ def test_domination_rows_read_each_class_representative(fig1):
     # own cut, show which edge set the rows read.
     classes = partition_classes(fig1.coll)
     rotated = [
-        replace(c, primary_cut=replace(c.primary_cut, target=classes[i - 1].primary_cut.target))
+        c._replace(primary_cut=c.primary_cut._replace(target=classes[i - 1].primary_cut.target))
         for i, c in enumerate(classes)
     ]
     rows = wtbound.wiretap._domination_rows(fig1.net, rotated)
@@ -245,9 +244,9 @@ def test_bad_class_ids_raise_unknown_edge():
     net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
     good = partition_classes(preprocess(net, [{1, 2}])[0])[0]
     bad = [
-        replace(good, primary_cut=replace(good.primary_cut, edges=frozenset({5}))),
-        replace(good, primary_cut=replace(good.primary_cut, target=frozenset({-1}))),
-        replace(good, primary_cut=replace(good.primary_cut, target=frozenset({9}))),
+        good._replace(primary_cut=good.primary_cut._replace(edges=frozenset({5}))),
+        good._replace(primary_cut=good.primary_cut._replace(target=frozenset({-1}))),
+        good._replace(primary_cut=good.primary_cut._replace(target=frozenset({9}))),
     ]
     for cls in bad:
         coll = WiretapCollection(sets=(cls.primary_cut.target,), cuts=(cls.primary_cut.edges,))
