@@ -208,7 +208,7 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
     net_path.write_text(net_text)
     sets_path.write_text(sets_text)
     net, _ = fileio.parse_network(net_text)
-    n_sets = sum(1 for line in sets_text.splitlines() if line.strip())
+    n_sets = sets_text.count("\n")
     human = [
         f"wrote {net_path} ({net.num_nodes} nodes, {len(net.edges)} edges, "
         f"{len(net.sinks)} sinks)",
@@ -230,8 +230,9 @@ def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     text = fileio.gen_r_wiretap(net, labels, args.r, max_sets=args.max_sets)
     Path(args.out).write_text(text)
-    n_sets = sum(1 for line in text.splitlines() if line.strip())
-    human = [f"wrote {args.out} ({n_sets} wiretap sets, sizes 1..{args.r})"]
+    n_sets = text.count("\n")
+    largest = min(args.r, len(net.edges))
+    human = [f"wrote {args.out} ({n_sets} wiretap sets, sizes 1..{largest})"]
     machine = [("wsets", args.out), ("sets", n_sets), ("r", args.r)]
     _finish(human, machine)
     return 0

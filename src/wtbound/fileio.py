@@ -276,11 +276,10 @@ def gen_r_wiretap(
         raise CollectionTooLarge(
             f"{total} wiretap sets would be generated, cap is {max_sets}"
         )
-    lines = []
-    for c in range(1, r_eff + 1):
-        for ids in combinations(range(n_edges), c):
-            lines.append(" ".join(labels.edge_labels[e] for e in ids))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return serialize_collection(
+        (ids for c in range(1, r_eff + 1) for ids in combinations(range(n_edges), c)),
+        labels,
+    )
 
 
 def export_hasse_dot(diagram: HasseDiagram) -> str:

@@ -26,7 +26,7 @@ same order, the augmenting paths and the flow are the same as without the
 restriction, and the primary cut, which never contains an edge into a dead
 node, is the same too. Sets that pose the same flow problem on their live
 nodes, the same tail multiset and the same target edges with a live head,
-share one flow (`_flow_keys`, `_solver`).
+share one flow (`_solver`).
 """
 
 from __future__ import annotations
@@ -176,13 +176,12 @@ def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     return Cut(target=tset, edges=flow.cut)
 
 
-_FlowKey = tuple[tuple[NodeId, ...], frozenset[EdgeId]]
-
-
-def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
-    """The function that maps a target to the reduced flow instance it
-    poses: its sorted tails, with multiplicity, and its target edges whose
-    head is live. Its ids must be valid; it reads arrays built once here.
+def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
+    """`solve(target) -> primary cut` for nonempty targets, with one
+    `max_flow` per reduced flow instance: the target's sorted tails, with
+    multiplicity, and its target edges whose head is live. The cut is empty
+    exactly when no target edge is reachable; otherwise its size is the
+    capacity. Raises UnknownEdge on a bad id.
 
     The flow kernel searches only the live nodes L, the ancestors of the
     target edges' tails. Inside L the flow problem is fixed by three things:
@@ -192,62 +191,50 @@ def _flow_keys(net: Network) -> Callable[[frozenset[EdgeId]], _FlowKey]:
     and a non-target edge into a dead node is never searched. The flow value
     and the primary source side S (the least min-cut side, Picard & Queyranne
     1980) depend only on that problem, not on edge ids or on which maximum
-    flow was found. So targets with equal keys have equal capacities, and
-    cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
+    flow was found. So targets posing equal instances have equal capacities,
+    and cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
     cut's non-target edges (all with a live head, so none is a target edge
-    of another target with the key) and `cut_tails` the tails of its target
-    edges, both taken from the first target solved (`_solver`).
+    of another target with the instance) and `cut_tails` the tails of its
+    target edges, both taken from the first target solved.
 
-    The key is that instance itself, so equal keys are equal instances. L
-    is a function of the tails, so the edges leaving them with a live head
+    L is a function of the tails, so the edges leaving them with a live head
     are cached per tail tuple; on a miss, L comes from the same reverse
     search `max_flow` runs (`_live_nodes`). Every edge of T leaves one of
     the tails, so T's live-headed edges are one intersection with that
-    entry. A key costs O(|T| log |T|) per set beyond the misses. The cache
-    holds one entry per distinct tail multiset the collection uses, each
-    with out-edges of those tails only, so it grows with the collection,
-    not with the network: at worst, one entry per set.
+    entry. A set costs O(|T| log |T|) beyond the misses. The cache holds one
+    entry per distinct tail multiset the collection uses, each with
+    out-edges of those tails only, so it grows with the collection, not
+    with the network: at worst, one entry per set.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
-    out_edges = net.out_edges
-    # tail tuple -> edges leaving those tails whose head is live
-    live_headed: dict[tuple[NodeId, ...], frozenset[EdgeId]] = {}
-
-    def key(target: frozenset[EdgeId]) -> _FlowKey:
-        tail_tuple = tuple(sorted(map(tails.__getitem__, target)))
-        inside = live_headed.get(tail_tuple)
-        if inside is None:
-            ends = set(tail_tuple)
-            live = _live_nodes(net, ends)
-            inside = frozenset(f for t in ends for f in out_edges[t] if live[heads[f]])
-            live_headed[tail_tuple] = inside
-        return tail_tuple, target & inside
-
-    return key
-
-
-def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
-    """`solve(target) -> primary cut` for nonempty targets, with one
-    `max_flow` per reduced flow instance (`_flow_keys`). The cut is empty
-    exactly when no target edge is reachable; otherwise its size is the
-    capacity. Raises UnknownEdge on a bad id."""
-    flow_key = _flow_keys(net)
-    tails = [t for t, _ in net.edges]
     ids = frozenset(range(len(tails)))
-    # reduced instance -> (non-target cut edges, tails of cut target edges)
-    solved: dict[_FlowKey, tuple[frozenset[EdgeId], frozenset[NodeId]]] = {}
+    out_edges = net.out_edges
+    # tail tuple -> (edges leaving those tails whose head is live,
+    #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
+    cache: dict[
+        tuple[NodeId, ...],
+        tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
+    ] = {}
 
     def solve(target: frozenset[EdgeId]) -> frozenset[EdgeId]:
         if not target <= ids:
             for e in target:
                 net.check_edge(e)  # raises UnknownEdge on the first bad id
-        key = flow_key(target)
-        entry = solved.get(key)
+        tail_tuple = tuple(sorted(map(tails.__getitem__, target)))
+        entry = cache.get(tail_tuple)
         if entry is None:
+            ends = set(tail_tuple)
+            live = _live_nodes(net, ends)
+            inside = frozenset(f for t in ends for f in out_edges[t] if live[heads[f]])
+            entry = cache[tail_tuple] = (inside, {})
+        inside, solved = entry
+        reduced = target & inside
+        found = solved.get(reduced)
+        if found is None:
             cut = max_flow(net, target).cut
-            entry = solved[key] = (cut - target, frozenset(tails[e] for e in cut & target))
-        base, cut_tails = entry
+            found = solved[reduced] = (cut - target, frozenset(tails[e] for e in cut & target))
+        base, cut_tails = found
         if not cut_tails:
             return base
         # target has the solved target's tails, so it has an edge at each cut tail.

@@ -183,6 +183,21 @@ def test_gen_rwiretap_command(data_files, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 21
 
 
+def test_gen_rwiretap_names_the_largest_size_it_wrote(tmp_path, capsys):
+    # r above the edge count writes every set; no set has more than 2 edges
+    net = tmp_path / "two.net"
+    net.write_text("edge a s x\nedge b x t\nsource s\n")
+    out = tmp_path / "r.wsets"
+    code = main(["gen", "rwiretap", str(net), "--r", "5", "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert f"wrote {out} (3 wiretap sets, sizes 1..2)" in stdout.splitlines()
+    block = result_block(stdout)
+    assert block["sets"] == "3"
+    assert block["r"] == "5"
+    assert out.read_text() == "a\nb\na b\n"
+
+
 def test_verify_clean_instance(g21, capsys):
     net_path, sets_path = g21
     code = main(["verify", str(net_path), str(sets_path)])

@@ -13,7 +13,7 @@ from wtbound import (
     max_flow,
     parse_network,
 )
-from wtbound.flow import _flow_keys, _live_nodes
+from wtbound.flow import _live_nodes, _solver
 
 from helpers import (
     CORPUS_SEED,
@@ -208,7 +208,7 @@ def test_max_flow_matches_the_unpruned_reference_on_a_combination_network():
         assert_matches_reference(net, labels.edge_set(line.split()))
 
 
-def test_flow_keys_take_memory_in_the_targets_not_the_network():
+def test_flow_sharing_takes_memory_in_the_targets_not_the_network():
     # A ladder of 3,000 nodes, each with edges to the next two, so nearly
     # every node is a tail: a table over the network's tails would take
     # megabytes here.
@@ -219,10 +219,13 @@ def test_flow_keys_take_memory_in_the_targets_not_the_network():
     net.out_edges, net.in_edges  # the network's own adjacency, built once
     tracemalloc.start()
     try:
-        key = _flow_keys(net)
+        solve = _solver(net)  # per-edge tails and heads, and the id set
+        built, built_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         for t in targets:
-            key(t)
+            solve(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert built_peak < 1_000_000
+    assert peak - built < 1_000_000

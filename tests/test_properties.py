@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import wtbound.flow
 from wtbound import (
     UnknownEdgeLabel,
     WiretapCollection,
@@ -33,7 +34,7 @@ from helpers import (
     reference_preprocess,
 )
 from wtbound.oracle import _Reached
-from wtbound.flow import _flow_keys
+from wtbound.flow import _solver
 from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -135,11 +136,27 @@ def dag_and_targets(draw):
 @hypothesis.example(star(8, False))
 @hypothesis.example(star(4, True))
 @hypothesis.example(star(8, True))
-def test_flow_keys_are_equal_exactly_when_the_reference_keys_are(case):
+def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
+    # The kernel sees the first target of each shared flow. Their keys must
+    # be distinct and as many as the targets' keys, and every cut exact:
+    # together these hold only when the solver groups the targets as the
+    # reference key does.
     net, targets = case
-    key = _flow_keys(net)
-    for t in targets:
-        assert key(t) == reference_flow_key(net, t)
+    flows = []
+
+    def recording(net, target):
+        flows.append(target)
+        return max_flow(net, target)
+
+    solve = _solver(net)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wtbound.flow, "max_flow", recording)
+        cuts = {t: solve(t) for t in dict.fromkeys(targets)}
+    keys = [reference_flow_key(net, t) for t in flows]
+    assert len(set(keys)) == len(keys)
+    assert len(keys) == len({reference_flow_key(net, t) for t in cuts})
+    for t, cut in cuts.items():
+        assert cut == max_flow(net, t).cut
 
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
