@@ -212,6 +212,33 @@ def serialize_collection(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most `cap`, otherwise some number above `cap`.
+
+    Multiplies up C(n - k + i, i) for i = 1..min(k, n - k). Each step is an
+    exact integer no smaller than the last, so it stops at the first one
+    above `cap`.
+    """
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > cap:
+            break
+    return c
+
+
+def _count_sets(counts: Iterable[int], max_sets: int) -> int:
+    """The sum of `counts`, added in order. Raises CollectionTooLarge at the
+    first partial sum above `max_sets`, so later counts are never formed."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > max_sets:
+            raise CollectionTooLarge(f"more than {max_sets} wiretap sets would be generated")
+    return total
+
+
 def gen_combination(
     n: int, k: int, r: int, max_sets: int = DEFAULT_MAX_SETS
 ) -> tuple[str, str]:
@@ -229,12 +256,9 @@ def gen_combination(
         raise ParameterOutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= r <= n:
         raise ParameterOutOfRange(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
-    per_node = comb(n - 1, k - 1)  # lower edges per relay
-    total = sum(comb(n, c) * per_node**c for c in range(1, r + 1))
-    if total > max_sets:
-        raise CollectionTooLarge(
-            f"{total} wiretap sets would be generated, cap is {max_sets}"
-        )
+    per_node = _capped_comb(n - 1, k - 1, max_sets)  # lower edges per relay
+    # a per_node above the cap makes the first count, n * per_node, top it too
+    total = _count_sets((comb(n, c) * per_node**c for c in range(1, r + 1)), max_sets)
 
     subsets = list(combinations(range(1, n + 1), k))
     net_lines = ["node s"]
@@ -271,11 +295,7 @@ def gen_r_wiretap(
         raise ParameterOutOfRange(f"r must be at least 1, got {r}")
     n_edges = len(net.edges)
     r_eff = min(r, n_edges)
-    total = sum(comb(n_edges, c) for c in range(1, r_eff + 1))
-    if total > max_sets:
-        raise CollectionTooLarge(
-            f"{total} wiretap sets would be generated, cap is {max_sets}"
-        )
+    _count_sets((comb(n_edges, c) for c in range(1, r_eff + 1)), max_sets)
     return serialize_collection(
         (ids for c in range(1, r_eff + 1) for ids in combinations(range(n_edges), c)),
         labels,

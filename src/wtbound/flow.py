@@ -56,15 +56,16 @@ class Cut(NamedTuple):
 class MaxFlow(NamedTuple):
     """A maximum flow from the source to a target edge set.
 
-    `values[e]` is 1 when a unit crosses base edge e (for a target edge:
-    leaves the network through it); `value` is the number of units. `cut`
-    holds the edges leaving the residual source side, the primary minimum
-    cut (empty when no target edge is reachable).
+    `values[e]` is 1 when a unit crosses base edge e (a target edge: leaves
+    the network); `value` counts the units; `cut` is the primary minimum cut,
+    the edges leaving the residual source side (empty if no target edge is
+    reachable); `live[v]` is 1 when node v reaches a target edge's tail.
     """
 
     value: int
     values: bytearray
     cut: frozenset[EdgeId]
+    live: bytearray
 
 
 def _live_nodes(net: Network, tails: Iterable[NodeId]) -> bytearray:
@@ -148,7 +149,7 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
         for e in out_edges[u]
         if is_target[e] or edges[e][1] not in pred and live[edges[e][1]]
     )
-    return MaxFlow(value=value, values=flow, cut=cut)
+    return MaxFlow(value=value, values=flow, cut=cut, live=live)
 
 
 def mincut_capacity(net: Network, target: Iterable[EdgeId]) -> int:
@@ -198,13 +199,13 @@ def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
     target edges, both taken from the first target solved.
 
     L is a function of the tails, so the edges leaving them with a live head
-    are cached per tail tuple; on a miss, L comes from the same reverse
-    search `max_flow` runs (`_live_nodes`). Every edge of T leaves one of
-    the tails, so T's live-headed edges are one intersection with that
-    entry. A set costs O(|T| log |T|) beyond the misses. The cache holds one
-    entry per distinct tail multiset the collection uses, each with
-    out-edges of those tails only, so it grows with the collection, not
-    with the network: at worst, one entry per set.
+    are cached per tail tuple; on a miss, L is read off the live mask of the
+    flow the miss runs, which also solves the entry's first instance. Every
+    edge of T leaves one of the tails, so T's live-headed edges are one
+    intersection with that entry. A set costs O(|T| log |T|) beyond the
+    misses. The cache holds one entry per distinct tail multiset the
+    collection uses, each with out-edges of those tails only, so it grows
+    with the collection, not with the network: at worst, one entry per set.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
@@ -223,16 +224,16 @@ def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
                 net.check_edge(e)  # raises UnknownEdge on the first bad id
         tail_tuple = tuple(sorted(map(tails.__getitem__, target)))
         entry = cache.get(tail_tuple)
+        flow = None  # a new tail tuple's flow, which its reduced target misses too
         if entry is None:
-            ends = set(tail_tuple)
-            live = _live_nodes(net, ends)
-            inside = frozenset(f for t in ends for f in out_edges[t] if live[heads[f]])
+            flow = max_flow(net, target)
+            inside = frozenset(f for t in set(tail_tuple) for f in out_edges[t] if flow.live[heads[f]])
             entry = cache[tail_tuple] = (inside, {})
         inside, solved = entry
         reduced = target & inside
         found = solved.get(reduced)
         if found is None:
-            cut = max_flow(net, target).cut
+            cut = (flow or max_flow(net, target)).cut
             found = solved[reduced] = (cut - target, frozenset(tails[e] for e in cut & target))
         base, cut_tails = found
         if not cut_tails:

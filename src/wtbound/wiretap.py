@@ -154,19 +154,14 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
     UnknownEdge on a bad representative or cut id.
     """
     holders = [0] * len(net.edges)  # edge -> classes whose representative holds it
-    by_capacity: dict[int, int] = {}
     for i, c in enumerate(classes):
-        rep, cap = c.primary_cut.target, c.primary_cut.capacity
+        rep = c.primary_cut.target
         for e in rep | c.primary_cut.edges:
             net.check_edge(e)
         for e in rep:
             holders[e] |= 1 << i
-        by_capacity[cap] = by_capacity.get(cap, 0) | 1 << i
-    lower: dict[int, int] = {}  # capacity -> classes of lower capacity
-    acc = 0
-    for cap in sorted(by_capacity):
-        lower[cap] = acc
-        acc |= by_capacity[cap]
+    caps = [c.primary_cut.capacity for c in classes]
+    every = (1 << len(classes)) - 1
     out_edges, edges = net.out_edges, net.edges
     rows = [0] * len(classes)
     for j, c in enumerate(classes):
@@ -184,8 +179,9 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
                 if not seen[v]:
                     seen[v] = 1
                     stack.append(v)
-        for i in _bits(lower[c.primary_cut.capacity] & ~marked):
-            rows[i] |= 1 << j
+        for i in _bits(every & ~marked):
+            if caps[i] < caps[j]:
+                rows[i] |= 1 << j
     return rows
 
 

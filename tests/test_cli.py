@@ -172,6 +172,16 @@ def test_gen_combination_command(tmp_path, capsys):
     assert block["sets"] == "2"
 
 
+def test_gen_over_the_cap_names_the_cap_and_writes_nothing(tmp_path, capsys):
+    # the set counts have 60 and over 4,300 digits; the second is more than
+    # Python will turn into a string
+    for n in (60, 200):
+        args = ["--n", str(n), "--k", str(n // 2), "--r", str(n), "--out-prefix", str(tmp_path / "g")]
+        assert main(["gen", "combination", *args]) == 2
+        assert capsys.readouterr().err == "error: more than 100000 wiretap sets would be generated\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_rwiretap_command(data_files, tmp_path, capsys):
     out = tmp_path / "r1.wsets"
     code = main(

@@ -1,6 +1,8 @@
 """Text formats, label tables, generators, and DOT export."""
 
+import time
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -11,6 +13,7 @@ from wtbound import (
     ParseError,
     SourceHasIncomingEdges,
     UnknownEdgeLabel,
+    build_network,
     class_hasse,
     compute_bound,
     export_hasse_dot,
@@ -203,6 +206,27 @@ def test_gen_combination_rejects_bad_parameters():
             gen_combination(n, k, r)
     with pytest.raises(CollectionTooLarge):
         gen_combination(6, 5, 3, max_sets=100)
+
+
+def test_generators_stop_counting_at_the_cap():
+    # the exact counts have thousands of digits: forming them takes minutes
+    # at these sizes, and Python refuses to print them
+    start = time.perf_counter()
+    message = "^more than 100000 wiretap sets would be generated$"
+    with pytest.raises(CollectionTooLarge, match=message):
+        gen_combination(200, 100, 200)
+    with pytest.raises(CollectionTooLarge, match=message):
+        gen_combination(10**6, 5 * 10**5, 10**6)
+    net = build_network([(0, 1)] * 15000, source=0)
+    labels = LabelTable(node_labels=("s", "t"), edge_labels=tuple(f"e{i}" for i in range(15000)))
+    with pytest.raises(CollectionTooLarge, match=message):
+        gen_r_wiretap(net, labels, 15000)
+    assert time.perf_counter() - start < 5
+    # below the cap the per-relay count is exact
+    for n in range(1, 30):
+        for k in range(n + 1):
+            got, want = fileio._capped_comb(n, k, 10_000), comb(n, k)
+            assert (got == want) if want <= 10_000 else (got > 10_000), (n, k)
 
 
 def test_gen_combination_checks_its_set_count(monkeypatch):

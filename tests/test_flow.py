@@ -187,6 +187,11 @@ def test_live_nodes_mirror_descendant_searches(fig1, singlesink):
         for tails in [(t,) for t in nodes] + list(combinations(nodes, 2)):
             live = _live_nodes(net, tails)
             assert list(live) == [int(not reach[u].isdisjoint(tails)) for u in nodes]
+        # ... and max_flow's own mask is that of its target's tails
+        for target in [(e,) for e in range(len(net.edges))] + list(combinations(range(len(net.edges)), 2)):
+            tails = {net.tail(e) for e in target}
+            live = max_flow(net, target).live
+            assert list(live) == [int(not reach[u].isdisjoint(tails)) for u in nodes]
 
 
 def test_max_flow_matches_the_unpruned_reference_over_the_corpus():

@@ -100,6 +100,24 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances(monkeypat
     assert flows == [{4, 5}, {4, 5, 6}, {3, 7}, {4, 7}, {8}]
 
 
+def test_preprocess_finds_live_nodes_once_per_flow(fig1, monkeypatch):
+    # the solver reads a new tail tuple's live nodes off the flow it runs,
+    # so the only reverse searches are the ones inside max_flow
+    calls = {"max_flow": 0, "_live_nodes": 0}
+    for name in calls:
+        def counting(*args, real=getattr(wtbound.flow, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(wtbound.flow, name, counting)
+    layered = layered_network(6, 3, 2, 1)
+    pairs = [frozenset(c) for r in (1, 2) for c in combinations(range(len(layered.edges)), r)]
+    for net, sets, flows in ((fig1.net, fig1.coll.sets, 27), (layered, pairs, 128)):
+        calls.update(dict.fromkeys(calls, 0))
+        preprocess(net, sets)
+        assert calls == {"max_flow": flows, "_live_nodes": flows}
+
+
 def test_preprocess_checks_every_id_before_sharing_a_flow():
     net = build_network(HAND_EDGES, source=0)
     for bad in ({4, 9}, {4, -1}):
