@@ -11,8 +11,9 @@ labels. Both formats round-trip exactly through the serializers.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -53,7 +54,7 @@ class LabelTable(_LabelFields):
 
     def format_edges(self, edges: Iterable[EdgeId]) -> str:
         """Comma-joined labels in ascending id order."""
-        return ",".join(self.edge_labels[e] for e in sorted(edges))
+        return ",".join(map(self.edge_labels.__getitem__, sorted(edges)))
 
     def format_set(self, edges: Iterable[EdgeId]) -> str:
         return "{" + self.format_edges(edges) + "}"
@@ -177,21 +178,28 @@ def parse_collection(
     naming the line. Raises UnknownEdgeLabel with a line number when a label
     is not in the table.
 
-    One pass: `preprocess` pulls the sets from a generator, one per content
-    line, so neither the token lists nor the resolved sets are held at once.
-    Only when a set was dropped does a second pass map drop positions (the
-    k-th content line) back to line numbers.
+    One pass: `preprocess` pulls the sets from a chain of C-level iterators
+    over the text's lines, which cuts off comments, splits each line into
+    labels, skips lines with none, and maps each label to its id, so neither
+    the token lists nor the resolved sets are held at once. Line numbers are
+    recovered only when needed, by walking the lines once more: for the
+    first unknown label, and, when a set was dropped, to map drop positions
+    (the k-th content line) back to line numbers.
     """
-
-    def sets() -> Iterator[frozenset[EdgeId]]:
+    # an iterator, not the list, so the lines are freed once the last is read
+    lines: Iterable[str] = iter(text.splitlines())
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    ids = labels._edge_ids
+    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, map(str.split, lines))))
+    try:
+        coll, drops = preprocess(net, sets)
+    except KeyError:
         for lineno, tokens in _content_lines(text):
-            try:
-                s = labels.edge_set(tokens)
-            except UnknownEdgeLabel as exc:
-                raise UnknownEdgeLabel(f"line {lineno}: {exc}") from None
-            yield s
-
-    coll, drops = preprocess(net, sets())
+            for label in tokens:
+                if label not in ids:
+                    raise UnknownEdgeLabel(f"line {lineno}: unknown edge label {label!r}") from None
+        raise
     if not drops:
         return coll, ()
     positions = {pos for pos, _, _ in drops}
@@ -228,6 +236,11 @@ def _capped_comb(n: int, k: int, cap: int) -> int:
     return c
 
 
+def _check_max_sets(max_sets: int) -> None:
+    if max_sets < 1:
+        raise ParameterOutOfRange(f"max_sets must be at least 1, got {max_sets}")
+
+
 def _count_sets(counts: Iterable[int], max_sets: int) -> int:
     """The sum of `counts`, added in order. Raises CollectionTooLarge at the
     first partial sum above `max_sets`, so later counts are never formed."""
@@ -247,8 +260,9 @@ def gen_combination(
     The source feeds every relay; each sink draws one edge from each relay of
     its subset. Wiretap sets take up to r relay-to-sink edges, no two from
     the same relay. Returns (network text, collection text), byte-identical
-    across runs. Raises ParameterOutOfRange unless 1 <= k <= n and
-    1 <= r <= n, CollectionTooLarge when the set count would top `max_sets`.
+    across runs. Raises ParameterOutOfRange unless 1 <= k <= n,
+    1 <= r <= n and max_sets >= 1, CollectionTooLarge when the set count
+    would top `max_sets`.
     """
     if n < 1:
         raise ParameterOutOfRange(f"n must be at least 1, got {n}")
@@ -256,6 +270,7 @@ def gen_combination(
         raise ParameterOutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= r <= n:
         raise ParameterOutOfRange(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
+    _check_max_sets(max_sets)
     per_node = _capped_comb(n - 1, k - 1, max_sets)  # lower edges per relay
     # a per_node above the cap makes the first count, n * per_node, top it too
     total = _count_sets((comb(n, c) * per_node**c for c in range(1, r + 1)), max_sets)
@@ -288,11 +303,12 @@ def gen_r_wiretap(
 ) -> str:
     """Collection of every edge set of size 1..r, in size-then-id order.
 
-    Raises ParameterOutOfRange for r < 1 and CollectionTooLarge when the
-    count would top `max_sets`.
+    Raises ParameterOutOfRange for r < 1 or max_sets < 1 and
+    CollectionTooLarge when the count would top `max_sets`.
     """
     if r < 1:
         raise ParameterOutOfRange(f"r must be at least 1, got {r}")
+    _check_max_sets(max_sets)
     n_edges = len(net.edges)
     r_eff = min(r, n_edges)
     _count_sets((comb(n_edges, c) for c in range(1, r_eff + 1)), max_sets)

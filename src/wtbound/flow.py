@@ -26,12 +26,12 @@ same order, the augmenting paths and the flow are the same as without the
 restriction, and the primary cut, which never contains an edge into a dead
 node, is the same too. Sets that pose the same flow problem on their live
 nodes, the same tail multiset and the same target edges with a live head,
-share one flow (`_solver`).
+share one flow (`wiretap.preprocess`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyTargetSet, UnreachableTarget
 from .graph import EdgeId, Network, NodeId
@@ -175,70 +175,3 @@ def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
     if flow.value == 0:
         raise UnreachableTarget(f"no edge of {sorted(tset)} is reachable from the source")
     return Cut(target=tset, edges=flow.cut)
-
-
-def _solver(net: Network) -> Callable[[frozenset[EdgeId]], frozenset[EdgeId]]:
-    """`solve(target) -> primary cut` for nonempty targets, with one
-    `max_flow` per reduced flow instance: the target's sorted tails, with
-    multiplicity, and its target edges whose head is live. The cut is empty
-    exactly when no target edge is reachable; otherwise its size is the
-    capacity. Raises UnknownEdge on a bad id.
-
-    The flow kernel searches only the live nodes L, the ancestors of the
-    target edges' tails. Inside L the flow problem is fixed by three things:
-    L itself, the exit capacity at each tail (the tail multiset), and which
-    edges inside L stop being pass-through edges (the target edges with a
-    live head). A target edge with a dead head is only an exit at its tail,
-    and a non-target edge into a dead node is never searched. The flow value
-    and the primary source side S (the least min-cut side, Picard & Queyranne
-    1980) depend only on that problem, not on edge ids or on which maximum
-    flow was found. So targets posing equal instances have equal capacities,
-    and cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
-    cut's non-target edges (all with a live head, so none is a target edge
-    of another target with the instance) and `cut_tails` the tails of its
-    target edges, both taken from the first target solved.
-
-    L is a function of the tails, so the edges leaving them with a live head
-    are cached per tail tuple; on a miss, L is read off the live mask of the
-    flow the miss runs, which also solves the entry's first instance. Every
-    edge of T leaves one of the tails, so T's live-headed edges are one
-    intersection with that entry. A set costs O(|T| log |T|) beyond the
-    misses. The cache holds one entry per distinct tail multiset the
-    collection uses, each with out-edges of those tails only, so it grows
-    with the collection, not with the network: at worst, one entry per set.
-    """
-    tails = [t for t, _ in net.edges]
-    heads = [h for _, h in net.edges]
-    ids = frozenset(range(len(tails)))
-    out_edges = net.out_edges
-    # tail tuple -> (edges leaving those tails whose head is live,
-    #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
-    cache: dict[
-        tuple[NodeId, ...],
-        tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
-    ] = {}
-
-    def solve(target: frozenset[EdgeId]) -> frozenset[EdgeId]:
-        if not target <= ids:
-            for e in target:
-                net.check_edge(e)  # raises UnknownEdge on the first bad id
-        tail_tuple = tuple(sorted(map(tails.__getitem__, target)))
-        entry = cache.get(tail_tuple)
-        flow = None  # a new tail tuple's flow, which its reduced target misses too
-        if entry is None:
-            flow = max_flow(net, target)
-            inside = frozenset(f for t in set(tail_tuple) for f in out_edges[t] if flow.live[heads[f]])
-            entry = cache[tail_tuple] = (inside, {})
-        inside, solved = entry
-        reduced = target & inside
-        found = solved.get(reduced)
-        if found is None:
-            cut = (flow or max_flow(net, target)).cut
-            found = solved[reduced] = (cut - target, frozenset(tails[e] for e in cut & target))
-        base, cut_tails = found
-        if not cut_tails:
-            return base
-        # target has the solved target's tails, so it has an edge at each cut tail.
-        return base.union([e for e in target if tails[e] in cut_tails])
-
-    return solve

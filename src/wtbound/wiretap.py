@@ -24,10 +24,12 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .flow import Cut, _solver
-from .graph import EdgeId, Network
+from . import flow
+from .flow import Cut
+from .graph import EdgeId, Network, NodeId
 
 
 class WiretapCollection(NamedTuple):
@@ -93,19 +95,55 @@ def preprocess(
 ) -> tuple[WiretapCollection, tuple[tuple[int, str, frozenset[EdgeId]], ...]]:
     """Deduplicate and drop degenerate sets, caching primary cuts.
 
-    Distinct sets that pose the same reduced flow instance share one
-    maximum flow (`flow._solver`). Duplicates keep their first occurrence;
-    empty sets and sets none of whose edges is reachable from the source
-    (an empty primary cut) are dropped. Each drop is recorded as
-    `(position, kind, set)`: the 0-based index in `raw_sets` and one of
-    "empty", "duplicate" or "unreachable". Raises UnknownEdge on bad ids.
+    Duplicates keep their first occurrence; empty sets and sets none of
+    whose edges is reachable from the source (an empty primary cut) are
+    dropped. Each drop is recorded as `(position, kind, set)`: the 0-based
+    index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
+    Raises UnknownEdge on bad ids.
+
+    One loop, one pass over `raw_sets`: each set is deduplicated, keyed
+    and given its cut, and `flow.max_flow` runs once per reduced flow
+    instance: the set's sorted tails, with multiplicity, and its target
+    edges whose head is live. Why that instance fixes the cut: the flow
+    kernel searches only the live nodes L, the ancestors of the target
+    edges' tails. Inside L the flow problem is fixed by three things: L
+    itself, the exit capacity at each tail (the tail multiset), and which
+    edges inside L stop being pass-through edges (the target edges with a
+    live head). A target edge with a dead head is only an exit at its tail,
+    and a non-target edge into a dead node is never searched. The flow value
+    and the primary source side S (the least min-cut side, Picard & Queyranne
+    1980) depend only on that problem, not on edge ids or on which maximum
+    flow was found. So targets posing equal instances have equal capacities,
+    and cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
+    cut's non-target edges (all with a live head, so none is a target edge
+    of another target with the instance) and `cut_tails` the tails of its
+    target edges, both taken from the first target solved.
+
+    L is a function of the tails, so the edges leaving them with a live head
+    are cached per tail tuple; on a miss, L is read off the live mask of the
+    flow the miss runs, which also solves the entry's first instance. Every
+    edge of T leaves one of the tails, so T's live-headed edges are one
+    intersection with that entry. A set costs O(|T| log |T|) beyond the
+    misses. The cache holds one entry per distinct tail multiset the
+    collection uses, each with out-edges of those tails only, so it grows
+    with the collection, not with the network: at worst, one entry per set.
+    Sets with equal cuts share one frozenset.
     """
+    tails = [t for t, _ in net.edges]
+    heads = [h for _, h in net.edges]
+    ids = frozenset(range(len(tails)))
+    out_edges = net.out_edges
+    # tail tuple -> (edges leaving those tails whose head is live,
+    #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
+    cache: dict[
+        tuple[NodeId, ...],
+        tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
+    ] = {}
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
     kept: list[frozenset[EdgeId]] = []
     cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
     seen: set[frozenset[EdgeId]] = set()
-    solve = _solver(net)
     for pos, raw in enumerate(raw_sets):
         s = frozenset(raw)
         if not s:
@@ -115,12 +153,37 @@ def preprocess(
             drops.append((pos, "duplicate", s))
             continue
         seen.add(s)
-        cut = solve(s)
-        if not cut:
+        if not s <= ids:
+            for e in s:
+                net.check_edge(e)  # raises UnknownEdge on the first bad id
+        tail_tuple = tuple(sorted(map(tails.__getitem__, s)))
+        entry = cache.get(tail_tuple)
+        run = None  # a new tail tuple's flow, which its reduced target misses too
+        if entry is None:
+            run = flow.max_flow(net, s)
+            live = run.live
+            inside = frozenset(e for t in set(tail_tuple) for e in out_edges[t] if live[heads[e]])
+            entry = cache[tail_tuple] = (inside, {})
+        inside, solved = entry
+        reduced = s & inside
+        found = solved.get(reduced)
+        if found is None:
+            cut = (run or flow.max_flow(net, s)).cut
+            base = cut - s
+            found = solved[reduced] = (
+                shared.setdefault(base, base),
+                frozenset(tails[e] for e in cut & s),
+            )
+        cut, cut_tails = found
+        if cut_tails:
+            # s has the solved target's tails, so it has an edge at each cut tail
+            cut = cut.union([e for e in s if tails[e] in cut_tails])
+            cut = shared.setdefault(cut, cut)
+        elif not cut:
             drops.append((pos, "unreachable", s))
             continue
         kept.append(s)
-        cuts.append(shared.setdefault(cut, cut))
+        cuts.append(cut)
     coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
     return coll, tuple(drops)
 
@@ -239,7 +302,10 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         n_max = len(classes)
 
     def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
-        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
+        members = list(map(coll.sets.__getitem__, cls.members))
+        sizes = list(map(len, members))
+        top = max(sizes)
+        return -top, min(map(sorted, compress(members, map(top.__eq__, sizes))))
 
     picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
     cuts = tuple(

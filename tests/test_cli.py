@@ -182,6 +182,17 @@ def test_gen_over_the_cap_names_the_cap_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_rejects_a_cap_below_one_and_writes_nothing(data_files, tmp_path, capsys):
+    for cap in ("0", "-5"):
+        for args in (
+            ["combination", "--n", "2", "--k", "1", "--r", "1", "--out-prefix", str(tmp_path / "g")],
+            ["rwiretap", str(data_files / "fig1.net"), "--r", "1", "--out", str(tmp_path / "r.wsets")],
+        ):
+            assert main(["gen", *args, "--max-sets", cap]) == 2
+            assert capsys.readouterr().err == f"error: max_sets must be at least 1, got {cap}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_rwiretap_command(data_files, tmp_path, capsys):
     out = tmp_path / "r1.wsets"
     code = main(

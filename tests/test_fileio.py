@@ -139,6 +139,10 @@ def test_parse_collection_reports_lines_and_warnings(fig1):
     assert warnings == ("line 4: duplicate set {e6} dropped",)
 
 
+# every boundary str.splitlines splits at, "\r\n" counted as one
+LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def test_parse_collection_names_the_true_line_of_a_bad_label():
     net, labels = parse_network(COLLECTION_NETWORK)
     cases = [
@@ -148,6 +152,10 @@ def test_parse_collection_names_the_true_line_of_a_bad_label():
         ("a\n# x\n\nb c  # z\n\t\nb z\n", 6),
         ("a\r\n\r\nc z\r\n", 3),
     ]
+    # 'z' after '#' is no label; the rescan must count lines as the parse does
+    lines = ["a # z", "", "b c #z", "", "z b"]
+    cases += [(sep.join(lines), 5) for sep in LINE_BOUNDARIES]
+    cases.append(("".join(map(str.__add__, lines, LINE_BOUNDARIES[3:])), 5))
     for text, line in cases:
         with pytest.raises(UnknownEdgeLabel) as exc:
             parse_collection(text, net, labels)
@@ -157,15 +165,32 @@ def test_parse_collection_names_the_true_line_of_a_bad_label():
 def test_parse_collection_lines_comments_and_warnings():
     net, labels = parse_network(COLLECTION_NETWORK)
     text = "a a  # z is no label\nd\n\nc # c\na\nd\nb c\nc b\n"
-    for newline in ("\n", "\r\n"):
-        coll, warnings = parse_collection(text.replace("\n", newline), net, labels)
+    texts = [text.replace("\n", newline) for newline in LINE_BOUNDARIES]
+    texts.append("".join(map(str.__add__, text.splitlines(), LINE_BOUNDARIES[2:])))
+    for text in texts:
+        coll, warnings = parse_collection(text, net, labels)
         assert coll.sets == (frozenset({0}), frozenset({2}), frozenset({1, 2}))
         assert warnings == (
             "line 2: unreachable set {d} dropped",
             "line 5: duplicate set {a} dropped",
             "line 6: duplicate set {d} dropped",
             "line 8: duplicate set {b,c} dropped",
-        )
+        ), repr(text)
+
+
+def test_parse_collection_reraises_a_key_error_that_names_no_label(monkeypatch):
+    # only an unknown label becomes UnknownEdgeLabel; any other KeyError
+    # from preprocessing passes through unchanged
+    net, labels = parse_network(COLLECTION_NETWORK)
+    error = KeyError("a")
+
+    def failing(net, sets):
+        raise error
+
+    monkeypatch.setattr(fileio, "preprocess", failing)
+    with pytest.raises(KeyError) as exc:
+        parse_collection("a\nb\n", net, labels)
+    assert exc.value is error
 
 
 def test_serialize_collection_round_trip(fig1):
@@ -204,6 +229,10 @@ def test_gen_combination_rejects_bad_parameters():
     for n, k, r in ((0, 1, 1), (2, 0, 1), (2, 3, 1), (2, 1, 0), (2, 1, 3)):
         with pytest.raises(ParameterOutOfRange):
             gen_combination(n, k, r)
+    for cap in (0, -5):
+        with pytest.raises(ParameterOutOfRange, match=f"^max_sets must be at least 1, got {cap}$"):
+            gen_combination(2, 1, 1, max_sets=cap)
+    assert gen_combination(2, 1, 1, max_sets=2)[1] == "b1_1\nb2_2\n"
     with pytest.raises(CollectionTooLarge):
         gen_combination(6, 5, 3, max_sets=100)
 
@@ -244,6 +273,10 @@ def test_gen_r_wiretap(fig1):
     assert len(gen_r_wiretap(small_net, small_labels, 99).splitlines()) == 2**4 - 1
     with pytest.raises(ParameterOutOfRange):
         gen_r_wiretap(fig1.net, fig1.labels, 0)
+    for cap in (0, -5):
+        with pytest.raises(ParameterOutOfRange, match=f"^max_sets must be at least 1, got {cap}$"):
+            gen_r_wiretap(fig1.net, fig1.labels, 1, max_sets=cap)
+    assert gen_r_wiretap(fig1.net, fig1.labels, 1, max_sets=21) == text
     with pytest.raises(CollectionTooLarge):
         gen_r_wiretap(fig1.net, fig1.labels, 2, max_sets=100)
 

@@ -12,8 +12,9 @@ from wtbound import (
     gen_combination,
     max_flow,
     parse_network,
+    preprocess,
 )
-from wtbound.flow import _live_nodes, _solver
+from wtbound.flow import _live_nodes
 
 from helpers import (
     CORPUS_SEED,
@@ -224,13 +225,13 @@ def test_flow_sharing_takes_memory_in_the_targets_not_the_network():
     net.out_edges, net.in_edges  # the network's own adjacency, built once
     tracemalloc.start()
     try:
-        solve = _solver(net)  # per-edge tails and heads, and the id set
-        built, built_peak = tracemalloc.get_traced_memory()
+        preprocess(net, [])  # per-edge tails and heads, and the id set
+        _, built_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        for t in targets:
-            solve(t)
+        coll, _ = preprocess(net, targets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(coll.sets) == 3
     assert built_peak < 1_000_000
-    assert peak - built < 1_000_000
+    assert peak - built_peak < 1_000_000

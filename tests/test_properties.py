@@ -34,7 +34,6 @@ from helpers import (
     reference_preprocess,
 )
 from wtbound.oracle import _Reached
-from wtbound.flow import _solver
 from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -138,9 +137,9 @@ def dag_and_targets(draw):
 @hypothesis.example(star(8, True))
 def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
     # The kernel sees the first target of each shared flow. Their keys must
-    # be distinct and as many as the targets' keys, and every cut exact:
-    # together these hold only when the solver groups the targets as the
-    # reference key does.
+    # be distinct and as many as the targets' keys, and every cut exact
+    # (an unreachable target's cut is empty): together these hold only when
+    # `preprocess` groups the targets as the reference key does.
     net, targets = case
     flows = []
 
@@ -148,10 +147,12 @@ def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
         flows.append(target)
         return max_flow(net, target)
 
-    solve = _solver(net)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wtbound.flow, "max_flow", recording)
-        cuts = {t: solve(t) for t in dict.fromkeys(targets)}
+        coll, drops = preprocess(net, targets)
+    cuts = dict(zip(coll.sets, coll.cuts))
+    cuts.update((t, frozenset()) for _, kind, t in drops if kind == "unreachable")
+    assert cuts.keys() == set(targets)
     keys = [reference_flow_key(net, t) for t in flows]
     assert len(set(keys)) == len(keys)
     assert len(keys) == len({reference_flow_key(net, t) for t in cuts})

@@ -15,6 +15,7 @@ from wtbound import (
     class_hasse,
     compute_bound,
     gen_combination,
+    parse_collection,
     parse_network,
     partition_classes,
     preprocess,
@@ -314,6 +315,27 @@ def test_compute_bound_selection_and_tie_breaks(fig1):
         for seed in range(10):
             rng = random.Random(seed)
             assert set(pruning_loop(net, coll, per_capacity, rng=rng)) == set(got)
+
+
+def test_compute_bound_picks_the_smallest_of_the_largest_members():
+    # Each class's pick is its lexicographically smallest member among its
+    # largest ones, which here is never its smallest member overall:
+    # {b} < {b,c} but {b,c} is picked, and {e} < {e,f,g} but {e,f,g} is.
+    # Taking the smallest member instead would put {b,c}'s class before
+    # {b,k}'s ([1] < [1,2] < [1,3] by edge id).
+    net, labels = parse_network(
+        "edge a s x\nedge b x t\nedge k s t\nedge c x t\n"
+        "edge d s y\nedge e y t\nedge f y t\nedge g y t\nsource s\n"
+    )
+    coll, warnings = parse_collection("b\nb c\ne f g\ne\nb e\nb k\n", net, labels)
+    assert warnings == ()
+    for mode, per_capacity, picks in (
+        ("n", True, ["e f g", "b k", "b c", "b e"]),
+        ("nmax", False, ["b k", "b e"]),
+    ):
+        cuts = compute_bound(net, coll, mode=mode).cuts
+        assert [c.target for c in cuts] == [eset(labels, p) for p in picks]
+        assert [c.edges for c in cuts] == pruning_loop(net, coll, per_capacity)
 
 
 def test_compute_bound_degenerate_inputs(fig1):
