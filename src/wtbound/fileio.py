@@ -186,19 +186,18 @@ def parse_collection(
     first unknown label, and, when a set was dropped, to map drop positions
     (the k-th content line) back to line numbers.
     """
-    # an iterator, not the list, so the lines are freed once the last is read
-    lines: Iterable[str] = iter(text.splitlines())
-    if "#" in text:
-        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    # no name holds the list of lines, so it is freed once the last is read
+    lines = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
     ids = labels._edge_ids
     sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, map(str.split, lines))))
     try:
         coll, drops = preprocess(net, sets)
     except KeyError:
         for lineno, tokens in _content_lines(text):
-            for label in tokens:
-                if label not in ids:
-                    raise UnknownEdgeLabel(f"line {lineno}: unknown edge label {label!r}") from None
+            try:
+                labels.edge_set(tokens)
+            except UnknownEdgeLabel as exc:
+                raise UnknownEdgeLabel(f"line {lineno}: {exc}") from None
         raise
     if not drops:
         return coll, ()

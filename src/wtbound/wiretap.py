@@ -24,7 +24,6 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import flow
@@ -302,10 +301,7 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         n_max = len(classes)
 
     def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
-        members = list(map(coll.sets.__getitem__, cls.members))
-        sizes = list(map(len, members))
-        top = max(sizes)
-        return -top, min(map(sorted, compress(members, map(top.__eq__, sizes))))
+        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
 
     picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
     cuts = tuple(

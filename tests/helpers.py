@@ -226,8 +226,9 @@ def reference_preprocess(
 
 def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:
     """The reduced flow instance `target` poses: its sorted tails and its
-    edges whose head is an ancestor of some tail. `flow._solver` must share
-    a flow between two targets exactly when their keys are equal."""
+    edges whose head is an ancestor of some tail. `wiretap.preprocess`,
+    which calls `flow.max_flow` once per key, must share a flow between two
+    targets exactly when their keys are equal."""
     tails = {net.tail(e) for e in target}
     return (
         tuple(sorted(net.tail(e) for e in target)),
