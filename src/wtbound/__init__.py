@@ -9,6 +9,8 @@ re-derives everything from the definitions for cross-validation, and the
 `wtb` command line exposes the whole pipeline on plain text files.
 """
 
+from importlib import import_module
+
 from .errors import (
     CollectionTooLarge,
     CyclicGraph,
@@ -44,15 +46,6 @@ from .wiretap import (
     compute_bound,
     partition_classes,
     preprocess,
-)
-from .oracle import (
-    CheckResult,
-    MinCutFamily,
-    OracleBounds,
-    cross_check,
-    enumerate_min_cuts,
-    oracle_bounds,
-    oracle_primary_min_cut,
 )
 from .fileio import (
     LabelTable,
@@ -112,3 +105,28 @@ __all__ = [
     "serialize_network",
     "topological_order",
 ]
+
+# The oracle is loaded on first use of one of its names, so processes that
+# never cross-check do not pay for compiling it.
+_ORACLE_NAMES = frozenset(
+    {
+        "CheckResult",
+        "MinCutFamily",
+        "OracleBounds",
+        "cross_check",
+        "enumerate_min_cuts",
+        "oracle_bounds",
+        "oracle_primary_min_cut",
+    }
+)
+
+
+def __getattr__(name: str):
+    # import_module, since `from . import oracle` here would recurse
+    if name in _ORACLE_NAMES:
+        return getattr(import_module(".oracle", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -11,10 +11,12 @@ replaced by a stub that raises), so agreement with the fast path is
 meaningful evidence. Costs are exponential; the per-target search space is
 capped (WTB_MAX_ORACLE_EDGES, default 18).
 
-Each public function reads that cap once and builds one `_Reached` memo that
-lives for the call: it maps a deleted edge set to the nodes the source still
-reaches, so each distinct set is searched once, however many targets,
-candidate cuts and class members ask about it.
+Each public function reads that cap once and builds one `_Exposed` memo that
+lives for the call. It is keyed by the bitmask of a deleted edge set B and
+holds exposed(B), defined below. A miss costs one sweep over the nodes in
+topological order, so each distinct deleted set is swept once, however many
+targets, candidate cuts and class members ask about it. Candidate cuts stay
+bitmasks; only the minimum cuts found become edge sets.
 
 Separation is one AND of two edge bitmasks. For a deleted set B, exposed(B)
 holds every edge not in B whose tail the source still reaches once B is
@@ -23,9 +25,7 @@ in B or has an unreachable tail, since a path into an edge ends at its tail
 and a reachable tail with the edge still present is a path through it. That
 is exactly "no edge of T is exposed", mask(T) & exposed(B) == 0. It holds for
 any union of targets at once, so "c separates every member of a class" is
-one AND against the OR of the members' masks. The `_Exposed` memo on top
-of `_Reached` is keyed by the reached node mask, not by B, so every question
-still goes through `_Reached`, the one memo keyed by deleted sets.
+one AND against the OR of the members' masks.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     ParameterOutOfRange,
     UnreachableTarget,
 )
-from .graph import EdgeId, Network
+from .graph import EdgeId, Network, topological_order
 
 DEFAULT_EDGE_LIMIT = 18
 ENV_EDGE_LIMIT = "WTB_MAX_ORACLE_EDGES"
@@ -72,64 +72,32 @@ class MinCutFamily(NamedTuple):
     cuts: tuple[frozenset[EdgeId], ...]
 
 
-class _Reached(dict):
-    """Deleted edge set -> bitmask of the nodes the source still reaches.
-
-    A per-call memo: bit v is set when node v is reached. A missing key runs
-    one `_reachable` search and stores its result.
-    """
-
-    def __init__(self, net: Network) -> None:
-        super().__init__()
-        self.net = net
-
-    def __missing__(self, removed: frozenset[EdgeId]) -> int:
-        self[removed] = alive = _reachable(self.net, removed)
-        return alive
-
-
-def _reachable(net: Network, removed: frozenset[EdgeId]) -> int:
-    # plain depth-first reachability, kept separate from the fast path on purpose
-    seen = 1 << net.source
-    stack = [net.source]
-    while stack:
-        u = stack.pop()
-        for e in net.out_edges[u]:
-            if e in removed:
-                continue
-            v = net.edges[e][1]
-            if not seen >> v & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen
-
-
 class _Exposed(dict):
-    """Reached-node bitmask -> bitmask of the edges leaving those nodes.
+    """Deleted-edge bitmask B -> exposed(B), the edges not in B whose tail
+    the source still reaches once B is deleted.
 
-    A per-call memo over its own `_Reached` memo. Calling it with a deleted
-    set B and mask(B) gives exposed(B): the edges not in B whose tail the
-    source still reaches once B is deleted. B separates T iff
-    mask(T) & exposed(B) is 0 (see the module docstring).
+    A per-call memo. A missing key runs one sweep in topological order: a
+    node is reached when an exposed edge enters it, and then its out-edges
+    outside B are exposed too. B separates T iff mask(T) & exposed(B) is 0
+    (see the module docstring).
     """
 
     def __init__(self, net: Network) -> None:
         super().__init__()
         self.net = net
-        self.reached = _Reached(net)
-        self._out = [_mask(out) for out in net.out_edges]
+        self.order = topological_order(net)
+        self.out = [_mask(out) for out in net.out_edges]
+        self.into = [_mask(into) for into in net.in_edges]
 
-    def __missing__(self, alive: int) -> int:
-        key, leaving = alive, 0
-        while alive:
-            low = alive & -alive
-            leaving |= self._out[low.bit_length() - 1]
-            alive ^= low
-        self[key] = leaving
-        return leaving
-
-    def __call__(self, removed: frozenset[EdgeId], removed_mask: int) -> int:
-        return self[self.reached[removed]] & ~removed_mask
+    def __missing__(self, removed: int) -> int:
+        # plain reachability, kept separate from the fast path on purpose
+        keep, out, into = ~removed, self.out, self.into
+        exp = out[self.net.source] & keep
+        for v in self.order:
+            if into[v] & exp:
+                exp |= out[v] & keep
+        self[removed] = exp
+        return exp
 
 
 def _mask(edges: Iterable[EdgeId]) -> int:
@@ -139,25 +107,25 @@ def _mask(edges: Iterable[EdgeId]) -> int:
     return mask
 
 
-def _relevant_edges(exposed: _Exposed, target: frozenset[EdgeId]) -> list[EdgeId]:
+def _ids(mask: int) -> list[EdgeId]:
+    """The edge ids whose bits are set in `mask`, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+def _relevant_edges(exposed: _Exposed, tmask: int) -> list[EdgeId]:
     """Edges lying on some source-to-target path; only these can appear in a
     minimum cut, since dropping any other edge from a cut keeps it a cut."""
-    net = exposed.net
-    # nodes from which some target edge's tail can be reached, by reverse search
-    feeds = {net.tail(e) for e in target}
-    stack = list(feeds)
-    while stack:
-        for e in net.in_edges[stack.pop()]:
-            t = net.edges[e][0]
-            if t not in feeds:
-                feeds.add(t)
-                stack.append(t)
-    live = exposed(frozenset(), 0)
-    return [
-        e
-        for e, (_, h) in enumerate(net.edges)
-        if live >> e & 1 and (e in target or h in feeds)
-    ]
+    # edges whose head reaches the tail of a target edge, by a reverse sweep
+    feeding, out, into = 0, exposed.out, exposed.into
+    for v in reversed(exposed.order):
+        if out[v] & (tmask | feeding):
+            feeding |= into[v]
+    return _ids(exposed[0] & (tmask | feeding))
 
 
 def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
@@ -179,24 +147,19 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId], limit: int) -> MinCut
         raise EmptyTargetSet("target edge set is empty")
     for e in tset:
         net.check_edge(e)
-    universe = _relevant_edges(exposed, tset)
+    tmask = _mask(tset)
+    universe = _relevant_edges(exposed, tmask)
     if len(universe) > limit:
         raise InstanceTooLarge(
             f"{len(universe)} edges lie on paths to the target, limit is {limit} "
             f"(raise ${ENV_EDGE_LIMIT} to override)"
         )
-    tmask = _mask(tset)
     bits = [1 << e for e in universe]
     for k in range(len(universe) + 1):
-        masks = map(sum, combinations(bits, k))  # in step with the edge combinations
-        found = [
-            cut
-            for cut, mask in zip(map(frozenset, combinations(universe, k)), masks)
-            if not tmask & exposed(cut, mask)
-        ]
+        found = [m for m in map(sum, combinations(bits, k)) if not tmask & exposed[m]]
         if found:
-            found.sort(key=sorted)
-            return MinCutFamily(target=tset, capacity=k, cuts=tuple(found))
+            cuts = tuple(map(frozenset, sorted(map(_ids, found))))
+            return MinCutFamily(target=tset, capacity=k, cuts=cuts)
     raise AssertionError("unreachable: deleting every path edge always separates")
 
 
@@ -220,7 +183,7 @@ def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
         )
     # a cut separates every member iff it separates the union of their edges
     span = _mask(e for c in family.cuts for e in c)
-    least = [c for c in family.cuts if not span & exposed(c, _mask(c))]
+    least = [c for c in family.cuts if not span & exposed[_mask(c)]]
     if len(least) != 1:
         raise NoPrimaryFound(
             f"{len(least)} candidates among {len(family.cuts)} minimum cuts "
@@ -282,7 +245,7 @@ def _bounds(
     for j, cls_j in enumerate(classes):
         common = set.intersection(*(set(fams[m].cuts) for m in cls_j))
         for cand in common:
-            exp = exposed(cand, _mask(cand))
+            exp = exposed[_mask(cand)]
             order.update((i, j) for i, span in enumerate(spans) if i != j and not span & exp)
     dominated = {i for i, _ in order}
     return OracleBounds(
@@ -312,9 +275,10 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     The fast side is what the flow pass stored on the collection (the
     primary cut per set, whose size is the set's capacity) and the class
     table derived from it. Returns one record per check; `ok` False means
-    the two implementations disagree, which is always a bug in one of them. The domination record also fails
-    when the fast relation is not a strict partial order, and the n_max
-    record when n_max <= n <= len(sets) does not hold.
+    the two implementations disagree, which is always a bug in one of them.
+    The domination record also fails when the fast relation is not a strict
+    partial order, and the n_max record when n_max <= n <= len(sets) does
+    not hold.
     """
     from . import wiretap
 

@@ -17,7 +17,7 @@ from wtbound import (
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
-from wtbound.oracle import MinCutFamily, OracleBounds, _Reached
+from wtbound.oracle import MinCutFamily, OracleBounds
 from wtbound.wiretap import EquivalenceClass
 
 CORPUS_SEED = 20260814
@@ -457,24 +457,13 @@ def pruning_loop(
     return cuts
 
 
-def reference_separated(
-    reached: _Reached, blockers: frozenset[int], target: frozenset[int]
-) -> bool:
-    """The separation test read off the definition, one target edge at a
-    time: each edge of `target` is in `blockers` or has a tail the source no
-    longer reaches once `blockers` is deleted."""
-    alive = reached[blockers]
-    tail = reached.net.tail
-    return all(e in blockers or not alive >> tail(e) & 1 for e in target)
-
-
 def reference_bounds(
-    reached: _Reached, sets: Sequence[frozenset[int]], fams: Sequence[MinCutFamily]
+    net: Network, sets: Sequence[frozenset[int]], fams: Sequence[MinCutFamily]
 ) -> OracleBounds:
     """`oracle_bounds` by the pairwise definitions, given the sets' minimum-cut
     families: components of "the families intersect" by a frontier scan, and
     class i below class j when some cut common to j's members separates each
-    member of i, tested set by set with `reference_separated`."""
+    member of i, tested set by set with `separates`."""
     families = [set(fam.cuts) for fam in fams]
 
     unvisited = set(range(len(sets)))
@@ -500,7 +489,7 @@ def reference_bounds(
             if i == j:
                 continue
             for cand in common[j]:
-                if all(reference_separated(reached, cand, sets[m]) for m in cls_i):
+                if all(separates(net, cand, sets[m]) for m in cls_i):
                     order.add((i, j))
                     break
     maximal = [

@@ -382,6 +382,59 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
 
 
+def test_only_verify_loads_the_oracle(data_files):
+    # the brute force is compiled on first use, so `bound`, `classes` and
+    # `hasse` processes never pay for it
+    env = _env_with_package()
+    probe = "import sys, wtbound.cli; print('wtbound.oracle' in sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert loaded.stdout == "False\n"
+    files = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+    verify = subprocess.run(
+        [sys.executable, "-m", "wtbound.cli", "verify", *files],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert verify.returncode == 0, verify.stderr
+    assert result_block(verify.stdout)["mismatches"] == "0"
+
+
+def test_every_public_name_resolves_before_the_oracle_is_loaded():
+    # a fresh process, so the oracle's names resolve through the package's
+    # module __getattr__ rather than from an already imported module
+    probe = (
+        "import sys, wtbound\n"
+        "print('wtbound.oracle' in sys.modules)\n"
+        "star = {}\n"
+        "exec('from wtbound import *', star)\n"
+        "print(*sorted(n for n in wtbound.__all__ if star.get(n) is not getattr(wtbound, n)))\n"
+        "print(*sorted(set(wtbound.__all__) - set(dir(wtbound))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=_env_with_package(),
+        check=True,
+    ).stdout
+    assert out == "False\n\n\n"
+    oracle_names = {
+        "CheckResult",
+        "MinCutFamily",
+        "OracleBounds",
+        "cross_check",
+        "enumerate_min_cuts",
+        "oracle_bounds",
+        "oracle_primary_min_cut",
+    }
+    assert oracle_names <= set(wtbound.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        wtbound.no_such_name
+
+
 def test_collection_warnings_go_to_stderr(data_files, tmp_path, capsys):
     sets_path = tmp_path / "dup.wsets"
     sets_path.write_text("e6\ne6\n")

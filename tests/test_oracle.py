@@ -23,7 +23,7 @@ from wtbound import (
 from wtbound import flow, oracle
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
-from helpers import FIG1_ORDER, eset, layered_network, reference_bounds, reference_separated
+from helpers import FIG1_ORDER, eset, layered_network, reference_bounds, separates
 
 
 def test_edge_limit_env_override(monkeypatch):
@@ -116,7 +116,7 @@ def test_cross_check_fig1_all_green(fig1):
 
 def test_oracle_bounds_equal_the_pairwise_reference_over_the_corpus(corpus):
     for rec in corpus:
-        reference = reference_bounds(oracle._Reached(rec.net), rec.coll.sets, rec.fams)
+        reference = reference_bounds(rec.net, rec.coll.sets, rec.fams)
         assert rec.ob == reference, rec.seed
 
 
@@ -127,7 +127,7 @@ def test_oracle_bounds_equal_the_pairwise_reference_on_the_verify_shape():
     coll, _ = preprocess(net, sets)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
     ob = oracle_bounds(net, coll)
-    assert ob == reference_bounds(oracle._Reached(net), coll.sets, fams)
+    assert ob == reference_bounds(net, coll.sets, fams)
     assert 0 < ob.n_max < ob.n and ob.order
 
 
@@ -136,34 +136,35 @@ def test_the_exposed_mask_is_the_separation_definition(corpus):
     answers = Counter()
     for rec in corpus:
         exposed = oracle._Exposed(rec.net)
-        reached = exposed.reached
         for cut in {c for fam in rec.fams for c in fam.cuts}:
-            mask = exposed(cut, oracle._mask(cut))
+            mask = exposed[oracle._mask(cut)]
             for s in rec.coll.sets:
-                separated = reference_separated(reached, cut, s)
+                separated = separates(rec.net, cut, s)
                 assert (not oracle._mask(s) & mask) == separated, (rec.seed, cut, s)
                 answers[separated] += 1
     assert min(answers.values()) > 1000, answers
 
 
-class _NoStore(oracle._Reached):
+class _NoStore(oracle._Exposed):
     """The per-call memo with storing switched off: every question runs its
-    own search, as the oracle did before the memo."""
+    own sweep, as the oracle did before the memo."""
 
     def __missing__(self, removed):
-        return oracle._reachable(self.net, removed)
+        exposed = super().__missing__(removed)
+        del self[removed]
+        return exposed
 
 
 def _count_searches(monkeypatch) -> list:
-    """Record the deleted edge set of every `_reachable` search from now on."""
+    """Record the deleted edge mask of every sweep from now on."""
     calls = []
-    search = oracle._reachable
+    sweep = oracle._Exposed.__missing__
 
-    def counted(net, removed):
+    def counted(self, removed):
         calls.append(removed)
-        return search(net, removed)
+        return sweep(self, removed)
 
-    monkeypatch.setattr(oracle, "_reachable", counted)
+    monkeypatch.setattr(oracle._Exposed, "__missing__", counted)
     return calls
 
 
@@ -180,7 +181,7 @@ def test_the_reachability_memo_changes_no_result(corpus, monkeypatch):
     calls = _count_searches(monkeypatch)
     memoized = [_oracle_answers(rec.net, rec.coll) for rec in corpus]
     searches = len(calls)
-    monkeypatch.setattr(oracle, "_Reached", _NoStore)
+    monkeypatch.setattr(oracle, "_Exposed", _NoStore)
     for rec, expected in zip(corpus, memoized):
         assert _oracle_answers(rec.net, rec.coll) == expected, rec.seed
     # without storing, the same questions must cost more searches, or the

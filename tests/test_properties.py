@@ -33,7 +33,6 @@ from helpers import (
     reference_flow_key,
     reference_preprocess,
 )
-from wtbound.oracle import _Reached
 from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -94,7 +93,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     classes = partition_classes(coll)
     assert _domination_rows(net, classes) == reference_domination_rows(net, classes)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
-    assert oracle == reference_bounds(_Reached(net), coll.sets, fams)
+    assert oracle == reference_bounds(net, coll.sets, fams)
 
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
