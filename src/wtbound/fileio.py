@@ -10,10 +10,10 @@ labels. Both formats round-trip exactly through the serializers.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import combinations, product, repeat
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -60,10 +60,15 @@ class LabelTable(_LabelFields):
         return "{" + self.format_edges(edges) + "}"
 
 
+# a comment: '#' up to, not including, any boundary str.splitlines splits at,
+# so taking comments off keeps every line; a text with no '#' is not copied
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of each line with a token before any '#'."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    for lineno, raw in enumerate(_COMMENT.sub("", text).splitlines(), start=1):
+        tokens = raw.split()
         if tokens:
             yield lineno, tokens
 
@@ -178,18 +183,20 @@ def parse_collection(
     naming the line. Raises UnknownEdgeLabel with a line number when a label
     is not in the table.
 
-    One pass: `preprocess` pulls the sets from a chain of C-level iterators
-    over the text's lines, which cuts off comments, splits each line into
-    labels, skips lines with none, and maps each label to its id, so neither
-    the token lists nor the resolved sets are held at once. Line numbers are
-    recovered only when needed, by walking the lines once more: for the
-    first unknown label, and, when a set was dropped, to map drop positions
-    (the k-th content line) back to line numbers.
+    One pass: comments come off the whole text in one `_COMMENT`
+    substitution, the rule network files share through `_content_lines`,
+    and `preprocess` pulls the sets from a chain of C-level iterators over
+    the lines, which splits each line into labels, skips lines with none,
+    and maps each label to its id, so neither the token lists nor the
+    resolved sets are held at once. Line numbers are recovered only when
+    needed, by walking the lines once more: for the first unknown label,
+    and, when a set was dropped, to map drop positions (the k-th content
+    line) back to line numbers.
     """
     # no name holds the list of lines, so it is freed once the last is read
-    lines = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
+    split_lines = map(str.split, _COMMENT.sub("", text).splitlines())
     ids = labels._edge_ids
-    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, map(str.split, lines))))
+    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, split_lines)))
     try:
         coll, drops = preprocess(net, sets)
     except KeyError:

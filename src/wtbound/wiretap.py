@@ -24,7 +24,8 @@ dominates exactly the lower-capacity classes the search leaves unmarked.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import prod
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import flow
 from .flow import Cut
@@ -89,6 +90,28 @@ class BoundReport(NamedTuple):
     recommended_alphabet: int
 
 
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ...: an incremental sieve of Eratosthenes.
+
+    `ahead` maps each coming composite to a prime that divides it; a number
+    no prime has marked is the next prime. It holds one entry per prime
+    yielded, so it grows with the primes asked for.
+    """
+    ahead: dict[int, int] = {}
+    n = 2
+    while True:
+        p = ahead.pop(n, None)
+        if p is None:
+            yield n
+            ahead[n * n] = n
+        else:
+            m = n + p
+            while m in ahead:
+                m += p
+            ahead[m] = p
+        n += 1
+
+
 def preprocess(
     net: Network, raw_sets: Iterable[Iterable[EdgeId]]
 ) -> tuple[WiretapCollection, tuple[tuple[int, str, frozenset[EdgeId]], ...]]:
@@ -102,14 +125,14 @@ def preprocess(
 
     One loop, one pass over `raw_sets`: each set is deduplicated, keyed
     and given its cut, and `flow.max_flow` runs once per reduced flow
-    instance: the set's sorted tails, with multiplicity, and its target
-    edges whose head is live. Why that instance fixes the cut: the flow
-    kernel searches only the live nodes L, the ancestors of the target
-    edges' tails. Inside L the flow problem is fixed by three things: L
-    itself, the exit capacity at each tail (the tail multiset), and which
-    edges inside L stop being pass-through edges (the target edges with a
-    live head). A target edge with a dead head is only an exit at its tail,
-    and a non-target edge into a dead node is never searched. The flow value
+    instance: the set's tails, with multiplicity, and its target edges
+    whose head is live. Why that instance fixes the cut: the flow kernel
+    searches only the live nodes L, the ancestors of the target edges'
+    tails. Inside L the flow problem is fixed by three things: L itself,
+    the exit capacity at each tail (the tail multiset), and which edges
+    inside L stop being pass-through edges (the target edges with a live
+    head). A target edge with a dead head is only an exit at its tail, and
+    a non-target edge into a dead node is never searched. The flow value
     and the primary source side S (the least min-cut side, Picard & Queyranne
     1980) depend only on that problem, not on edge ids or on which maximum
     flow was found. So targets posing equal instances have equal capacities,
@@ -118,24 +141,34 @@ def preprocess(
     of another target with the instance) and `cut_tails` the tails of its
     target edges, both taken from the first target solved.
 
+    The tail multiset is keyed by one integer: each tail the collection
+    names gets the next unused prime, in order of first use, and a set's
+    key is the product of its edges' tail primes. By unique factorization
+    two sets have equal keys exactly when their tail multisets are equal.
+    An edge's prime is looked up in a table filled the first time the
+    collection names the edge, after its id is checked, so a key never
+    reads a bad id. A set costs O(|T|) multiplications beyond the misses.
+
     L is a function of the tails, so the edges leaving them with a live head
-    are cached per tail tuple; on a miss, L is read off the live mask of the
-    flow the miss runs, which also solves the entry's first instance. Every
-    edge of T leaves one of the tails, so T's live-headed edges are one
-    intersection with that entry. A set costs O(|T| log |T|) beyond the
-    misses. The cache holds one entry per distinct tail multiset the
-    collection uses, each with out-edges of those tails only, so it grows
-    with the collection, not with the network: at worst, one entry per set.
-    Sets with equal cuts share one frozenset.
+    are cached per key; on a miss, L is read off the live mask of the flow
+    the miss runs, which also solves the entry's first instance. Every edge
+    of T leaves one of the tails, so T's live-headed edges are one
+    intersection with that entry. The cache holds one entry per distinct
+    tail multiset the collection uses (at worst, one per set), each with
+    out-edges of those tails only, and the prime tables one entry per tail
+    and per edge the collection names, so memory grows with the collection,
+    not with the network. Sets with equal cuts share one frozenset.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
-    ids = frozenset(range(len(tails)))
     out_edges = net.out_edges
-    # tail tuple -> (edges leaving those tails whose head is live,
+    primes = _primes()
+    tail_prime: dict[NodeId, int] = {}
+    factor: dict[EdgeId, int] = {}  # edge named so far -> the prime of its tail
+    # tail multiset key -> (edges leaving those tails whose head is live,
     #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
     cache: dict[
-        tuple[NodeId, ...],
+        int,
         tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
     ] = {}
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
@@ -152,17 +185,25 @@ def preprocess(
             drops.append((pos, "duplicate", s))
             continue
         seen.add(s)
-        if not s <= ids:
+        try:
+            key = prod(map(factor.__getitem__, s))
+        except KeyError:
             for e in s:
                 net.check_edge(e)  # raises UnknownEdge on the first bad id
-        tail_tuple = tuple(sorted(map(tails.__getitem__, s)))
-        entry = cache.get(tail_tuple)
-        run = None  # a new tail tuple's flow, which its reduced target misses too
+                t = tails[e]
+                if t not in tail_prime:
+                    tail_prime[t] = next(primes)
+                factor[e] = tail_prime[t]
+            key = prod(map(factor.__getitem__, s))
+        entry = cache.get(key)
+        run = None  # a new tail multiset's flow, which its reduced target misses too
         if entry is None:
             run = flow.max_flow(net, s)
             live = run.live
-            inside = frozenset(e for t in set(tail_tuple) for e in out_edges[t] if live[heads[e]])
-            entry = cache[tail_tuple] = (inside, {})
+            inside = frozenset(
+                e for t in {tails[e] for e in s} for e in out_edges[t] if live[heads[e]]
+            )
+            entry = cache[key] = (inside, {})
         inside, solved = entry
         reduced = s & inside
         found = solved.get(reduced)

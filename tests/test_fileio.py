@@ -56,11 +56,24 @@ def test_parse_network_implicit_nodes():
     assert net.sinks == (2,)
 
 
+# every boundary str.splitlines splits at, "\r\n" counted as one
+LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def test_parse_network_comments_and_blank_lines():
+    # a comment ends at every line boundary: the line after it still counts
     text = "# part one\n\nedge x a b   # the only edge\nsource a\n"
-    net, labels = parse_network(text)
-    assert labels.edge_labels == ("x",)
-    assert net.edges == ((0, 1),)
+    bad = "# part one\n\nedge x a b   # the only edge\nflow x # no directive\n"
+    cases = [(text.replace("\n", sep), bad.replace("\n", sep)) for sep in LINE_BOUNDARIES]
+    mixed = ["".join(map(str.__add__, t.splitlines(), LINE_BOUNDARIES[7:])) for t in (text, bad)]
+    cases.append(tuple(mixed))
+    for text, bad in cases:
+        net, labels = parse_network(text)
+        assert labels.edge_labels == ("x",), repr(text)
+        assert net.edges == ((0, 1),)
+        with pytest.raises(ParseError) as exc:
+            parse_network(bad)
+        assert str(exc.value) == "line 4: unknown directive 'flow'", repr(bad)
 
 
 def test_parse_network_errors_carry_line_numbers():
@@ -137,10 +150,6 @@ def test_parse_collection_reports_lines_and_warnings(fig1):
     )
     assert coll.sets == (eset(fig1.labels, "e6"), eset(fig1.labels, "e6 e7"))
     assert warnings == ("line 4: duplicate set {e6} dropped",)
-
-
-# every boundary str.splitlines splits at, "\r\n" counted as one
-LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def test_parse_collection_names_the_true_line_of_a_bad_label():

@@ -76,6 +76,7 @@ def assert_preprocess_matches_reference(net, sets):
 def test_preprocess_shares_a_flow_only_between_equal_reduced_instances(monkeypatch):
     net = build_network(HAND_EDGES, source=0)
     sets = [{4, 5}, {5, 6}, {3, 4}, {4, 5, 6}, {3, 7}, {4, 7}, {8}]
+    sets += [{0, 1, 3}, {0, 3, 4}, {0, 4}, {0, 4, 5}]
     coll, drops = assert_preprocess_matches_reference(net, sets)
     flows = []
     real = wtbound.flow.max_flow
@@ -98,7 +99,14 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances(monkeypat
     # unit can pass through it to b->t, so the two sets must not share a flow.
     assert coll.cuts[4] == frozenset({3})
     assert coll.cuts[5] == frozenset({3, 4})
-    assert flows == [{4, 5}, {4, 5, 6}, {3, 7}, {4, 7}, {8}]
+    # Tails s, s, a and s, a, a: one tail set, two multisets, two flows;
+    # both cuts are the three edges into a.
+    assert coll.cuts[6:8] == (frozenset({0, 1, 2}),) * 2
+    # Tails s, a and s, a, a with the same live-headed target {0}: only the
+    # multiplicity at a tells them apart. With one exit at a, a stays on the
+    # source side; with two, it does not. {0, 4, 5} poses {0, 3, 4}'s instance.
+    assert coll.cuts[8:] == (frozenset({0, 4}), frozenset({0, 1, 2}))
+    assert flows == [{4, 5}, {4, 5, 6}, {3, 7}, {4, 7}, {8}, {0, 1, 3}, {0, 3, 4}, {0, 4}]
 
 
 def test_preprocess_finds_live_nodes_once_per_flow(fig1, monkeypatch):
