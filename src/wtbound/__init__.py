@@ -72,10 +72,8 @@ __all__ = [
     "HasseDiagram",
     "InstanceTooLarge",
     "LabelTable",
-    "MinCutFamily",
     "Network",
     "NoPrimaryFound",
-    "OracleBounds",
     "ParameterOutOfRange",
     "ParseError",
     "SourceHasIncomingEdges",
@@ -88,14 +86,11 @@ __all__ = [
     "class_hasse",
     "compute_bound",
     "cross_check",
-    "enumerate_min_cuts",
     "export_hasse_dot",
     "gen_combination",
     "gen_r_wiretap",
     "max_flow",
     "mincut_capacity",
-    "oracle_bounds",
-    "oracle_primary_min_cut",
     "parse_collection",
     "parse_network",
     "partition_classes",
@@ -108,17 +103,7 @@ __all__ = [
 
 # The oracle is loaded on first use of one of its names, so processes that
 # never cross-check do not pay for compiling it.
-_ORACLE_NAMES = frozenset(
-    {
-        "CheckResult",
-        "MinCutFamily",
-        "OracleBounds",
-        "cross_check",
-        "enumerate_min_cuts",
-        "oracle_bounds",
-        "oracle_primary_min_cut",
-    }
-)
+_ORACLE_NAMES = frozenset({"CheckResult", "cross_check"})
 
 
 def __getattr__(name: str):

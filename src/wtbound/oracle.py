@@ -4,15 +4,18 @@ Everything in this module works straight from the definitions: minimum cuts
 are found by trying every edge subset in increasing size order, separation
 is checked by a plain search from the source, equivalence means literally
 sharing a minimum cut, and domination means some cut common to the whole
-dominating class separates every member of the dominated one. No function
-here calls the flow kernel (the module imports `flow` only for the `Cut`
-record, and tests/test_oracle.py runs every public function with the kernel
-replaced by a stub that raises), so agreement with the fast path is
+dominating class separates every member of the dominated one. The one public
+function is `cross_check`, which compares the fast path with the private
+reference workers `_min_cuts`, `_primary` and `_bounds`. Nothing here calls
+the flow kernel: the module imports nothing from `flow` or `wiretap` at
+module level (`cross_check` imports `wiretap` only to run the fast side),
+and tests/test_oracle.py runs the workers and `cross_check` with the kernel
+replaced by a stub that raises. So agreement with the fast path is
 meaningful evidence. Costs are exponential; the per-target search space is
 capped (WTB_MAX_ORACLE_EDGES, default 18).
 
-Each public function reads that cap once and builds one `_Exposed` memo that
-lives for the call. It is keyed by the bitmask of a deleted edge set B and
+`cross_check` builds one `_Exposed` memo that lives for the call and reads
+that cap once. The memo is keyed by the bitmask of a deleted edge set B and
 holds exposed(B), defined below. A miss costs one sweep over the nodes in
 topological order, so each distinct deleted set is swept once, however many
 targets, candidate cuts and class members ask about it. Candidate cuts stay
@@ -32,12 +35,11 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .wiretap import WiretapCollection
 
-from .flow import Cut
 from .errors import (
     EmptyTargetSet,
     InstanceTooLarge,
@@ -79,12 +81,13 @@ class _Exposed(dict):
     A per-call memo. A missing key runs one sweep in topological order: a
     node is reached when an exposed edge enters it, and then its out-edges
     outside B are exposed too. B separates T iff mask(T) & exposed(B) is 0
-    (see the module docstring).
+    (see the module docstring). `limit` is edge_limit(), read once per memo.
     """
 
     def __init__(self, net: Network) -> None:
         super().__init__()
         self.net = net
+        self.limit = edge_limit()
         self.order = topological_order(net)
         self.out = [_mask(out) for out in net.out_edges]
         self.into = [_mask(into) for into in net.in_edges]
@@ -128,19 +131,14 @@ def _relevant_edges(exposed: _Exposed, tmask: int) -> list[EdgeId]:
     return _ids(exposed[0] & (tmask | feeding))
 
 
-def enumerate_min_cuts(net: Network, target: Iterable[EdgeId]) -> MinCutFamily:
+def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
     """Every minimum cut of `target`, by exhausting subsets in size order.
 
     Raises EmptyTargetSet on an empty target, UnknownEdge on a bad id, and
-    InstanceTooLarge when more than edge_limit() edges lie on source-target
-    paths. An unreachable target yields capacity 0 with the empty cut as the
-    family's only member.
+    InstanceTooLarge when more than `exposed.limit` edges lie on
+    source-target paths. An unreachable target yields capacity 0 with the
+    empty cut as the family's only member.
     """
-    return _min_cuts(_Exposed(net), target, edge_limit())
-
-
-def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId], limit: int) -> MinCutFamily:
-    """enumerate_min_cuts with the caller's memo and edge limit."""
     net = exposed.net
     tset = frozenset(target)
     if not tset:
@@ -149,9 +147,9 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId], limit: int) -> MinCut
         net.check_edge(e)
     tmask = _mask(tset)
     universe = _relevant_edges(exposed, tmask)
-    if len(universe) > limit:
+    if len(universe) > exposed.limit:
         raise InstanceTooLarge(
-            f"{len(universe)} edges lie on paths to the target, limit is {limit} "
+            f"{len(universe)} edges lie on paths to the target, limit is {exposed.limit} "
             f"(raise ${ENV_EDGE_LIMIT} to override)"
         )
     bits = [1 << e for e in universe]
@@ -163,20 +161,13 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId], limit: int) -> MinCut
     raise AssertionError("unreachable: deleting every path edge always separates")
 
 
-def oracle_primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
+def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
     """The family member that separates every other member, by inspection.
 
     Raises UnreachableTarget on capacity 0 and NoPrimaryFound if no unique
     such member exists (the fast path's correctness implies there always is
     one; this reports rather than assumes it).
     """
-    exposed = _Exposed(net)
-    family = _min_cuts(exposed, target, edge_limit())
-    return Cut(target=family.target, edges=_primary(exposed, family))
-
-
-def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
-    """The primary cut of a family; oracle_primary_min_cut documents the errors."""
     if family.capacity == 0:
         raise UnreachableTarget(
             f"no edge of {sorted(family.target)} is reachable from the source"
@@ -199,27 +190,18 @@ class OracleBounds(NamedTuple):
     order: frozenset[tuple[int, int]]
 
 
-def oracle_bounds(
-    net: Network,
-    coll: Union["WiretapCollection", Sequence[frozenset[EdgeId]]],
-) -> OracleBounds:
-    """Class count, maximal-class count, partition, and domination order.
-
-    `coll` is a preprocessed collection (or a plain sequence of edge sets,
-    each with at least one reachable edge). Two sets are equivalent iff their
-    minimum-cut families intersect; classes are the components of that
-    relation, listed by smallest member index. Class i is below class j iff
-    some cut common to all of j's members separates all of i's members.
-    """
-    sets = list(coll.sets) if hasattr(coll, "sets") else list(coll)
-    exposed, limit = _Exposed(net), edge_limit()
-    return _bounds(exposed, sets, [_min_cuts(exposed, s, limit) for s in sets])
-
-
 def _bounds(
     exposed: _Exposed, sets: Sequence[frozenset[EdgeId]], fams: Sequence[MinCutFamily]
 ) -> OracleBounds:
-    """oracle_bounds over sets whose minimum-cut families `fams` are known."""
+    """Class count, maximal-class count, partition, and domination order of
+    `sets`, each with at least one reachable edge, given their minimum-cut
+    families `fams`.
+
+    Two sets are equivalent iff their families intersect; classes are the
+    components of that relation, listed by smallest member index. Class i is
+    below class j iff some cut common to all of j's members separates all of
+    i's members.
+    """
     # union-find over sets sharing a cut; every root is its component's least index
     root = list(range(len(sets)))
 
@@ -288,8 +270,8 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         results.append(CheckResult(name, ok, detail))
 
     # each family is enumerated once and serves every record below
-    exposed, limit = _Exposed(net), edge_limit()
-    families = [_min_cuts(exposed, s, limit) for s in coll.sets]
+    exposed = _Exposed(net)
+    families = [_min_cuts(exposed, s) for s in coll.sets]
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
         fast_cut = coll.cuts[i]

@@ -10,15 +10,19 @@ import pytest
 
 from wtbound import (
     compute_bound,
-    enumerate_min_cuts,
-    oracle_bounds,
     parse_collection,
     parse_network,
     partition_classes,
     preprocess,
 )
 
-from helpers import CORPUS_SEED, CORPUS_SIZE, random_instance
+from helpers import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    enumerate_min_cuts,
+    oracle_bounds,
+    random_instance,
+)
 
 
 def _read_data(name: str) -> str:
@@ -69,7 +73,7 @@ def corpus():
                 net=net,
                 coll=coll,
                 fams=fams,
-                ob=oracle_bounds(net, coll),
+                ob=oracle_bounds(net, coll.sets),
                 classes=partition_classes(coll),
                 report=compute_bound(net, coll),
             )

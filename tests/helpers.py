@@ -17,6 +17,7 @@ from wtbound import (
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
+from wtbound import oracle
 from wtbound.oracle import MinCutFamily, OracleBounds
 from wtbound.wiretap import EquivalenceClass
 
@@ -455,6 +456,25 @@ def pruning_loop(
             cuts = [c for c in cuts if c & survivors]
         cuts.append(cut)
     return cuts
+
+
+def enumerate_min_cuts(net: Network, target: Iterable[int]) -> MinCutFamily:
+    """Every minimum cut of `target`, from the oracle's worker on a fresh memo."""
+    return oracle._min_cuts(oracle._Exposed(net), target)
+
+
+def oracle_primary_min_cut(net: Network, target: Iterable[int]) -> Cut:
+    """The primary cut of `target` as the oracle finds it, by inspecting its
+    whole minimum-cut family."""
+    exposed = oracle._Exposed(net)
+    family = oracle._min_cuts(exposed, target)
+    return Cut(target=family.target, edges=oracle._primary(exposed, family))
+
+
+def oracle_bounds(net: Network, sets: Sequence[frozenset[int]]) -> OracleBounds:
+    """The oracle's class structure of `sets`, each with a reachable edge."""
+    exposed = oracle._Exposed(net)
+    return oracle._bounds(exposed, sets, [oracle._min_cuts(exposed, s) for s in sets])
 
 
 def reference_bounds(

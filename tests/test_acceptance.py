@@ -18,12 +18,9 @@ from wtbound import (
     Cut,
     class_hasse,
     compute_bound,
-    enumerate_min_cuts,
     gen_combination,
     max_flow,
     mincut_capacity,
-    oracle_bounds,
-    oracle_primary_min_cut,
     parse_collection,
     parse_network,
     partition_classes,
@@ -40,9 +37,12 @@ from helpers import (
     cut_leq,
     dominates,
     enumerate_decompositions,
+    enumerate_min_cuts,
     equivalent,
     eset,
     minord_merge,
+    oracle_bounds,
+    oracle_primary_min_cut,
     pruning_loop,
     residual_side,
     result_block,
@@ -121,7 +121,7 @@ def test_two_sink_instance_matches_reference_diagram(fig1):
     compare the fast path's diagram with that reference.
     """
     lab = fig1.labels
-    ob = oracle_bounds(fig1.net, fig1.coll)
+    ob = oracle_bounds(fig1.net, fig1.coll.sets)
     classes = partition_classes(fig1.coll)
     assert ob.classes == tuple(cls.members for cls in classes)
     families = [

@@ -1,8 +1,10 @@
 """The brute-force reference path: exhaustive cut families and cross-checks."""
 
+import ast
 import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,16 +16,22 @@ from wtbound import (
     UnreachableTarget,
     build_network,
     cross_check,
-    enumerate_min_cuts,
-    oracle_bounds,
-    oracle_primary_min_cut,
     partition_classes,
     preprocess,
 )
 from wtbound import flow, oracle
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
-from helpers import FIG1_ORDER, eset, layered_network, reference_bounds, separates
+from helpers import (
+    FIG1_ORDER,
+    enumerate_min_cuts,
+    eset,
+    layered_network,
+    oracle_bounds,
+    oracle_primary_min_cut,
+    reference_bounds,
+    separates,
+)
 
 
 def test_edge_limit_env_override(monkeypatch):
@@ -88,7 +96,7 @@ def test_oracle_primary_min_cut(fig1):
 
 
 def test_oracle_bounds_fig1(fig1):
-    ob = oracle_bounds(fig1.net, fig1.coll)
+    ob = oracle_bounds(fig1.net, fig1.coll.sets)
     assert ob.n == 15
     assert ob.n_max == 3
     assert ob.order == frozenset(FIG1_ORDER)
@@ -126,7 +134,7 @@ def test_oracle_bounds_equal_the_pairwise_reference_on_the_verify_shape():
     sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
     coll, _ = preprocess(net, sets)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
-    ob = oracle_bounds(net, coll)
+    ob = oracle_bounds(net, coll.sets)
     assert ob == reference_bounds(net, coll.sets, fams)
     assert 0 < ob.n_max < ob.n and ob.order
 
@@ -171,7 +179,7 @@ def _count_searches(monkeypatch) -> list:
 def _oracle_answers(net, coll):
     return (
         cross_check(net, coll),
-        oracle_bounds(net, coll),
+        oracle_bounds(net, coll.sets),
         [enumerate_min_cuts(net, s) for s in coll.sets],
         [oracle_primary_min_cut(net, s) for s in coll.sets],
     )
@@ -219,8 +227,43 @@ def test_the_oracle_runs_without_the_flow_kernel(fig1, corpus, monkeypatch):
             stubbed.add(name)
     assert stubbed == {"wtbound", "wtbound.flow"}
     for net, coll in instances:
-        for s in coll.sets:
-            family = enumerate_min_cuts(net, s)
-            assert oracle_primary_min_cut(net, s).edges in family.cuts
-        assert oracle_bounds(net, coll).n <= len(coll.sets)
+        exposed = oracle._Exposed(net)
+        families = [oracle._min_cuts(exposed, s) for s in coll.sets]
+        for family in families:
+            assert oracle._primary(exposed, family) in family.cuts
+        assert oracle._bounds(exposed, coll.sets, families).n <= len(coll.sets)
         assert all(r.ok for r in cross_check(net, coll))
+
+
+def _module_level_imports(body) -> set:
+    """The modules that the statements in `body` import when the module
+    loads: function bodies and `if TYPE_CHECKING:` blocks are left out."""
+    names = set()
+    for node in body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative to the package
+                module = "wtbound" + (f".{node.module}" if node.module else "")
+            else:
+                module = node.module
+            if module == "wtbound":  # `from . import flow` names the modules
+                names.update(f"wtbound.{alias.name}" for alias in node.names)
+            else:
+                names.add(module)
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            names |= _module_level_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                names |= _module_level_imports(getattr(node, field, []))
+    return names
+
+
+def test_the_oracle_imports_neither_the_kernel_nor_the_fast_path():
+    # The independence is structural: when the oracle loads it takes from
+    # the package only its errors and the network record, never `flow` or
+    # `wiretap`. Equality, not a subset, so a walker that missed the
+    # relative imports could not pass.
+    names = _module_level_imports(ast.parse(Path(oracle.__file__).read_text()).body)
+    package = {name for name in names if name.split(".")[0] == "wtbound"}
+    assert package == {"wtbound.errors", "wtbound.graph"}

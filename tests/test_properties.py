@@ -13,10 +13,7 @@ from wtbound import (
     build_network,
     compute_bound,
     cross_check,
-    enumerate_min_cuts,
     max_flow,
-    oracle_bounds,
-    oracle_primary_min_cut,
     parse_collection,
     parse_network,
     partition_classes,
@@ -28,6 +25,9 @@ from wtbound import (
 
 from helpers import (
     COLLECTION_NETWORK,
+    enumerate_min_cuts,
+    oracle_bounds,
+    oracle_primary_min_cut,
     reference_bounds,
     reference_domination_rows,
     reference_flow_key,
@@ -88,7 +88,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     coll, drops = preprocess(net, sets)
     assert (coll, drops) == reference_preprocess(net, sets)
     report = compute_bound(net, coll)
-    oracle = oracle_bounds(net, coll)
+    oracle = oracle_bounds(net, coll.sets)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
     classes = partition_classes(coll)
     assert _domination_rows(net, classes) == reference_domination_rows(net, classes)
@@ -106,6 +106,54 @@ def test_every_cross_check_record_is_ok(case):
     results = cross_check(net, coll)
     assert {"partition", "domination", "maximal_cuts"} <= {r.name for r in results}
     assert [r for r in results if not r.ok] == []
+
+
+@st.composite
+def dag_and_r(draw):
+    """A DAG from `draw_dag` and a wiretap set size bound r in 1..3."""
+    return draw_dag(draw), draw(st.integers(1, 3))
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(dag_and_r())
+def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_sets(case):
+    """On the r-wiretap collection (every edge set of size 1..r), N_max is
+    the number of primary sets of size m = min(r, cap(E)), and those sets are
+    the maximal cuts. A set S is primary when its primary cut P(S) is S
+    itself; cap(E) is the capacity of the whole edge set E.
+
+    - Every class has capacity |P(T)| <= m, since a cut of E is a cut of
+      every T. P(T) is primary and in the collection, so the classes are the
+      primary sets of size <= r. Domination needs a strictly larger
+      capacity, so no class dominates one of size m.
+    - Take a primary C with |C| = c < m. Then c < cap(E), so C is not a cut
+      of E, and some edge e is not separated by C.
+    - cap(C + e) = c + 1. Suppose a cut K of C + e had c edges. Then K is a
+      minimum cut of C, and C, the least minimum cut of C, separates K. So
+      every path to e meets K and hence C, which is a contradiction.
+    - So D = P(C + e) has c + 1 <= r edges and is its own class in the
+      collection. Deleting D severs C + e, so it severs C, and hence every
+      member of C's class (C separates each of them). So D dominates C.
+    """
+    net, r = case
+    ids = range(len(net.edges))
+    sets = [frozenset(c) for size in range(1, r + 1) for c in combinations(ids, size)]
+    m = min(r, max_flow(net, ids).value)
+    primary = [s for s in sets if max_flow(net, s).cut == s]
+    largest = {s for s in primary if len(s) == m}
+    coll, _ = preprocess(net, sets)
+    report = compute_bound(net, coll)
+    assert report.n_classes == len(primary)
+    assert report.n_max == len(largest)
+    assert {cut.edges for cut in report.cuts} == largest
+    # a drawn network has at most 10 edges, within the oracle's edge limit
+    oracle = oracle_bounds(net, coll.sets)
+    dominated = {low for low, _ in oracle.order}
+    assert {
+        oracle_primary_min_cut(net, coll.sets[cls[0]]).edges
+        for i, cls in enumerate(oracle.classes)
+        if i not in dominated
+    } == largest
 
 
 def star(parallel: int, onward: bool):

@@ -10,10 +10,11 @@ from wtbound import (
     build_network,
     class_hasse,
     compute_bound,
-    enumerate_min_cuts,
     partition_classes,
     primary_min_cut,
 )
+
+from helpers import enumerate_min_cuts
 
 
 @pytest.fixture(scope="module")
