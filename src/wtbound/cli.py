@@ -11,9 +11,11 @@ found a fast-vs-oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import fileio, wiretap
 from .flow import mincut_capacity, primary_min_cut
@@ -346,5 +348,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run `main` as a whole `wtb` process, and end the process once its answer is out.
+
+    The `wtb` console script and `python -m wtbound.cli` both come here.
+    The cyclic garbage collector is off for the run: a run makes no cycles
+    that grow with its input, so the collector would only rescan the live
+    sets. After the two standard streams are flushed, `os._exit` skips the
+    interpreter's teardown; every file the package writes is closed by then,
+    and it registers no `atexit` handler. If a flush fails, `sys.exit` ends
+    the process as usual. Library callers and tests call `main`, which keeps
+    the collector and a normal exit.
+    """
+    gc.disable()
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

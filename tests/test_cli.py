@@ -1,6 +1,7 @@
 """The wtb command line: output contracts and exit codes."""
 
 import ast
+import gc
 import importlib
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import wtbound
 from wtbound import gen_combination
-from wtbound.cli import main
+from wtbound.cli import main, run
 from wtbound.oracle import ENV_EDGE_LIMIT
 
 from helpers import FIG1_MAXIMAL_CUTS, result_block
@@ -446,9 +447,9 @@ def test_console_script_declaration():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-    assert scripts["wtb"] == "wtbound.cli:main"
+    assert scripts["wtb"] == "wtbound.cli:run"
     module, _, attr = scripts["wtb"].partition(":")
-    assert getattr(importlib.import_module(module), attr) is main
+    assert getattr(importlib.import_module(module), attr) is run
 
 
 @pytest.mark.skipif(
@@ -464,3 +465,99 @@ def test_installed_entry_point_smoke(data_files):
     )
     assert proc.returncode == 0
     assert "n_max=3" in proc.stdout
+
+
+def _wtb_process(argv, extra_env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m wtbound.cli ARGV` as a fresh process, through `run()`."""
+    env = {**_env_with_package(), **(extra_env or {})}
+    # buffered standard streams, as by default, so run() must flush them
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "wtbound.cli", *argv], capture_output=True, env=env, **kwargs
+    )
+
+
+def test_process_exit_codes(data_files):
+    fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+    cases = [
+        (0, ["bound", *fig1], {}),
+        (1, ["bound"], {}),
+        (2, ["bound", str(data_files / "fig1.net"), str(data_files / "missing.wsets")], {}),
+        (3, ["verify", *fig1], {ENV_EDGE_LIMIT: "1"}),
+    ]
+    for code, argv, extra_env in cases:
+        proc = _wtb_process(argv, extra_env)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert bool(proc.stderr) == (code != 0)
+
+
+def test_process_stdout_matches_main_past_the_pipe_buffer(tmp_path, capsys):
+    # os._exit skips the interpreter's own flush, so a report larger than
+    # the pipe buffer must still arrive whole
+    prefix = str(tmp_path / "c653")
+    assert main(["gen", "combination", "--n", "6", "--k", "5", "--r", "3", "--out-prefix", prefix]) == 0
+    argv = ["classes", prefix + ".net", prefix + ".wsets"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 65536
+    proc = _wtb_process(argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+
+
+def test_process_writes_whole_report_and_dot_files(data_files, tmp_path):
+    fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+    report = tmp_path / "report.txt"
+    proc = _wtb_process(["bound", *fig1, "--report", str(report)])
+    assert proc.returncode == 0
+    assert report.read_bytes() == proc.stdout
+    dot = tmp_path / "process.dot"
+    in_process_dot = tmp_path / "main.dot"
+    assert _wtb_process(["hasse", *fig1, "--dot", str(dot)]).returncode == 0
+    assert main(["hasse", *fig1, "--dot", str(in_process_dot)]) == 0
+    assert dot.read_text() == in_process_dot.read_text()
+    assert dot.read_text().endswith("}\n")
+
+
+def test_process_warnings_reach_stderr(data_files, tmp_path):
+    sets_path = tmp_path / "dup.wsets"
+    sets_path.write_text("e6\ne6\n")
+    proc = _wtb_process(["bound", str(data_files / "fig1.net"), str(sets_path)])
+    assert proc.returncode == 0
+    assert proc.stderr == b"warning: line 2: duplicate set {e6} dropped\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child with preexec_fn")
+def test_process_with_stdout_closed_exits_cleanly(data_files):
+    # with fd 1 closed at start, sys.stdout is None: print writes nothing,
+    # and the final flush must skip the stream rather than fail on it
+    proc = _wtb_process(
+        ["bound", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")],
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_collection(data_files, tmp_path, capsys):
+    # run() switches the collector off for the whole process; that is safe
+    # only while the cyclic garbage a run leaves is the same on a 48-set and
+    # a 21,560-set collection (argparse's parser graph)
+    prefix = str(tmp_path / "c643")
+    assert main(["gen", "combination", "--n", "6", "--k", "4", "--r", "3", "--out-prefix", prefix]) == 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found, sizes = [], []
+        fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+        for files in (fig1, [prefix + ".net", prefix + ".wsets"]):
+            capsys.readouterr()
+            assert main(["bound", *files]) == 0
+            found.append(gc.collect())
+            sizes.append(result_block(capsys.readouterr().out)["sets"])
+    finally:
+        if enabled:
+            gc.enable()
+    assert sizes == ["48", "21560"]
+    assert found[0] == found[1]

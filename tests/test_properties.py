@@ -41,12 +41,13 @@ st = pytest.importorskip("hypothesis.strategies")
 
 def draw_dag(draw):
     """A DAG on <=7 nodes with <=10 edges (parallel edges possible), node ids
-    ascending along every edge so node 0 is a valid source."""
+    ascending along every edge so node 0 is a valid source. The first edge
+    leaves node 0, so some edge is always reachable."""
     n_nodes = draw(st.integers(2, 7))
     pairs = st.integers(0, n_nodes - 2).flatmap(
         lambda t: st.tuples(st.just(t), st.integers(t + 1, n_nodes - 1))
     )
-    edges = draw(st.lists(pairs, min_size=1, max_size=10))
+    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=9))]
     return build_network(edges, source=0, num_nodes=n_nodes)
 
 
