@@ -4,8 +4,9 @@ Subcommands: bound, classes, hasse, primary-cut, mincut, gen, verify. Every
 command prints a human-readable report followed by a `[result]` block of
 key=value lines for scripting. Exit codes: 0 success, 1 usage error, 2 bad
 input (unparseable files, unknown labels, unreachable targets, generator
-range errors), 3 instance too large for brute-force verification, 4 verify
-found a fast-vs-oracle mismatch.
+range errors, a label stdout's encoding cannot print), 3 instance too large
+for brute-force verification, 4 verify found a fast-vs-oracle mismatch.
+Every file read or written is UTF-8.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")  # a byte-order mark is not content
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")  # what _read_text reads, whatever the locale
+
+
 def _load_network(path: str) -> tuple[Network, LabelTable]:
     return fileio.parse_network(_read_text(path))
 
@@ -69,9 +74,13 @@ def _network_summary(net: Network, labels: LabelTable) -> str:
 def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Optional[str] = None) -> None:
     text = "\n".join(human) + "\n\n[result]\n"
     text += "".join(f"{k}={v}\n" for k, v in machine)
-    # Write the file first: a run that cannot write it prints no result.
+    # Write the file first: a run that cannot write it prints no result. A
+    # label stdout cannot encode fails the run before the file is written.
     if report_path:
-        Path(report_path).write_text(text)
+        encoding = getattr(sys.stdout, "encoding", None)  # None when fd 1 is closed
+        if encoding:
+            text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+        _write_text(report_path, text)
     print(text, end="")
 
 
@@ -150,7 +159,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     classes = wiretap.partition_classes(coll)
     diagram = wiretap.class_hasse(net, classes)
     dot = fileio.export_hasse_dot(diagram)
-    Path(args.dot).write_text(dot)
+    _write_text(args.dot, dot)
     human = [
         _network_summary(net, labels),
         f"{len(classes)} classes, {len(diagram.covering)} covering pairs, "
@@ -207,8 +216,8 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
     )
     net_path = Path(args.out_prefix + ".net")
     sets_path = Path(args.out_prefix + ".wsets")
-    net_path.write_text(net_text)
-    sets_path.write_text(sets_text)
+    _write_text(net_path, net_text)
+    _write_text(sets_path, sets_text)
     net, _ = fileio.parse_network(net_text)
     n_sets = sets_text.count("\n")
     human = [
@@ -231,10 +240,10 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
 def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     text = fileio.gen_r_wiretap(net, labels, args.r, max_sets=args.max_sets)
-    Path(args.out).write_text(text)
+    _write_text(args.out, text)
     n_sets = text.count("\n")
-    largest = min(args.r, len(net.edges))
-    human = [f"wrote {args.out} ({n_sets} wiretap sets, sizes 1..{largest})"]
+    sizes = f", sizes 1..{min(args.r, len(net.edges))}" if n_sets else ""
+    human = [f"wrote {args.out} ({n_sets} wiretap sets{sizes})"]
     machine = [("wsets", args.out), ("sets", n_sets), ("r", args.r)]
     _finish(human, machine)
     return 0
@@ -345,6 +354,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (WtbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a label that stdout's encoding cannot hold
+        print(f"error: standard output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -254,13 +254,13 @@ class CheckResult(NamedTuple):
 def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
-    The fast side is what the flow pass stored on the collection (the
-    primary cut per set, whose size is the set's capacity) and the class
-    table derived from it. Returns one record per check; `ok` False means
-    the two implementations disagree, which is always a bug in one of them.
-    The domination record also fails when the fast relation is not a strict
-    partial order, and the n_max record when n_max <= n <= len(sets) does
-    not hold.
+    The fast side is the primary cut the flow pass stored per set (its size
+    is the set's capacity) and one class table built from those cuts: a
+    partition and a `class_hasse` diagram, whose maximal classes are the
+    ones `compute_bound` reports. Returns one record per check; `ok` False
+    means the two implementations disagree, always a bug in one of them. The
+    domination record also fails when the fast relation is not a strict
+    partial order, and the n_max record unless n_max <= n <= len(sets).
     """
     from . import wiretap
 
@@ -311,19 +311,19 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         + ("" if strict else "; fast relation is not a strict partial order"),
     )
 
-    report = wiretap.compute_bound(net, coll, mode="both")
-    record("n", report.n_classes == ob.n, f"fast {report.n_classes}, oracle {ob.n}")
-    ordered = report.n_max <= report.n_classes <= len(coll.sets)
+    n, n_max = len(classes), len(diagram.maximal)
+    record("n", n == ob.n, f"fast {n}, oracle {ob.n}")
+    ordered = n_max <= n <= len(coll.sets)
     record(
         "n_max",
-        report.n_max == ob.n_max and ordered,
-        f"fast {report.n_max}, oracle {ob.n_max}"
+        n_max == ob.n_max and ordered,
+        f"fast {n_max}, oracle {ob.n_max}"
         + ("" if ordered else f"; n_max <= n <= {len(coll.sets)} sets fails"),
     )
 
     dominated = {i for i, _ in ob.order}
     oracle_b = {primaries[cls[0]] for i, cls in enumerate(ob.classes) if i not in dominated}
-    fast_b = {cut.edges for cut in report.cuts}
+    fast_b = {classes[i].primary_cut.edges for i in diagram.maximal}
     record(
         "maximal_cuts",
         fast_b == oracle_b,

@@ -15,15 +15,14 @@ the network, differ only in edges the flow never reads. The cut is the only
 fact stored per set; its size is the set's capacity. Everything after that
 is set algebra over the stored cuts: sets with the same primary cut form a
 class, and class j dominates class i when j has the larger capacity and
-deleting j's primary cut severs i's representative.
-The order takes one search per class j: from the source, skipping j's cut
-edges, it crosses exactly the edges that stay reachable once the cut is
-deleted. A representative none of whose edges it crosses is severed, so j
-dominates exactly the lower-capacity classes the search leaves unmarked.
+deleting j's primary cut severs i's representative. `class_hasse` is the
+only code that derives that order, one search per class; `compute_bound`
+and `oracle.cross_check` read the maximal classes off its diagram.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -57,19 +56,32 @@ class EquivalenceClass(NamedTuple):
     primary_cut: Cut
 
 
-class HasseDiagram(NamedTuple):
-    """The domination order on classes, reduced to covering pairs.
-
-    A pair (i, j) in `covering` means class j dominates class i with nothing
-    in between. `maximal` lists the indices dominated by no class. `above[i]`
-    is the full relation as a bitmask: bit j is set when class j dominates
-    class i.
-    """
-
+class _HasseFields(NamedTuple):
     classes: tuple[EquivalenceClass, ...]
-    covering: tuple[tuple[int, int], ...]
     maximal: tuple[int, ...]
     above: tuple[int, ...]
+
+
+class HasseDiagram(_HasseFields):
+    """The domination order on classes. Build through `class_hasse`.
+
+    Bit j of `above[i]` is set when class j dominates class i; `maximal`
+    lists the classes with an empty row. The fields live in a NamedTuple
+    base, and the `__dict__` of this subclass caches `covering`.
+    """
+
+    @cached_property
+    def covering(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, j) where class j dominates class i with nothing in
+        between: no other class above i lies below j. Reduced on first read."""
+        above = self.above
+        covering = []
+        for i, row in enumerate(above):
+            implied = 0
+            for j in _bits(row):
+                implied |= above[j]
+            covering += [(i, j) for j in _bits(row & ~implied)]
+        return tuple(covering)
 
 
 class BoundReport(NamedTuple):
@@ -243,8 +255,18 @@ def partition_classes(coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
     )
 
 
-def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[int]:
-    """Row i: bitmask of the classes that dominate class i.
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending, one lowest-set-bit step each."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
+    """The domination order on classes, as one bitmask row per class.
 
     Class j dominates class i when its capacity is larger and deleting its
     primary cut leaves no edge of i's representative (the target of i's
@@ -254,7 +276,8 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
     class whose representative holds one of them. A class it leaves
     unmarked has each representative edge in j's cut or behind it, so j
     dominates exactly the unmarked classes of lower capacity. Raises
-    UnknownEdge on a bad representative or cut id.
+    UnknownEdge on a bad representative or cut id. `oracle.cross_check`
+    checks that the relation is a strict partial order.
     """
     holders = [0] * len(net.edges)  # edge -> classes whose representative holds it
     for i, c in enumerate(classes):
@@ -285,36 +308,10 @@ def _domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[
         for i in _bits(every & ~marked):
             if caps[i] < caps[j]:
                 rows[i] |= 1 << j
-    return rows
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of `mask`, ascending, one lowest-set-bit step each."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
-    """Domination order on classes, reduced to its covering pairs.
-
-    The covering pairs of class i are the classes above it that no other
-    class above it lies below. `oracle.cross_check` checks that the relation
-    is a strict partial order.
-    """
-    above = _domination_rows(net, classes)
-    covering = []
-    for i, row in enumerate(above):
-        implied = 0
-        for j in _bits(row):
-            implied |= above[j]
-        covering += [(i, j) for j in _bits(row & ~implied)]
-    maximal = tuple(i for i, row in enumerate(above) if not row)
     return HasseDiagram(
-        classes=tuple(classes), covering=tuple(covering), maximal=maximal, above=tuple(above)
+        classes=tuple(classes),
+        maximal=tuple(i for i, row in enumerate(rows) if not row),
+        above=tuple(rows),
     )
 
 
@@ -337,8 +334,7 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
     if mode in ("nmax", "both"):
-        rows = _domination_rows(net, classes)
-        classes = tuple(c for c, row in zip(classes, rows) if not row)
+        classes = tuple(classes[i] for i in class_hasse(net, classes).maximal)
         n_max = len(classes)
 
     def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:

@@ -278,7 +278,7 @@ def reachable_after_delete(net: Network, removed: Iterable[int]) -> frozenset[in
 
 
 def reference_domination_rows(net: Network, classes: Sequence[EquivalenceClass]) -> list[int]:
-    """`wiretap._domination_rows` pair by pair: bit j of row i is set when
+    """`class_hasse(...).above` pair by pair: bit j of row i is set when
     class j has the larger capacity and no edge of class i's representative
     survives the deletion of j's primary cut."""
 

@@ -220,6 +220,55 @@ def test_gen_rwiretap_names_the_largest_size_it_wrote(tmp_path, capsys):
     assert out.read_text() == "a\nb\na b\n"
 
 
+def test_gen_rwiretap_on_a_network_with_no_edges_names_no_sizes(tmp_path, capsys):
+    net = tmp_path / "bare.net"
+    net.write_text("node s\nsource s\n")
+    out = tmp_path / "r.wsets"
+    code = main(["gen", "rwiretap", str(net), "--r", "2", "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert stdout.splitlines()[0] == f"wrote {out} (0 wiretap sets)"
+    assert result_block(stdout) == {"wsets": str(out), "sets": "0", "r": "2"}
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command, partitions, diagrams",
+    [
+        (["bound"], 1, 1),
+        (["bound", "--mode", "nmax"], 1, 1),
+        (["bound", "--regularize"], 1, 1),
+        (["bound", "--mode", "n"], 1, 0),
+        (["classes"], 1, 0),
+        (["hasse", "--dot"], 1, 1),
+        (["verify"], 1, 1),
+    ],
+    ids=["bound", "bound-nmax", "bound-regularize", "bound-n", "classes", "hasse", "verify"],
+)
+def test_each_command_builds_one_class_table(
+    data_files, tmp_path, capsys, monkeypatch, command, partitions, diagrams
+):
+    # one partition per collection command, and one domination pass for each
+    # command that needs the maximal classes
+    import wtbound.wiretap
+
+    calls = {"partition_classes": 0, "class_hasse": 0}
+    for name in calls:
+        real = getattr(wtbound.wiretap, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(wtbound.wiretap, name, counted)
+    fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
+    if command[-1] == "--dot":
+        command = [*command, str(tmp_path / "fig1.dot")]
+    assert main([command[0], *fig1, *command[1:]]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert calls == {"partition_classes": partitions, "class_hasse": diagrams}
+
+
 def test_verify_clean_instance(g21, capsys):
     net_path, sets_path = g21
     code = main(["verify", str(net_path), str(sets_path)])
@@ -526,6 +575,30 @@ def test_process_warnings_reach_stderr(data_files, tmp_path):
     proc = _wtb_process(["bound", str(data_files / "fig1.net"), str(sets_path)])
     assert proc.returncode == 0
     assert proc.stderr == b"warning: line 2: duplicate set {e6} dropped\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="LC_ALL=C means ASCII on Linux")
+def test_process_writes_utf8_files_under_an_ascii_locale(tmp_path, capsys):
+    # an ASCII locale: no UTF-8 mode, no locale coercion, no forced stream encoding
+    ascii_env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": ""}
+    net = tmp_path / "accent.net"
+    net.write_bytes("edge \u00e9 s a\nedge b a t\nsource s\nsink t\n".encode("utf-8"))
+    out = tmp_path / "r.wsets"
+    proc = _wtb_process(["gen", "rwiretap", str(net), "--r", "2", "--out", str(out)], ascii_env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes().decode("utf-8") == "\u00e9\nb\n\u00e9 b\n"
+    assert main(["bound", str(net), str(out)]) == 0
+    block = result_block(capsys.readouterr().out)
+    assert (block["sets"], block["n_max"], block["cut.1"]) == ("3", "1", "\u00e9")
+    dot = tmp_path / "accent.dot"
+    proc = _wtb_process(["hasse", str(net), str(out), "--dot", str(dot)], ascii_env)
+    assert proc.returncode == 0 and dot.read_text(encoding="utf-8").endswith("}\n")
+    # a report stdout cannot print is an input error, and writes no file
+    report = tmp_path / "report.txt"
+    proc = _wtb_process(["bound", str(net), str(out), "--report", str(report)], ascii_env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+    assert proc.stdout == b"" and not report.exists()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child with preexec_fn")

@@ -11,6 +11,7 @@ from wtbound import (
     WiretapCollection,
     WtbError,
     build_network,
+    class_hasse,
     compute_bound,
     cross_check,
     max_flow,
@@ -33,7 +34,6 @@ from helpers import (
     reference_flow_key,
     reference_preprocess,
 )
-from wtbound.wiretap import _domination_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -92,7 +92,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     oracle = oracle_bounds(net, coll.sets)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
     classes = partition_classes(coll)
-    assert _domination_rows(net, classes) == reference_domination_rows(net, classes)
+    assert list(class_hasse(net, classes).above) == reference_domination_rows(net, classes)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
     assert oracle == reference_bounds(net, coll.sets, fams)
 

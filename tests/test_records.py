@@ -14,7 +14,7 @@ from wtbound import (
     primary_min_cut,
 )
 
-from helpers import enumerate_min_cuts
+from helpers import FIG1_COVERING, enumerate_min_cuts
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,20 @@ def test_network_adjacency_is_computed_once(fig1):
     moved = net._replace(edges=((0, 2), (2, 1)), num_nodes=3)
     assert moved.out_edges == ((0,), (), (1,)) and moved.in_edges == ((), (1,), (0,))
     assert pickle.loads(pickle.dumps(net)).out_edges == out_edges
+
+
+def test_hasse_covering_is_computed_once(fig1):
+    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
+    unread = pickle.loads(pickle.dumps(diagram))
+    covering = diagram.covering
+    assert sorted(covering) == FIG1_COVERING and diagram.covering is covering
+    # a diagram pickled before the first read computes its own covering
+    assert "covering" not in vars(unread)
+    assert unread.covering == covering and unread.covering is not covering
+    assert pickle.loads(pickle.dumps(diagram)).covering == covering
+    # a replaced diagram computes its own covering, not its parent's
+    chain = diagram._replace(classes=diagram.classes[:3], maximal=(2,), above=(0b110, 0b100, 0))
+    assert chain.covering == ((0, 1), (1, 2))
 
 
 def test_network_defaults_and_equality():

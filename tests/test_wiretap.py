@@ -7,13 +7,14 @@ from math import comb
 import pytest
 
 import wtbound.flow
-import wtbound.wiretap
 from wtbound import (
+    HasseDiagram,
     UnknownEdge,
     WiretapCollection,
     build_network,
     class_hasse,
     compute_bound,
+    cross_check,
     gen_combination,
     parse_collection,
     parse_network,
@@ -214,6 +215,19 @@ def test_class_hasse_fig1(fig1):
     assert order == set(FIG1_ORDER)
 
 
+def test_bound_and_verify_never_read_the_covering(fig1, monkeypatch):
+    # the covering pairs are reduced only for `wtb hasse`
+    def unread(self):
+        raise AssertionError("HasseDiagram.covering was read")
+
+    monkeypatch.setattr(HasseDiagram, "covering", property(unread))
+    report = compute_bound(fig1.net, fig1.coll)
+    assert (report.n_classes, report.n_max) == (15, 3)
+    assert {c.edges for c in report.cuts} == {eset(fig1.labels, s) for s in FIG1_MAXIMAL_CUTS}
+    checks = cross_check(fig1.net, fig1.coll)
+    assert checks and all(c.ok for c in checks)
+
+
 def test_reachable_after_delete(fig1):
     lab = fig1.labels
     assert reachable_after_delete(fig1.net, ()) == frozenset(range(21))
@@ -230,7 +244,7 @@ def test_reachable_after_delete(fig1):
 
 def assert_rows_match_reference(net, coll):
     classes = partition_classes(coll)
-    rows = wtbound.wiretap._domination_rows(net, classes)
+    rows = list(class_hasse(net, classes).above)
     assert rows == reference_domination_rows(net, classes)
     return rows
 
@@ -268,9 +282,9 @@ def test_domination_rows_read_each_class_representative(fig1):
         c._replace(primary_cut=c.primary_cut._replace(target=classes[i - 1].primary_cut.target))
         for i, c in enumerate(classes)
     ]
-    rows = wtbound.wiretap._domination_rows(fig1.net, rotated)
+    rows = list(class_hasse(fig1.net, rotated).above)
     assert rows == reference_domination_rows(fig1.net, rotated)
-    assert rows != wtbound.wiretap._domination_rows(fig1.net, classes)
+    assert rows != list(class_hasse(fig1.net, classes).above)
 
 
 def test_bad_class_ids_raise_unknown_edge():
