@@ -34,7 +34,6 @@ from .graph import (
 from .flow import (
     Cut,
     max_flow,
-    mincut_capacity,
     primary_min_cut,
 )
 from .wiretap import (
@@ -90,7 +89,6 @@ __all__ = [
     "gen_combination",
     "gen_r_wiretap",
     "max_flow",
-    "mincut_capacity",
     "parse_collection",
     "parse_network",
     "partition_classes",

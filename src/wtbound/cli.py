@@ -18,8 +18,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from . import fileio, wiretap
-from .flow import mincut_capacity, primary_min_cut
+from . import fileio, flow, wiretap
 from .errors import InstanceTooLarge, ParseError, WtbError
 from .fileio import LabelTable
 from .graph import Network
@@ -118,9 +117,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     machine += [
         (f"cut.{i + 1}", labels.format_edges(c.edges)) for i, c in enumerate(result.cuts)
     ]
-    bound = result.n_max if result.n_max is not None else result.n_classes
     human.append(
-        f"an alphabet with more than {bound} symbols suffices for this collection; "
+        f"an alphabet with more than {len(result.cuts)} symbols suffices for this collection; "
         f"recommended size at least {result.recommended_alphabet} "
         f"(covers {len(net.sinks)} sinks)"
     )
@@ -175,7 +173,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     ]
     machine += [
         (f"cover.{k + 1}", f"{lo + 1}<{hi + 1}")
-        for k, (lo, hi) in enumerate(sorted(diagram.covering))
+        for k, (lo, hi) in enumerate(diagram.covering)
     ]
     _finish(human, machine)
     return 0
@@ -184,7 +182,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 def _cmd_primary_cut(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     target = _parse_target(args.target, labels)
-    cut = primary_min_cut(net, target)
+    cut = flow.primary_min_cut(net, target)
     human = [
         f"primary minimum cut of {labels.format_set(target)}: "
         f"{labels.format_set(cut.edges)} (capacity {cut.capacity})"
@@ -201,7 +199,7 @@ def _cmd_primary_cut(args: argparse.Namespace) -> int:
 def _cmd_mincut(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     target = _parse_target(args.target, labels)
-    cap = mincut_capacity(net, target)
+    cap = flow.max_flow(net, target).value
     human = [
         f"minimum cut capacity between source and {labels.format_set(target)}: {cap}"
     ]

@@ -76,7 +76,7 @@ class UnknownEdgeLabel(WtbError):
 
 
 class ParameterOutOfRange(WtbError):
-    """A generator parameter or a setting violates its documented range."""
+    """A generator parameter, a setting or a library argument is out of range."""
 
 
 class CollectionTooLarge(WtbError):

@@ -79,6 +79,13 @@ def _check_label(label: str, lineno: int) -> str:
     return label
 
 
+def _check_written(labels: Iterable[str]) -> None:
+    """Raise ParseError on a label the parsers would not read back as itself."""
+    for label in labels:
+        if label.split() != [label] or "#" in label or "," in label:
+            raise ParseError(f"label {label!r} is not one token free of '#' and ','")
+
+
 def parse_network(text: str) -> tuple[Network, LabelTable]:
     """Read a network file into a validated Network plus its label table.
 
@@ -163,7 +170,9 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
 
 
 def serialize_network(net: Network, labels: LabelTable) -> str:
-    """Write a network back out; parse_network(result) reproduces it exactly."""
+    """Write a network back out; parse_network(result) reproduces it exactly.
+    Raises ParseError on a node or edge label that would not read back."""
+    _check_written((*labels.node_labels, *labels.edge_labels))
     lines = [f"node {lab}" for lab in labels.node_labels]
     for e, (t, h) in enumerate(net.edges):
         lines.append(
@@ -219,10 +228,10 @@ def parse_collection(
 def serialize_collection(
     sets: Iterable[Iterable[EdgeId]], labels: LabelTable
 ) -> str:
-    """One line per set, labels in ascending edge-id order."""
-    lines = [
-        " ".join(labels.edge_labels[e] for e in sorted(s)) for s in sets
-    ]
+    """One line per set, labels in ascending edge-id order. Raises ParseError
+    on an edge label that would not read back."""
+    _check_written(labels.edge_labels)
+    lines = [" ".join(labels.edge_labels[e] for e in sorted(s)) for s in sets]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -338,7 +347,7 @@ def export_hasse_dot(diagram: HasseDiagram) -> str:
         label = f"Cl{i + 1} ({count} set{'s' if count != 1 else ''})"
         extra = ", peripheries=2" if i in maximal else ""
         lines.append(f'  n{i + 1} [label="{label}"{extra}];')
-    for lo, hi in sorted(diagram.covering):
+    for lo, hi in diagram.covering:
         lines.append(f"  n{lo + 1} -> n{hi + 1};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -57,9 +57,10 @@ class MaxFlow(NamedTuple):
     """A maximum flow from the source to a target edge set.
 
     `values[e]` is 1 when a unit crosses base edge e (a target edge: leaves
-    the network); `value` counts the units; `cut` is the primary minimum cut,
-    the edges leaving the residual source side (empty if no target edge is
-    reachable); `live[v]` is 1 when node v reaches a target edge's tail.
+    the network); `value` counts the units, and is the target's minimum cut
+    capacity; `cut` is the primary minimum cut, the edges leaving the
+    residual source side; `live[v]` is 1 when node v reaches a target edge's
+    tail. `value` is 0 and `cut` empty when no target edge is reachable.
     """
 
     value: int
@@ -150,15 +151,6 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
         if is_target[e] or edges[e][1] not in pred and live[edges[e][1]]
     )
     return MaxFlow(value=value, values=flow, cut=cut, live=live)
-
-
-def mincut_capacity(net: Network, target: Iterable[EdgeId]) -> int:
-    """Minimum number of edges needed to separate `target` from the source.
-
-    Zero when no target edge is reachable. Raises EmptyTargetSet on an empty
-    target and UnknownEdge on a bad id.
-    """
-    return max_flow(net, target).value
 
 
 def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:

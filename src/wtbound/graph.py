@@ -11,7 +11,13 @@ import heapq
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import CyclicGraph, DanglingEndpoint, SourceHasIncomingEdges, UnknownEdge
+from .errors import (
+    CyclicGraph,
+    DanglingEndpoint,
+    ParameterOutOfRange,
+    SourceHasIncomingEdges,
+    UnknownEdge,
+)
 
 NodeId = int
 EdgeId = int
@@ -27,18 +33,12 @@ class _NetworkFields(NamedTuple):
 class Network(_NetworkFields):
     """Validated unit-capacity DAG. Build through `build_network`.
 
-    Nodes are 0..num_nodes-1 and edges are indexed by position in `edges`,
-    each entry being a (tail, head) pair. `sinks` is advisory metadata used
-    for reporting; it plays no role in cut computations. The fields live in
-    a NamedTuple base; this subclass declares no `__slots__`, so each
-    instance has the `__dict__` that caches `out_edges` and `in_edges`.
+    Nodes are 0..num_nodes-1; edge e is `edges[e]`, its (tail, head) pair.
+    `sinks` is advisory metadata used for reporting; it plays no role in cut
+    computations. The fields live in a NamedTuple base; this subclass
+    declares no `__slots__`, so each instance has the `__dict__` that caches
+    `out_edges` and `in_edges`.
     """
-
-    def tail(self, e: EdgeId) -> NodeId:
-        return self.edges[e][0]
-
-    def head(self, e: EdgeId) -> NodeId:
-        return self.edges[e][1]
 
     def check_edge(self, e: EdgeId) -> None:
         if not 0 <= e < len(self.edges):
@@ -70,13 +70,16 @@ def build_network(
     """Validate and freeze a network.
 
     Node ids are inferred as 0..max(referenced id) unless `num_nodes` pins a
-    larger range (isolated nodes are legal). Raises DanglingEndpoint when an
-    edge, the source, or a sink falls outside the node range,
-    SourceHasIncomingEdges when any edge enters the source, and CyclicGraph
-    when the edge list admits no topological order. Sinks may have outgoing
-    edges and nodes may be unreachable; neither is an error here.
+    larger range (isolated nodes are legal). Raises ParameterOutOfRange when
+    a sink is listed twice, DanglingEndpoint when an edge, the source, or a
+    sink falls outside the node range, SourceHasIncomingEdges when any edge
+    enters the source, and CyclicGraph when the edge list admits no
+    topological order. Sinks may have outgoing edges and nodes may be
+    unreachable; neither is an error here.
     """
     edge_list = tuple((t, h) for t, h in edges)
+    if len(set(sinks)) < len(sinks):
+        raise ParameterOutOfRange(f"sink {max(sinks, key=sinks.count)} is listed more than once")
     referenced = [source, *sinks]
     for t, h in edge_list:
         referenced.append(t)

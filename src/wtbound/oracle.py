@@ -240,9 +240,7 @@ def _bounds(
 
 def _strict_order_pairs(above: Sequence[int]) -> frozenset[tuple[int, int]]:
     """The relation in `HasseDiagram.above` as (dominated, dominator) pairs."""
-    return frozenset(
-        (i, j) for i, row in enumerate(above) for j in range(row.bit_length()) if row >> j & 1
-    )
+    return frozenset((i, j) for i, row in enumerate(above) for j in _ids(row))
 
 
 class CheckResult(NamedTuple):

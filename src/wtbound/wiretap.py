@@ -27,6 +27,7 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import flow
+from .errors import ParameterOutOfRange
 from .flow import Cut
 from .graph import EdgeId, Network, NodeId
 
@@ -72,8 +73,8 @@ class HasseDiagram(_HasseFields):
 
     @cached_property
     def covering(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) where class j dominates class i with nothing in
-        between: no other class above i lies below j. Reduced on first read."""
+        """Pairs (i, j), ascending, where class j dominates class i with nothing
+        in between: no other class above i lies below j. Reduced on first read."""
         above = self.above
         covering = []
         for i, row in enumerate(above):
@@ -90,10 +91,10 @@ class BoundReport(NamedTuple):
     `n_classes` / `n_max` are None when the mode skipped them. `cuts` holds
     the primary cuts of the maximal classes in modes "nmax" and "both", one
     cut per class in mode "n"; each cut's target is the class member the
-    paper's pruning loop would pick, and the cuts come in that pick order.
-    `recommended_alphabet` is the smallest size satisfying both this bound
-    (strictly more symbols than maximal classes) and the decodability needs
-    of the network's sink nodes.
+    paper's pruning loop would pick, and the cuts come in that pick order;
+    their count is the bound (N_max, or N in mode "n"). `recommended_alphabet`
+    is the smallest size above that bound that also meets the decodability
+    needs of the network's sink nodes.
     """
 
     n_classes: Optional[int]
@@ -319,17 +320,17 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     """Alphabet-size lower bounds from the class table.
 
     Modes: "nmax" computes only the count of maximal classes, "n" only the
-    class count, "both" computes the two together. The returned
-    recommendation is max(bound + 1, number of sinks), using the strongest
-    bound computed; with no declared sinks the sink term is 0. An empty
-    collection yields zero bounds.
+    class count, "both" the two together; any other raises ParameterOutOfRange.
+    The recommendation is max(len(cuts) + 1, number of sinks), using the
+    strongest bound computed; with no declared sinks the sink term is 0. An
+    empty collection yields zero bounds.
 
     The cuts come in the order the paper's pruning loop picks them: by their
     class's largest member, ties broken by the lexicographically smallest
     edge list. The loop's result does not depend on that order.
     """
     if mode not in ("nmax", "n", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax', 'n' or 'both'")
     classes = partition_classes(coll)
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
@@ -345,10 +346,9 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
         for (_, edges), i in picks
     )
-    bound = n_max if n_max is not None else n_classes
     return BoundReport(
         n_classes=n_classes,
         n_max=n_max,
         cuts=cuts,
-        recommended_alphabet=max(bound + 1, len(net.sinks)),
+        recommended_alphabet=max(len(cuts) + 1, len(net.sinks)),
     )

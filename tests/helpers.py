@@ -12,7 +12,6 @@ from wtbound import (
     WiretapCollection,
     build_network,
     max_flow,
-    mincut_capacity,
     primary_min_cut,
 )
 from wtbound.fileio import LabelTable
@@ -128,8 +127,8 @@ def residual_side(
     side = {net.source}
     queue = [net.source]
     for u in queue:
-        steps = [net.head(e) for e in net.out_edges[u] if e not in target and not values[e]]
-        steps += [net.tail(e) for e in net.in_edges[u] if e not in target and values[e]]
+        steps = [net.edges[e][1] for e in net.out_edges[u] if e not in target and not values[e]]
+        steps += [net.edges[e][0] for e in net.in_edges[u] if e not in target and values[e]]
         for v in steps:
             if v not in side:
                 side.add(v)
@@ -230,10 +229,10 @@ def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int,
     edges whose head is an ancestor of some tail. `wiretap.preprocess`,
     which calls `flow.max_flow` once per key, must share a flow between two
     targets exactly when their keys are equal."""
-    tails = {net.tail(e) for e in target}
+    tails = {net.edges[e][0] for e in target}
     return (
-        tuple(sorted(net.tail(e) for e in target)),
-        frozenset(e for e in target if tails & descendants(net, net.head(e))),
+        tuple(sorted(net.edges[e][0] for e in target)),
+        frozenset(e for e in target if tails & descendants(net, net.edges[e][1])),
     )
 
 
@@ -243,9 +242,10 @@ def descendants(net: Network, u: int) -> set[int]:
     stack = [u]
     while stack:
         for e in net.out_edges[stack.pop()]:
-            if net.head(e) not in reached:
-                reached.add(net.head(e))
-                stack.append(net.head(e))
+            v = net.edges[e][1]
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
     return reached
 
 
@@ -257,7 +257,7 @@ def reachable_nodes(net: Network, removed: frozenset[int] = frozenset()) -> froz
         for e in net.out_edges[u]:
             if e in removed:
                 continue
-            v = net.head(e)
+            v = net.edges[e][1]
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -273,7 +273,7 @@ def reachable_after_delete(net: Network, removed: Iterable[int]) -> frozenset[in
         net.check_edge(e)
     alive = reachable_nodes(net, gone)
     return frozenset(
-        e for e in range(len(net.edges)) if e not in gone and net.tail(e) in alive
+        e for e in range(len(net.edges)) if e not in gone and net.edges[e][0] in alive
     )
 
 
@@ -308,7 +308,7 @@ def separates(net: Network, blockers: Iterable[int], target: Iterable[int]) -> b
     for e in blocked | tset:
         net.check_edge(e)
     alive = reachable_nodes(net, blocked)
-    return all(e in blocked or net.tail(e) not in alive for e in tset)
+    return all(e in blocked or net.edges[e][0] not in alive for e in tset)
 
 
 def cut_leq(net: Network, c1: Cut, c2: Cut) -> bool:
@@ -339,7 +339,7 @@ def minord_merge(net: Network, c1: Cut, c2: Cut) -> Cut:
             e = next(e for e in net.out_edges[v] if rem[e])
             rem[e] = 0
             path.append(e)
-            v = net.head(e)
+            v = net.edges[e][1]
         hits1 = [i for i, e in enumerate(path) if e in c1.edges]
         hits2 = [i for i, e in enumerate(path) if e in c2.edges]
         if len(hits1) != 1 or len(hits2) != 1:
@@ -353,9 +353,9 @@ def equivalent(net: Network, a1: Iterable[int], a2: Iterable[int]) -> bool:
     """True when the two sets share a minimum cut: both capacities equal the
     capacity of their union."""
     s1, s2 = frozenset(a1), frozenset(a2)
-    c1 = mincut_capacity(net, s1)
-    c2 = mincut_capacity(net, s2)
-    return c1 == c2 == mincut_capacity(net, s1 | s2)
+    c1 = max_flow(net, s1).value
+    c2 = max_flow(net, s2).value
+    return c1 == c2 == max_flow(net, s1 | s2).value
 
 
 def dominates(net: Network, a1: Iterable[int], a2: Iterable[int]) -> bool:
@@ -363,9 +363,9 @@ def dominates(net: Network, a1: Iterable[int], a2: Iterable[int]) -> bool:
     capacity, and a minimum cut of a2 also covers a1, detected through the
     union capacity. Never true for equivalent sets."""
     s1, s2 = frozenset(a1), frozenset(a2)
-    c1 = mincut_capacity(net, s1)
-    c2 = mincut_capacity(net, s2)
-    return c1 < c2 and mincut_capacity(net, s1 | s2) == c2
+    c1 = max_flow(net, s1).value
+    c2 = max_flow(net, s2).value
+    return c1 < c2 and max_flow(net, s1 | s2).value == c2
 
 
 def enumerate_decompositions(
@@ -378,7 +378,7 @@ def enumerate_decompositions(
     A path may run through a target edge and on to another one; at each node
     edges are tried in ascending id order, and a path through a target edge
     is listed before the path that ends there."""
-    value = mincut_capacity(net, target)
+    value = max_flow(net, target).value
     if value == 0:
         return []
 
@@ -389,7 +389,7 @@ def enumerate_decompositions(
             return
         for e in net.out_edges[v]:
             acc.append(e)
-            dfs(net.head(e), acc)
+            dfs(net.edges[e][1], acc)
             if e in target and len(all_paths) <= max_paths:
                 all_paths.append(tuple(acc))
             acc.pop()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wtbound
-from wtbound import gen_combination
+from wtbound import compute_bound, gen_combination, parse_collection, parse_network
 from wtbound.cli import main, run
 from wtbound.oracle import ENV_EDGE_LIMIT
 
@@ -65,6 +65,29 @@ def test_bound_mode_n(data_files, capsys):
     assert "n_max" not in block
     assert block["cuts"] == "15"
     assert block["recommended_alphabet"] == "16"
+
+
+@pytest.mark.parametrize("instance", ["fig1", "c422"])
+@pytest.mark.parametrize("mode", ["both", "nmax", "n"])
+def test_the_printed_bound_is_the_cut_count(data_files, tmp_path, capsys, instance, mode):
+    # N_max in modes both and nmax, N in mode n: the report's cut count either way
+    if instance == "fig1":
+        net_path, sets_path = data_files / "fig1.net", data_files / "fig1.wsets"
+    else:
+        net_path, sets_path = tmp_path / "c422.net", tmp_path / "c422.wsets"
+        for path, text in zip((net_path, sets_path), gen_combination(4, 2, 2)):
+            path.write_text(text)
+    net, labels = parse_network(net_path.read_text())
+    coll, _ = parse_collection(sets_path.read_text(), net, labels)
+    report = compute_bound(net, coll, mode=mode)
+    assert len(report.cuts) == (report.n_classes if mode == "n" else report.n_max)
+    assert report.recommended_alphabet == max(len(report.cuts) + 1, len(net.sinks))
+    assert main(["bound", str(net_path), str(sets_path), "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    assert f"an alphabet with more than {len(report.cuts)} symbols suffices" in out
+    block = result_block(out)
+    assert block["cuts"] == str(len(report.cuts))
+    assert block["recommended_alphabet"] == str(report.recommended_alphabet)
 
 
 def test_bound_regularize_and_report(data_files, tmp_path, capsys):
@@ -474,7 +497,7 @@ def test_every_public_name_resolves_before_the_oracle_is_loaded():
     # the second line holds the lazily resolved names: the oracle's public
     # surface is its check and the check's record
     assert out == "False\nCheckResult cross_check\n\n\n"
-    assert len(wtbound.__all__) == len(set(wtbound.__all__)) == 38
+    assert len(wtbound.__all__) == len(set(wtbound.__all__)) == 37
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         wtbound.no_such_name
 

@@ -8,7 +8,7 @@ from wtbound import (
     UnknownEdge,
     UnreachableTarget,
     build_network,
-    mincut_capacity,
+    max_flow,
     primary_min_cut,
 )
 
@@ -44,15 +44,15 @@ def test_separates(fig1):
 
 def test_mincut_capacity(fig1):
     lab = fig1.labels
-    assert mincut_capacity(fig1.net, eset(lab, "e6")) == 1
-    assert mincut_capacity(fig1.net, eset(lab, "e19 e20")) == 2
-    assert mincut_capacity(fig1.net, eset(lab, "e6 e10 e12 e18 e20")) == 5
-    assert mincut_capacity(fig1.net, eset(lab, "e1 e2 e3 e4 e5")) == 5
+    assert max_flow(fig1.net, eset(lab, "e6")).value == 1
+    assert max_flow(fig1.net, eset(lab, "e19 e20")).value == 2
+    assert max_flow(fig1.net, eset(lab, "e6 e10 e12 e18 e20")).value == 5
+    assert max_flow(fig1.net, eset(lab, "e1 e2 e3 e4 e5")).value == 5
 
 
 def test_mincut_capacity_unreachable_is_zero():
     net = build_network([(0, 1), (2, 3)], source=0)
-    assert mincut_capacity(net, {1}) == 0
+    assert max_flow(net, {1}).value == 0
 
 
 def test_primary_min_cut_goldens(fig1):
@@ -84,7 +84,7 @@ def test_primary_min_cut_separates_its_target(fig1):
         target = eset(lab, spec)
         cut = primary_min_cut(fig1.net, target)
         assert separates(fig1.net, cut.edges, target)
-        assert cut.capacity == mincut_capacity(fig1.net, target)
+        assert cut.capacity == max_flow(fig1.net, target).value
 
 
 def test_primary_min_cut_unreachable_target():

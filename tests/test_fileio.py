@@ -1,5 +1,6 @@
 """Text formats, label tables, generators, and DOT export."""
 
+import re
 import time
 from itertools import product
 from math import comb
@@ -19,7 +20,7 @@ from wtbound import (
     export_hasse_dot,
     gen_combination,
     gen_r_wiretap,
-    mincut_capacity,
+    max_flow,
     parse_collection,
     parse_network,
     partition_classes,
@@ -210,6 +211,35 @@ def test_serialize_collection_round_trip(fig1):
     assert serialize_collection((), fig1.labels) == ""
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, bad",
+    [
+        (("s", "v", "t"), ("a b", "y"), "a b"),
+        (("s", "v", "t"), ("x", "a#b"), "a#b"),
+        (("s", "v", "t"), ("", "y"), ""),
+        (("s", "v", "t"), ("x", "a,b"), "a,b"),
+        (("s t", "v", "t"), ("x", "y"), "s t"),
+    ],
+)
+def test_serializers_refuse_a_label_the_parsers_cannot_read_back(nodes, edges, bad):
+    net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
+    labels = LabelTable(node_labels=nodes, edge_labels=edges)
+    with pytest.raises(ParseError, match=re.escape(f"label {bad!r} ")):
+        serialize_network(net, labels)
+    if bad in edges:
+        with pytest.raises(ParseError, match=re.escape(f"label {bad!r} ")):
+            serialize_collection([{0}, {0, 1}], labels)
+    else:
+        assert serialize_collection([{0}, {0, 1}], labels) == "x\nx y\n"
+    # any other single token reads back, whatever its characters
+    labels = LabelTable(node_labels=("s", "é", "t"), edge_labels=("x;y", "node"))
+    text = serialize_network(net, labels)
+    assert parse_network(text) == (net, labels)
+    assert parse_collection(serialize_collection([{0, 1}], labels), net, labels)[0].sets == (
+        frozenset({0, 1}),
+    )
+
+
 def test_gen_combination_small_instance():
     net_text, sets_text = gen_combination(2, 1, 1)
     assert net_text == (
@@ -326,4 +356,4 @@ def test_singlesink_data_file(singlesink):
     assert singlesink.net.num_nodes == 13
     assert len(singlesink.net.edges) == 21
     in_t = eset(singlesink.labels, "i5-t i9-t i10-t i11-t")
-    assert mincut_capacity(singlesink.net, in_t) == 4
+    assert max_flow(singlesink.net, in_t).value == 4

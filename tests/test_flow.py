@@ -103,10 +103,10 @@ def test_decompose_paths_structure(fig1):
             e = next(e for e in net.out_edges[v] if rem[e])
             rem[e] = 0
             path.append(e)
-            v = net.head(e)
-        assert net.tail(path[0]) == net.source
+            v = net.edges[e][1]
+        assert net.edges[path[0]][0] == net.source
         for prev, nxt in zip(path, path[1:]):
-            assert net.head(prev) == net.tail(nxt)
+            assert net.edges[prev][1] == net.edges[nxt][0]
         assert not set(path[:-1]) & target
     assert not any(rem)
 
@@ -150,7 +150,7 @@ def test_residual_source_set_does_not_depend_on_the_flow(singlesink):
     assert sum(OTHER_SINGLESINK_FLOW[e] for e in in_t) == ours.value
     other = OTHER_SINGLESINK_FLOW
     side = residual_side(net, in_t, other)
-    assert not any(net.tail(e) in side and not other[e] for e in in_t)
+    assert not any(net.edges[e][0] in side and not other[e] for e in in_t)
     assert side == residual_side(net, in_t, ours.values)
 
 
@@ -190,7 +190,7 @@ def test_live_nodes_mirror_descendant_searches(fig1, singlesink):
             assert list(live) == [int(not reach[u].isdisjoint(tails)) for u in nodes]
         # ... and max_flow's own mask is that of its target's tails
         for target in [(e,) for e in range(len(net.edges))] + list(combinations(range(len(net.edges)), 2)):
-            tails = {net.tail(e) for e in target}
+            tails = {net.edges[e][0] for e in target}
             live = max_flow(net, target).live
             assert list(live) == [int(not reach[u].isdisjoint(tails)) for u in nodes]
 

@@ -5,6 +5,7 @@ import pytest
 from wtbound import (
     CyclicGraph,
     DanglingEndpoint,
+    ParameterOutOfRange,
     SourceHasIncomingEdges,
     UnknownEdge,
     build_network,
@@ -18,7 +19,7 @@ def test_build_network_basics():
     assert net.edges == ((0, 1), (0, 1), (1, 2))
     assert net.source == 0
     assert net.sinks == (2,)
-    assert net.tail(2) == 1 and net.head(2) == 2
+    assert net.edges[2] == (1, 2)
     assert net.out_edges == ((0, 1), (2,), ())
     assert net.in_edges == ((), (0, 1), (2,))
 
@@ -37,6 +38,15 @@ def test_build_network_rejects_bad_node_ids():
         build_network([(0, 1)], source=0, sinks=(7,), num_nodes=2)
     with pytest.raises(DanglingEndpoint):
         build_network([(0, 1)], source=-1)
+
+
+def test_build_network_rejects_a_repeated_sink():
+    # a repeated sink would count twice in compute_bound's recommended alphabet
+    with pytest.raises(ParameterOutOfRange, match="sink 2 is listed more than once"):
+        build_network([(0, 1), (1, 2)], source=0, sinks=(2, 2, 2, 2, 2))
+    with pytest.raises(ParameterOutOfRange, match="sink 1 "):
+        build_network([(0, 1), (1, 2)], source=0, sinks=[2, 1, 1])
+    assert build_network([(0, 1), (1, 2)], source=0, sinks=[2, 1]).sinks == (2, 1)
 
 
 def test_build_network_rejects_edges_into_the_source():

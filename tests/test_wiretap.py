@@ -9,6 +9,7 @@ import pytest
 import wtbound.flow
 from wtbound import (
     HasseDiagram,
+    ParameterOutOfRange,
     UnknownEdge,
     WiretapCollection,
     build_network,
@@ -215,6 +216,20 @@ def test_class_hasse_fig1(fig1):
     assert order == set(FIG1_ORDER)
 
 
+@pytest.mark.parametrize("instance", ["fig1", "layered-hasse"])
+def test_covering_pairs_come_in_ascending_order(fig1, instance):
+    # `wtb hasse` and the DOT export print the covering pairs as they come
+    if instance == "fig1":
+        net, coll, pairs = fig1.net, fig1.coll, len(FIG1_COVERING)
+    else:  # the layered-hasse benchmark shape, r=2
+        net = layered_network(5, 4, 2, 1)
+        sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
+        coll, pairs = preprocess(net, sets)[0], 466
+    covering = class_hasse(net, partition_classes(coll)).covering
+    assert len(covering) == pairs
+    assert covering == tuple(sorted(covering))
+
+
 def test_bound_and_verify_never_read_the_covering(fig1, monkeypatch):
     # the covering pairs are reduced only for `wtb hasse`
     def unread(self):
@@ -375,5 +390,5 @@ def test_compute_bound_degenerate_inputs(fig1):
     assert (solo.n_classes, solo.n_max) == (1, 1)
     assert compute_bound(net, empty).recommended_alphabet == 1
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterOutOfRange, match="unknown mode 'fast'"):
         compute_bound(fig1.net, fig1.coll, mode="fast")
