@@ -275,10 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Alphabet-size lower bounds for secure coding on wiretap networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input shapes commands share, as argparse parents
+    net = argparse.ArgumentParser(add_help=False)
+    net.add_argument("network")
+    net_sets = argparse.ArgumentParser(add_help=False, parents=[net])
+    net_sets.add_argument("collection")
+    net_target = argparse.ArgumentParser(add_help=False, parents=[net])
+    net_target.add_argument("--target", required=True, help="comma-separated edge labels")
 
-    p = sub.add_parser("bound", help="compute the class-count bounds N and N_max")
-    p.add_argument("network")
-    p.add_argument("collection")
+    p = sub.add_parser(
+        "bound", parents=[net_sets], help="compute the class-count bounds N and N_max"
+    )
     p.add_argument("--mode", choices=("nmax", "n", "both"), default="both")
     p.add_argument(
         "--regularize",
@@ -288,25 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="also write the report to this file")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("classes", help="list the equivalence classes")
-    p.add_argument("network")
-    p.add_argument("collection")
+    p = sub.add_parser("classes", parents=[net_sets], help="list the equivalence classes")
     p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("hasse", help="export the class order as a DOT diagram")
-    p.add_argument("network")
-    p.add_argument("collection")
+    p = sub.add_parser("hasse", parents=[net_sets], help="export the class order as a DOT diagram")
     p.add_argument("--dot", required=True, help="output path for DOT text")
     p.set_defaults(func=_cmd_hasse)
 
-    p = sub.add_parser("primary-cut", help="primary minimum cut of an edge set")
-    p.add_argument("network")
-    p.add_argument("--target", required=True, help="comma-separated edge labels")
+    p = sub.add_parser(
+        "primary-cut", parents=[net_target], help="primary minimum cut of an edge set"
+    )
     p.set_defaults(func=_cmd_primary_cut)
 
-    p = sub.add_parser("mincut", help="minimum cut capacity to an edge set")
-    p.add_argument("network")
-    p.add_argument("--target", required=True, help="comma-separated edge labels")
+    p = sub.add_parser("mincut", parents=[net_target], help="minimum cut capacity to an edge set")
     p.set_defaults(func=_cmd_mincut)
 
     p = sub.add_parser("gen", help="deterministic instance generators")
@@ -320,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-sets", type=int, default=fileio.DEFAULT_MAX_SETS)
     g.set_defaults(func=_cmd_gen_combination)
 
-    g = gen_sub.add_parser("rwiretap", help="all edge sets of size up to r")
-    g.add_argument("network")
+    g = gen_sub.add_parser("rwiretap", parents=[net], help="all edge sets of size up to r")
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--max-sets", type=int, default=fileio.DEFAULT_MAX_SETS)
@@ -329,11 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
+        parents=[net_sets],
         help="cross-check fast results against brute force "
         "(universe capped per target; override with WTB_MAX_ORACLE_EDGES)",
     )
-    p.add_argument("network")
-    p.add_argument("collection")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -14,6 +14,7 @@ import re
 from functools import cached_property
 from itertools import combinations, product, repeat
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
+    UnknownEdge,
     UnknownEdgeLabel,
 )
 from .graph import EdgeId, Network, build_network
@@ -65,25 +67,40 @@ class LabelTable(_LabelFields):
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
+def _token_lines(text: str) -> Iterator[list[str]]:
+    """The tokens of each line before any '#'; a line with none gives []."""
+    return map(str.split, _COMMENT.sub("", text).splitlines())
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of each line with a token before any '#'."""
-    for lineno, raw in enumerate(_COMMENT.sub("", text).splitlines(), start=1):
-        tokens = raw.split()
-        if tokens:
-            yield lineno, tokens
+    return filter(itemgetter(1), enumerate(_token_lines(text), start=1))
 
 
-def _check_label(label: str, lineno: int) -> str:
+def _check_label(label: str, lineno: int) -> None:
     if "," in label:
         raise ParseError(f"line {lineno}: label {label!r} may not contain ','")
-    return label
+
+
+# directive -> (argument count, the arguments as an arity error names them)
+_DIRECTIVES = {
+    "node": (1, "one label"),
+    "edge": (3, "label, tail, head"),
+    "source": (1, "one label"),
+    "sink": (1, "one label"),
+}
 
 
 def _check_written(labels: Iterable[str]) -> None:
-    """Raise ParseError on a label the parsers would not read back as itself."""
+    """Raise ParseError on a label the parsers would not read back as itself:
+    one that is not one token free of '#' and ',', or a repeated one."""
+    seen: set[str] = set()
     for label in labels:
         if label.split() != [label] or "#" in label or "," in label:
             raise ParseError(f"label {label!r} is not one token free of '#' and ','")
+        if label in seen:
+            raise ParseError(f"label {label!r} is repeated")
+        seen.add(label)
 
 
 def parse_network(text: str) -> tuple[Network, LabelTable]:
@@ -105,41 +122,35 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
     sink_lines: dict[str, int] = {}  # sink label -> line number
     explicit_nodes = False
 
-    for lineno, tokens in _content_lines(text):
-        directive, args = tokens[0], tokens[1:]
+    for lineno, (directive, *args) in _content_lines(text):
+        if directive not in _DIRECTIVES:
+            raise ParseError(f"line {lineno}: unknown directive {directive!r}")
+        arity, takes = _DIRECTIVES[directive]
+        if len(args) != arity:
+            raise ParseError(f"line {lineno}: {directive} takes {takes}")
+        if directive == "source" and source_label is not None:
+            raise ParseError(f"line {lineno}: source already set on line {source_line}")
+        for arg in args:
+            _check_label(arg, lineno)
+        lab = args[0]
         if directive == "node":
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: node takes one label")
-            lab = _check_label(args[0], lineno)
             if lab in node_ids:
                 raise ParseError(f"line {lineno}: duplicate node {lab!r}")
             explicit_nodes = True
             node_ids[lab] = len(node_labels)
             node_labels.append(lab)
         elif directive == "edge":
-            if len(args) != 3:
-                raise ParseError(f"line {lineno}: edge takes label, tail, head")
-            lab, tail, head = (_check_label(arg, lineno) for arg in args)
             if lab in edge_seen:
                 raise ParseError(f"line {lineno}: duplicate edge {lab!r}")
             edge_seen.add(lab)
             edge_labels.append(lab)
-            edge_specs.append((lineno, tail, head))
+            edge_specs.append((lineno, args[1], args[2]))
         elif directive == "source":
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: source takes one label")
-            if source_label is not None:
-                raise ParseError(f"line {lineno}: source already set on line {source_line}")
-            source_label, source_line = _check_label(args[0], lineno), lineno
-        elif directive == "sink":
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: sink takes one label")
-            lab = _check_label(args[0], lineno)
+            source_label, source_line = lab, lineno
+        else:
             if lab in sink_lines:
                 raise ParseError(f"line {lineno}: duplicate sink {lab!r}")
             sink_lines[lab] = lineno
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {directive!r}")
 
     def resolve(label: str, lineno: int, create: bool) -> int:
         if label in node_ids:
@@ -171,8 +182,19 @@ def parse_network(text: str) -> tuple[Network, LabelTable]:
 
 def serialize_network(net: Network, labels: LabelTable) -> str:
     """Write a network back out; parse_network(result) reproduces it exactly.
-    Raises ParseError on a node or edge label that would not read back."""
-    _check_written((*labels.node_labels, *labels.edge_labels))
+
+    Raises ParameterOutOfRange when the table does not hold one label per
+    node and per edge, and ParseError on a node or edge label that would
+    not read back.
+    """
+    counts = (len(labels.node_labels), len(labels.edge_labels))
+    if counts != (net.num_nodes, len(net.edges)):
+        raise ParameterOutOfRange(
+            f"{counts[0]} node and {counts[1]} edge labels "
+            f"for {net.num_nodes} nodes and {len(net.edges)} edges"
+        )
+    _check_written(labels.node_labels)
+    _check_written(labels.edge_labels)
     lines = [f"node {lab}" for lab in labels.node_labels]
     for e, (t, h) in enumerate(net.edges):
         lines.append(
@@ -192,20 +214,18 @@ def parse_collection(
     naming the line. Raises UnknownEdgeLabel with a line number when a label
     is not in the table.
 
-    One pass: comments come off the whole text in one `_COMMENT`
-    substitution, the rule network files share through `_content_lines`,
-    and `preprocess` pulls the sets from a chain of C-level iterators over
-    the lines, which splits each line into labels, skips lines with none,
-    and maps each label to its id, so neither the token lists nor the
-    resolved sets are held at once. Line numbers are recovered only when
-    needed, by walking the lines once more: for the first unknown label,
-    and, when a set was dropped, to map drop positions (the k-th content
-    line) back to line numbers.
+    One pass: `preprocess` pulls the sets from a chain of C-level iterators
+    over `_token_lines`, the line reader network files share, which skips
+    lines with no label and maps each label to its id, so neither the token
+    lists nor the resolved sets are held at once. Line numbers are recovered
+    only when needed, by walking the same lines once more through
+    `_content_lines`: for the first unknown label, and, when a set was
+    dropped, to map drop positions (the k-th content line) back to line
+    numbers.
     """
     # no name holds the list of lines, so it is freed once the last is read
-    split_lines = map(str.split, _COMMENT.sub("", text).splitlines())
     ids = labels._edge_ids
-    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, split_lines)))
+    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, _token_lines(text))))
     try:
         coll, drops = preprocess(net, sets)
     except KeyError:
@@ -229,9 +249,17 @@ def serialize_collection(
     sets: Iterable[Iterable[EdgeId]], labels: LabelTable
 ) -> str:
     """One line per set, labels in ascending edge-id order. Raises ParseError
-    on an edge label that would not read back."""
+    on an edge label that would not read back, and UnknownEdge on an id
+    outside the table."""
     _check_written(labels.edge_labels)
-    lines = [" ".join(labels.edge_labels[e] for e in sorted(s)) for s in sets]
+    last = len(labels.edge_labels) - 1
+    lines = []
+    for s in sets:
+        ids = sorted(s)
+        for e in ids[:1] + ids[-1:]:  # an id out of range is the least or the greatest
+            if not 0 <= e <= last:
+                raise UnknownEdge(f"edge id {e} not in 0..{last}")  # Network.check_edge's words
+        lines.append(" ".join(map(labels.edge_labels.__getitem__, ids)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -251,14 +279,12 @@ def _capped_comb(n: int, k: int, cap: int) -> int:
     return c
 
 
-def _check_max_sets(max_sets: int) -> None:
+def _count_sets(counts: Iterable[int], max_sets: int) -> int:
+    """The sum of `counts`, added in order. Raises ParameterOutOfRange for
+    max_sets < 1, and CollectionTooLarge at the first partial sum above
+    `max_sets`, so later counts are never formed."""
     if max_sets < 1:
         raise ParameterOutOfRange(f"max_sets must be at least 1, got {max_sets}")
-
-
-def _count_sets(counts: Iterable[int], max_sets: int) -> int:
-    """The sum of `counts`, added in order. Raises CollectionTooLarge at the
-    first partial sum above `max_sets`, so later counts are never formed."""
     total = 0
     for count in counts:
         total += count
@@ -285,7 +311,6 @@ def gen_combination(
         raise ParameterOutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= r <= n:
         raise ParameterOutOfRange(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
-    _check_max_sets(max_sets)
     per_node = _capped_comb(n - 1, k - 1, max_sets)  # lower edges per relay
     # a per_node above the cap makes the first count, n * per_node, top it too
     total = _count_sets((comb(n, c) * per_node**c for c in range(1, r + 1)), max_sets)
@@ -318,12 +343,12 @@ def gen_r_wiretap(
 ) -> str:
     """Collection of every edge set of size 1..r, in size-then-id order.
 
-    Raises ParameterOutOfRange for r < 1 or max_sets < 1 and
-    CollectionTooLarge when the count would top `max_sets`.
+    Raises ParameterOutOfRange for r < 1 or max_sets < 1,
+    CollectionTooLarge when the count would top `max_sets`, and UnknownEdge
+    when `labels` holds fewer edge labels than `net` has edges.
     """
     if r < 1:
         raise ParameterOutOfRange(f"r must be at least 1, got {r}")
-    _check_max_sets(max_sets)
     n_edges = len(net.edges)
     r_eff = min(r, n_edges)
     _count_sets((comb(n_edges, c) for c in range(1, r_eff + 1)), max_sets)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import wtbound
 from wtbound import (
     Cut,
     WiretapCollection,
@@ -17,7 +21,7 @@ from wtbound import (
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
 from wtbound import oracle
-from wtbound.oracle import MinCutFamily, OracleBounds
+from wtbound.oracle import ENV_EDGE_LIMIT, MinCutFamily, OracleBounds
 from wtbound.wiretap import EquivalenceClass
 
 CORPUS_SEED = 20260814
@@ -82,6 +86,25 @@ def result_block(output: str) -> dict[str, str]:
     return block
 
 
+def env_with_package() -> dict[str, str]:
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env.pop(ENV_EDGE_LIMIT, None)
+    src = str(Path(wtbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def wtb_process(argv, extra_env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m wtbound.cli ARGV` as a fresh process, through `run()`."""
+    env = {**env_with_package(), **(extra_env or {})}
+    # buffered standard streams, as by default, so run() must flush them
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "wtbound.cli", *argv], capture_output=True, env=env, **kwargs
+    )
+
+
 def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
     """A random DAG (<=8 nodes, <=14 edges, parallel edges possible) plus a
     random collection (<=20 sets of <=3 edges, duplicates and unreachable
@@ -103,16 +126,22 @@ def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
     return net, sets
 
 
-def layered_network(width: int, depth: int, fan_in: int, seed: int) -> Network:
-    """The benchmark's layered DAG, from `layered_edges` in wtbench/reference.py
-    (a file that imports nothing from the package), with its source as node 0."""
+def layered_edges(width: int, depth: int, fan_in: int, seed: int) -> list[tuple[str, str, str]]:
+    """The benchmark's layered DAG as (label, tail, head) triples, from
+    `layered_edges` in wtbench/reference.py, a file that imports nothing from
+    the package."""
     path = Path(__file__).resolve().parents[1] / "wtbench" / "reference.py"
     spec = importlib.util.spec_from_file_location("wtbench_reference", path)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
+    return reference.layered_edges(width, depth, fan_in, seed)
+
+
+def layered_network(width: int, depth: int, fan_in: int, seed: int) -> Network:
+    """`layered_edges(...)` as a Network, with its source as node 0."""
     ids = {"s": 0}
     edges = []
-    for _, tail, head in reference.layered_edges(width, depth, fan_in, seed):
+    for _, tail, head in layered_edges(width, depth, fan_in, seed):
         edges.append((ids.setdefault(tail, len(ids)), ids.setdefault(head, len(ids))))
     return build_network(edges, source=0)
 

@@ -1,7 +1,9 @@
-"""Whole `wtb` runs at scale, in-process: `verify` on a whole r-wiretap
+"""Whole `wtb` runs at scale: in-process, `verify` on a whole r-wiretap
 collection, and combination 7/5/3 (122,955 sets), which is past the
-oracle's reach, under `bound` and `hasse`."""
+oracle's reach, under `bound` and `hasse`; as processes under a memory
+limit, a layered network of 89,400 edges."""
 
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -11,7 +13,7 @@ import pytest
 
 from wtbound.cli import main
 
-from helpers import result_block
+from helpers import layered_edges, result_block, wtb_process
 
 
 def wtb(*argv) -> tuple[int, str, str]:
@@ -125,3 +127,28 @@ def test_combination_7_5_3_errors_name_their_line(c753):
     assert "line 122956: unknown edge label" in err
     argv = ["--n", 7, "--k", 5, "--r", 3, "--max-sets", 0, "--out-prefix", work / "zero"]
     assert wtb("gen", "combination", *argv)[0] == 2
+
+
+@pytest.mark.skipif(os.name != "posix", reason="limits the child's address space with preexec_fn")
+def test_layered_network_of_89400_edges(tmp_path):
+    # flows must take no memory that grows with the square of the network:
+    # each run gets 400,000 KiB of address space (`ulimit -v 400000`)
+    import resource
+
+    def limit_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, hard))
+
+    edges = layered_edges(300, 100, 3, 1)
+    net, sets = tmp_path / "layered.net", tmp_path / "layered.wsets"
+    net.write_text("".join(f"edge {lab} {t} {h}\n" for lab, t, h in edges) + "source s\n")
+    labels = [lab for lab, _, _ in edges]
+    rng = random.Random(1)
+    sets.write_text("".join(" ".join(rng.sample(labels, 3)) + "\n" for _ in range(5)))
+    for argv, key, want in (
+        (["primary-cut", net, "--target", labels[-1]], "capacity", "1"),
+        (["bound", net, sets], "sets", "5"),
+    ):
+        proc = wtb_process([str(a) for a in argv], timeout=60, preexec_fn=limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        assert result_block(proc.stdout.decode())[key] == want

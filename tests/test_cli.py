@@ -1,5 +1,6 @@
 """The wtb command line: output contracts and exit codes."""
 
+import argparse
 import ast
 import gc
 import importlib
@@ -13,10 +14,10 @@ import pytest
 
 import wtbound
 from wtbound import compute_bound, gen_combination, parse_collection, parse_network
-from wtbound.cli import main, run
+from wtbound.cli import build_parser, main, run
 from wtbound.oracle import ENV_EDGE_LIMIT
 
-from helpers import FIG1_MAXIMAL_CUTS, result_block
+from helpers import FIG1_MAXIMAL_CUTS, env_with_package, result_block, wtb_process
 
 
 @pytest.fixture()
@@ -347,6 +348,127 @@ def test_exit_1_on_usage_errors(capsys):
     assert main(["bound", "a.net", "b.wsets", "--mode", "fast"]) == 1
 
 
+HELP = (("-h", "--help"), "help", False, "==SUPPRESS==", None, "show this help message and exit", "_HelpAction", None)
+NETWORK = ((), "network", True, None, None, None, "_StoreAction", None)
+COLLECTION = ((), "collection", True, None, None, None, "_StoreAction", None)
+TARGET = (("--target",), "target", True, None, None, "comma-separated edge labels", "_StoreAction", None)
+R = (("--r",), "r", True, None, None, None, "_StoreAction", "int")
+MAX_SETS = (("--max-sets",), "max_sets", False, 100000, None, None, "_StoreAction", "int")
+
+# Every parser `wtb` builds: its usage (whitespace collapsed, since argparse
+# wraps it to the terminal), the command function it calls, and per argument,
+# in declaration order, (option strings, dest, required, default, choices,
+# help, action class, type). Subcommand lists give (name, help) in order.
+PARSERS = {
+    "wtb": (
+        "usage: wtb [-h] {bound,classes,hasse,primary-cut,mincut,gen,verify} ...",
+        None,
+        [HELP, ((), "command", True, None, None, None, "_SubParsersAction", None)],
+        [
+            ("bound", "compute the class-count bounds N and N_max"),
+            ("classes", "list the equivalence classes"),
+            ("hasse", "export the class order as a DOT diagram"),
+            ("primary-cut", "primary minimum cut of an edge set"),
+            ("mincut", "minimum cut capacity to an edge set"),
+            ("gen", "deterministic instance generators"),
+            (
+                "verify",
+                "cross-check fast results against brute force "
+                "(universe capped per target; override with WTB_MAX_ORACLE_EDGES)",
+            ),
+        ],
+    ),
+    "wtb bound": (
+        "usage: wtb bound [-h] [--mode {nmax,n,both}] [--regularize] [--report REPORT] "
+        "network collection",
+        "_cmd_bound",
+        [
+            HELP, NETWORK, COLLECTION,
+            (("--mode",), "mode", False, "both", ("nmax", "n", "both"), None, "_StoreAction", None),
+            (
+                ("--regularize",), "regularize", False, False, None,
+                "replace every set by its primary minimum cut first", "_StoreTrueAction", None,
+            ),
+            (("--report",), "report", False, None, None, "also write the report to this file", "_StoreAction", None),
+        ],
+        None,
+    ),
+    "wtb classes": ("usage: wtb classes [-h] network collection", "_cmd_classes", [HELP, NETWORK, COLLECTION], None),
+    "wtb hasse": (
+        "usage: wtb hasse [-h] --dot DOT network collection",
+        "_cmd_hasse",
+        [
+            HELP, NETWORK, COLLECTION,
+            (("--dot",), "dot", True, None, None, "output path for DOT text", "_StoreAction", None),
+        ],
+        None,
+    ),
+    "wtb primary-cut": (
+        "usage: wtb primary-cut [-h] --target TARGET network", "_cmd_primary_cut", [HELP, NETWORK, TARGET], None
+    ),
+    "wtb mincut": ("usage: wtb mincut [-h] --target TARGET network", "_cmd_mincut", [HELP, NETWORK, TARGET], None),
+    "wtb gen": (
+        "usage: wtb gen [-h] {combination,rwiretap} ...",
+        None,
+        [HELP, ((), "generator", True, None, None, None, "_SubParsersAction", None)],
+        [("combination", "relay network with one sink per k-subset"), ("rwiretap", "all edge sets of size up to r")],
+    ),
+    "wtb gen combination": (
+        "usage: wtb gen combination [-h] --n N --k K --r R --out-prefix OUT_PREFIX [--max-sets MAX_SETS]",
+        "_cmd_gen_combination",
+        [
+            HELP,
+            (("--n",), "n", True, None, None, None, "_StoreAction", "int"),
+            (("--k",), "k", True, None, None, None, "_StoreAction", "int"),
+            R,
+            (("--out-prefix",), "out_prefix", True, None, None, None, "_StoreAction", None),
+            MAX_SETS,
+        ],
+        None,
+    ),
+    "wtb gen rwiretap": (
+        "usage: wtb gen rwiretap [-h] --r R --out OUT [--max-sets MAX_SETS] network",
+        "_cmd_gen_rwiretap",
+        [HELP, NETWORK, R, (("--out",), "out", True, None, None, None, "_StoreAction", None), MAX_SETS],
+        None,
+    ),
+    "wtb verify": ("usage: wtb verify [-h] network collection", "_cmd_verify", [HELP, NETWORK, COLLECTION], None),
+}
+
+
+def declarations(parser, path="wtb"):
+    """{path: (usage, command function, arguments, subcommands)} for `parser`
+    and every parser under it, in the layout of PARSERS."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    func = parser.get_default("func")
+    arguments = [
+        (
+            tuple(a.option_strings), a.dest, a.required, a.default,
+            None if a in subs or a.choices is None else tuple(a.choices),
+            a.help, type(a).__name__, a.type and a.type.__name__,
+        )
+        for a in parser._actions
+    ]
+    found = {
+        path: (
+            " ".join(parser.format_usage().split()),
+            func and func.__name__,
+            arguments,
+            [(c.dest, c.help) for a in subs for c in a._choices_actions] or None,
+        )
+    }
+    for a in subs:
+        for name, child in a.choices.items():
+            found.update(declarations(child, f"{path} {name}"))
+    return found
+
+
+def test_every_parser_declares_the_same_arguments():
+    # pins the declarations rather than the --help bytes, whose headings
+    # differ between Python versions
+    assert declarations(build_parser()) == PARSERS
+
+
 def test_exit_2_on_input_errors(data_files, tmp_path, capsys, monkeypatch):
     # missing file
     assert main(["bound", str(tmp_path / "nope.net"), str(tmp_path / "nope.wsets")]) == 2
@@ -398,18 +520,9 @@ def test_exit_3_when_brute_force_is_too_large(data_files, tmp_path, capsys, monk
     assert main(["verify", str(data_files / "singlesink.net"), str(sets_path)]) == 0
 
 
-def _env_with_package() -> dict[str, str]:
-    """The environment, with this checkout's package first on PYTHONPATH."""
-    env = dict(os.environ)
-    env.pop(ENV_EDGE_LIMIT, None)
-    src = str(Path(wtbound.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def test_verify_output_is_unchanged_under_python_optimize(data_files):
     # `python -O` strips assert statements; no check may depend on them.
-    env = _env_with_package()
+    env = env_with_package()
     files = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
     argv = ["-m", "wtbound.cli", "verify", *files]
     plain, optimized = (
@@ -444,7 +557,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                 [sys.executable, "-c", probe.format(statement)],
                 capture_output=True,
                 text=True,
-                env=_env_with_package(),
+                env=env_with_package(),
                 check=True,
             ).stdout.split()
         )
@@ -458,7 +571,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_only_verify_loads_the_oracle(data_files):
     # the brute force is compiled on first use, so `bound`, `classes` and
     # `hasse` processes never pay for it
-    env = _env_with_package()
+    env = env_with_package()
     probe = "import sys, wtbound.cli; print('wtbound.oracle' in sys.modules)"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
@@ -491,7 +604,7 @@ def test_every_public_name_resolves_before_the_oracle_is_loaded():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=_env_with_package(),
+        env=env_with_package(),
         check=True,
     ).stdout
     # the second line holds the lazily resolved names: the oracle's public
@@ -539,16 +652,6 @@ def test_installed_entry_point_smoke(data_files):
     assert "n_max=3" in proc.stdout
 
 
-def _wtb_process(argv, extra_env=None, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m wtbound.cli ARGV` as a fresh process, through `run()`."""
-    env = {**_env_with_package(), **(extra_env or {})}
-    # buffered standard streams, as by default, so run() must flush them
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run(
-        [sys.executable, "-m", "wtbound.cli", *argv], capture_output=True, env=env, **kwargs
-    )
-
-
 def test_process_exit_codes(data_files):
     fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
     cases = [
@@ -558,7 +661,7 @@ def test_process_exit_codes(data_files):
         (3, ["verify", *fig1], {ENV_EDGE_LIMIT: "1"}),
     ]
     for code, argv, extra_env in cases:
-        proc = _wtb_process(argv, extra_env)
+        proc = wtb_process(argv, extra_env)
         assert proc.returncode == code, (argv, proc.stderr)
         assert bool(proc.stderr) == (code != 0)
 
@@ -573,7 +676,7 @@ def test_process_stdout_matches_main_past_the_pipe_buffer(tmp_path, capsys):
     assert main(argv) == 0
     expected = capsys.readouterr().out.encode()
     assert len(expected) > 65536
-    proc = _wtb_process(argv)
+    proc = wtb_process(argv)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == expected
 
@@ -581,12 +684,12 @@ def test_process_stdout_matches_main_past_the_pipe_buffer(tmp_path, capsys):
 def test_process_writes_whole_report_and_dot_files(data_files, tmp_path):
     fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
     report = tmp_path / "report.txt"
-    proc = _wtb_process(["bound", *fig1, "--report", str(report)])
+    proc = wtb_process(["bound", *fig1, "--report", str(report)])
     assert proc.returncode == 0
     assert report.read_bytes() == proc.stdout
     dot = tmp_path / "process.dot"
     in_process_dot = tmp_path / "main.dot"
-    assert _wtb_process(["hasse", *fig1, "--dot", str(dot)]).returncode == 0
+    assert wtb_process(["hasse", *fig1, "--dot", str(dot)]).returncode == 0
     assert main(["hasse", *fig1, "--dot", str(in_process_dot)]) == 0
     assert dot.read_text() == in_process_dot.read_text()
     assert dot.read_text().endswith("}\n")
@@ -595,7 +698,7 @@ def test_process_writes_whole_report_and_dot_files(data_files, tmp_path):
 def test_process_warnings_reach_stderr(data_files, tmp_path):
     sets_path = tmp_path / "dup.wsets"
     sets_path.write_text("e6\ne6\n")
-    proc = _wtb_process(["bound", str(data_files / "fig1.net"), str(sets_path)])
+    proc = wtb_process(["bound", str(data_files / "fig1.net"), str(sets_path)])
     assert proc.returncode == 0
     assert proc.stderr == b"warning: line 2: duplicate set {e6} dropped\n"
 
@@ -607,18 +710,18 @@ def test_process_writes_utf8_files_under_an_ascii_locale(tmp_path, capsys):
     net = tmp_path / "accent.net"
     net.write_bytes("edge \u00e9 s a\nedge b a t\nsource s\nsink t\n".encode("utf-8"))
     out = tmp_path / "r.wsets"
-    proc = _wtb_process(["gen", "rwiretap", str(net), "--r", "2", "--out", str(out)], ascii_env)
+    proc = wtb_process(["gen", "rwiretap", str(net), "--r", "2", "--out", str(out)], ascii_env)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert out.read_bytes().decode("utf-8") == "\u00e9\nb\n\u00e9 b\n"
     assert main(["bound", str(net), str(out)]) == 0
     block = result_block(capsys.readouterr().out)
     assert (block["sets"], block["n_max"], block["cut.1"]) == ("3", "1", "\u00e9")
     dot = tmp_path / "accent.dot"
-    proc = _wtb_process(["hasse", str(net), str(out), "--dot", str(dot)], ascii_env)
+    proc = wtb_process(["hasse", str(net), str(out), "--dot", str(dot)], ascii_env)
     assert proc.returncode == 0 and dot.read_text(encoding="utf-8").endswith("}\n")
     # a report stdout cannot print is an input error, and writes no file
     report = tmp_path / "report.txt"
-    proc = _wtb_process(["bound", str(net), str(out), "--report", str(report)], ascii_env)
+    proc = wtb_process(["bound", str(net), str(out), "--report", str(report)], ascii_env)
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
     assert proc.stdout == b"" and not report.exists()
@@ -628,7 +731,7 @@ def test_process_writes_utf8_files_under_an_ascii_locale(tmp_path, capsys):
 def test_process_with_stdout_closed_exits_cleanly(data_files):
     # with fd 1 closed at start, sys.stdout is None: print writes nothing,
     # and the final flush must skip the stream rather than fail on it
-    proc = _wtb_process(
+    proc = wtb_process(
         ["bound", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")],
         preexec_fn=lambda: os.close(1),
     )

@@ -13,6 +13,7 @@ from wtbound import (
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
+    UnknownEdge,
     UnknownEdgeLabel,
     build_network,
     class_hasse,
@@ -238,6 +239,49 @@ def test_serializers_refuse_a_label_the_parsers_cannot_read_back(nodes, edges, b
     assert parse_collection(serialize_collection([{0, 1}], labels), net, labels)[0].sets == (
         frozenset({0, 1}),
     )
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [(("s", "v"), ("x", "y")), (("s", "v", "t", "u"), ("x", "y")), (("s", "v", "t"), ("x",))],
+)
+def test_serialize_network_refuses_a_table_of_another_size(nodes, edges):
+    # before, too few labels ended in a bare IndexError and a spare node
+    # label was written as a node the network does not have
+    net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
+    labels = LabelTable(node_labels=nodes, edge_labels=edges)
+    message = f"{len(nodes)} node and {len(edges)} edge labels for 3 nodes and 2 edges"
+    with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
+        serialize_network(net, labels)
+
+
+def test_serializers_refuse_a_repeated_label():
+    # a repeated label would read back as its first id, or not at all
+    net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
+    with pytest.raises(ParseError, match="^label 's' is repeated$"):
+        serialize_network(net, LabelTable(node_labels=("s", "s", "t"), edge_labels=("x", "y")))
+    labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "x"))
+    with pytest.raises(ParseError, match="^label 'x' is repeated$"):
+        serialize_network(net, labels)
+    with pytest.raises(ParseError, match="^label 'x' is repeated$"):
+        serialize_collection([{0}], labels)
+    # a node and an edge may share a label: they are read in separate tables
+    labels = LabelTable(node_labels=("s", "x", "t"), edge_labels=("x", "y"))
+    assert parse_network(serialize_network(net, labels)) == (net, labels)
+
+
+def test_serialize_collection_refuses_an_id_outside_the_table():
+    # before, a negative id was written as another edge's label
+    net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
+    labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
+    for sets, bad in (([{-1}, {0, -2}], -1), ([{0}, {0, 2}], 2)):
+        with pytest.raises(UnknownEdge) as checked:
+            net.check_edge(bad)
+        assert str(checked.value) == f"edge id {bad} not in 0..1"
+        with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
+            serialize_collection(sets, labels)
+    with pytest.raises(UnknownEdge, match=r"^edge id 1 not in 0\.\.0$"):
+        gen_r_wiretap(net, LabelTable(node_labels=("s", "v", "t"), edge_labels=("x",)), 1)
 
 
 def test_gen_combination_small_instance():
