@@ -75,7 +75,7 @@ def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Op
     text += "".join(f"{k}={v}\n" for k, v in machine)
     # Write the file first: a run that cannot write it prints no result. A
     # label stdout cannot encode fails the run before the file is written.
-    if report_path:
+    if report_path is not None:  # an empty path fails to open, as --dot "" does
         encoding = getattr(sys.stdout, "encoding", None)  # None when fd 1 is closed
         if encoding:
             text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")

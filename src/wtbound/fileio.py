@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import (
     CollectionTooLarge,
     CyclicGraph,
+    EmptyTargetSet,
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
@@ -249,13 +250,16 @@ def serialize_collection(
     sets: Iterable[Iterable[EdgeId]], labels: LabelTable
 ) -> str:
     """One line per set, labels in ascending edge-id order. Raises ParseError
-    on an edge label that would not read back, and UnknownEdge on an id
-    outside the table."""
+    on an edge label that would not read back, UnknownEdge on an id outside
+    the table, and EmptyTargetSet on an empty set, whose blank line the
+    parser skips."""
     _check_written(labels.edge_labels)
     last = len(labels.edge_labels) - 1
     lines = []
     for s in sets:
         ids = sorted(s)
+        if not ids:
+            raise EmptyTargetSet("an empty wiretap set has no line that reads back")
         for e in ids[:1] + ids[-1:]:  # an id out of range is the least or the greatest
             if not 0 <= e <= last:
                 raise UnknownEdge(f"edge id {e} not in 0..{last}")  # Network.check_edge's words

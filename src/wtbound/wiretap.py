@@ -16,8 +16,9 @@ fact stored per set; its size is the set's capacity. Everything after that
 is set algebra over the stored cuts: sets with the same primary cut form a
 class, and class j dominates class i when j has the larger capacity and
 deleting j's primary cut severs i's representative. `class_hasse` is the
-only code that derives that order, one search per class; `compute_bound`
-and `oracle.cross_check` read the maximal classes off its diagram.
+only code that derives that order, in one topological sweep whose masks
+carry one bit per class; `compute_bound` and `oracle.cross_check` read the
+maximal classes off its diagram.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import flow
 from .errors import ParameterOutOfRange
 from .flow import Cut
-from .graph import EdgeId, Network, NodeId
+from .graph import EdgeId, Network, NodeId, topological_order
 
 
 class WiretapCollection(NamedTuple):
@@ -271,44 +272,43 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
 
     Class j dominates class i when its capacity is larger and deleting its
     primary cut leaves no edge of i's representative (the target of i's
-    primary cut) reachable. One search per class j decides its whole
-    column: from the source, skipping j's cut edges, it crosses exactly the
-    edges that survive the deletion with a reached tail, and marks every
-    class whose representative holds one of them. A class it leaves
-    unmarked has each representative edge in j's cut or behind it, so j
-    dominates exactly the unmarked classes of lower capacity. Raises
-    UnknownEdge on a bad representative or cut id. `oracle.cross_check`
-    checks that the relation is a strict partial order.
+    primary cut) reachable. One sweep in topological order decides this for
+    all j at once; bit j of each mask stands for the network without j's
+    cut. `severs[e]` holds the classes whose cut contains edge e, and
+    `reach[v]` the classes whose cut leaves node v reachable: all of them
+    at the source, elsewhere the OR of `kept[e] = reach[tail] & ~severs[e]`
+    over v's in-edges. Every tail is swept before its heads, so bit j of
+    `kept[e]` is set exactly when e is not in j's cut and the source reaches
+    e's tail with that cut deleted: when a search from the source that skips
+    j's cut edges would cross e. So j dominates i exactly when j is larger
+    and no edge of i's representative is kept for j. Raises UnknownEdge on a
+    bad representative or cut id. `oracle.cross_check` checks that the
+    relation is a strict partial order.
     """
-    holders = [0] * len(net.edges)  # edge -> classes whose representative holds it
-    for i, c in enumerate(classes):
-        rep = c.primary_cut.target
-        for e in rep | c.primary_cut.edges:
-            net.check_edge(e)
-        for e in rep:
-            holders[e] |= 1 << i
-    caps = [c.primary_cut.capacity for c in classes]
-    every = (1 << len(classes)) - 1
-    out_edges, edges = net.out_edges, net.edges
-    rows = [0] * len(classes)
+    severs = [0] * len(net.edges)
+    at_cap: dict[int, int] = {}  # capacity -> the classes that have it
     for j, c in enumerate(classes):
-        cut = c.primary_cut.edges
-        seen = bytearray(net.num_nodes)
-        seen[net.source] = 1
-        stack = [net.source]
-        marked = 0
-        while stack:
-            for e in out_edges[stack.pop()]:
-                if e in cut:
-                    continue
-                marked |= holders[e]
-                v = edges[e][1]
-                if not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        for i in _bits(every & ~marked):
-            if caps[i] < caps[j]:
-                rows[i] |= 1 << j
+        for e in c.primary_cut.target | c.primary_cut.edges:
+            net.check_edge(e)
+        for e in c.primary_cut.edges:
+            severs[e] |= 1 << j
+        at_cap[c.primary_cut.capacity] = at_cap.get(c.primary_cut.capacity, 0) | 1 << j
+    larger, acc = {}, 0  # capacity -> the classes of larger capacity
+    for cap in sorted(at_cap, reverse=True):
+        larger[cap], acc = acc, acc | at_cap[cap]
+    edges = net.edges
+    reach = [0] * net.num_nodes
+    reach[net.source] = (1 << len(classes)) - 1
+    for v in topological_order(net):
+        if reach[v]:
+            for e in net.out_edges[v]:
+                reach[edges[e][1]] |= reach[v] & ~severs[e]  # kept[e]
+    rows = []
+    for c in classes:
+        kept = 0
+        for e in c.primary_cut.target:
+            kept |= reach[edges[e][0]] & ~severs[e]
+        rows.append(larger[c.primary_cut.capacity] & ~kept)
     return HasseDiagram(
         classes=tuple(classes),
         maximal=tuple(i for i, row in enumerate(rows) if not row),

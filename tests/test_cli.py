@@ -113,8 +113,8 @@ def test_bound_regularize_and_report(data_files, tmp_path, capsys):
 
 
 def test_bound_report_that_cannot_be_written_prints_no_result(data_files, tmp_path, capsys):
-    # a missing parent directory, and a directory in place of the file
-    for report in (tmp_path / "missing" / "report.txt", tmp_path):
+    # a missing parent directory, a directory in place of the file, and no path
+    for report in (tmp_path / "missing" / "report.txt", tmp_path, ""):
         code = main(
             [
                 "bound",

@@ -10,6 +10,7 @@ import pytest
 from wtbound import (
     CollectionTooLarge,
     CyclicGraph,
+    EmptyTargetSet,
     ParameterOutOfRange,
     ParseError,
     SourceHasIncomingEdges,
@@ -282,6 +283,15 @@ def test_serialize_collection_refuses_an_id_outside_the_table():
             serialize_collection(sets, labels)
     with pytest.raises(UnknownEdge, match=r"^edge id 1 not in 0\.\.0$"):
         gen_r_wiretap(net, LabelTable(node_labels=("s", "v", "t"), edge_labels=("x",)), 1)
+
+
+def test_serialize_collection_refuses_an_empty_set():
+    # before, the empty set was written as a blank line, which the parser
+    # skips, so [set(), {0}] read back as [{0}]
+    labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
+    for sets in ([set(), {0}], [{0}, frozenset()]):
+        with pytest.raises(EmptyTargetSet):
+            serialize_collection(sets, labels)
 
 
 def test_gen_combination_small_instance():

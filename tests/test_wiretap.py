@@ -288,6 +288,27 @@ def test_domination_rows_match_the_pairwise_reference_on_layered_networks(shape)
     assert any(rows) and not all(rows)
 
 
+def test_domination_columns_match_reachability_on_a_class_heavy_network():
+    # about 1,900 classes: the full pairwise reference is slow here, so a
+    # fixed sample of dominator columns is checked against every row
+    net = layered_network(40, 30, 2, 1)
+    rng = random.Random(2000)
+    sets = [frozenset(rng.sample(range(len(net.edges)), rng.randint(1, 3))) for _ in range(2000)]
+    classes = partition_classes(preprocess(net, sets)[0])
+    assert len(classes) > 1500
+    above = class_hasse(net, classes).above
+    reps = [c.primary_cut.target for c in classes]
+    caps = [c.primary_cut.capacity for c in classes]
+    set_bits = 0
+    for j in rng.sample(range(len(classes)), 100):
+        survivors = reachable_after_delete(net, classes[j].primary_cut.edges)
+        for i, row in enumerate(above):
+            want = caps[i] < caps[j] and survivors.isdisjoint(reps[i])
+            assert (row >> j & 1) == want, (i, j)
+            set_bits += want
+    assert set_bits
+
+
 def test_domination_rows_read_each_class_representative(fig1):
     # Any member of a class gives the same rows, so hand-built classes with
     # their representatives (their cuts' targets) rotated, each now off its
