@@ -43,7 +43,6 @@ from .wiretap import (
     WiretapCollection,
     class_hasse,
     compute_bound,
-    partition_classes,
     preprocess,
 )
 from .fileio import (
@@ -91,7 +90,6 @@ __all__ = [
     "max_flow",
     "parse_collection",
     "parse_network",
-    "partition_classes",
     "preprocess",
     "primary_min_cut",
     "serialize_collection",

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from . import fileio, flow, wiretap
-from .errors import InstanceTooLarge, ParseError, WtbError
+from .errors import InstanceTooLarge, ParameterOutOfRange, ParseError, WtbError
 from .fileio import LabelTable
 from .graph import Network
 from .wiretap import WiretapCollection
@@ -40,6 +40,14 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not valid UTF-8") from None
     return text.removeprefix("\ufeff")  # a byte-order mark is not content
+
+
+def _output_path(option: str, path: Optional[str]) -> Optional[str]:
+    """`path` as given for `option`; an empty one is refused by name, where
+    opening it would report a directory named '.'."""
+    if path == "":
+        raise ParameterOutOfRange(f"{option}: empty path")
+    return path
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -75,7 +83,7 @@ def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Op
     text += "".join(f"{k}={v}\n" for k, v in machine)
     # Write the file first: a run that cannot write it prints no result. A
     # label stdout cannot encode fails the run before the file is written.
-    if report_path is not None:  # an empty path fails to open, as --dot "" does
+    if report_path is not None:
         encoding = getattr(sys.stdout, "encoding", None)  # None when fd 1 is closed
         if encoding:
             text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
@@ -93,9 +101,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     ]
     if args.regularize:
         before = len(coll.sets)
-        # A primary cut is its own primary cut, so no flow runs here.
+        # A primary cut is its own primary cut, so no flow runs here and
+        # each distinct cut is a class of its own.
         cuts = tuple(dict.fromkeys(coll.cuts))
-        coll = WiretapCollection(sets=cuts, cuts=cuts)
+        coll = WiretapCollection(
+            sets=cuts,
+            cuts=cuts,
+            classes=tuple(wiretap.EquivalenceClass((c,), flow.Cut(c, c)) for c in cuts),
+        )
         human.append(
             f"regularized: {before} sets replaced by {len(coll.sets)} distinct minimum cuts"
         )
@@ -123,14 +136,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         f"(covers {len(net.sinks)} sinks)"
     )
     machine.append(("recommended_alphabet", result.recommended_alphabet))
-    _finish(human, machine, args.report)
+    _finish(human, machine, _output_path("--report", args.report))
     return 0
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     coll = _load_collection(args.collection, net, labels)
-    classes = wiretap.partition_classes(coll)
+    classes = coll.classes
     human = [_network_summary(net, labels), f"collection: {len(coll.sets)} sets"]
     human.append(f"{len(classes)} equivalence classes")
     machine: list[tuple[str, object]] = [("sets", len(coll.sets)), ("classes", len(classes))]
@@ -139,7 +152,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
             f"class {i}: capacity {cls.primary_cut.capacity}, primary cut "
             f"{labels.format_set(cls.primary_cut.edges)}, {len(cls.members)} sets"
         )
-        members = [labels.format_set(coll.sets[m]) for m in cls.members]
+        members = list(map(labels.format_set, cls.members))
         human += [f"  {member}" for member in members]
         machine += [
             (f"class.{i}.capacity", cls.primary_cut.capacity),
@@ -154,10 +167,10 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 def _cmd_hasse(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     coll = _load_collection(args.collection, net, labels)
-    classes = wiretap.partition_classes(coll)
+    classes = coll.classes
     diagram = wiretap.class_hasse(net, classes)
     dot = fileio.export_hasse_dot(diagram)
-    _write_text(args.dot, dot)
+    _write_text(_output_path("--dot", args.dot), dot)
     human = [
         _network_summary(net, labels),
         f"{len(classes)} classes, {len(diagram.covering)} covering pairs, "
@@ -238,7 +251,7 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
 def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     text = fileio.gen_r_wiretap(net, labels, args.r, max_sets=args.max_sets)
-    _write_text(args.out, text)
+    _write_text(_output_path("--out", args.out), text)
     n_sets = text.count("\n")
     sizes = f", sizes 1..{min(args.r, len(net.edges))}" if n_sets else ""
     human = [f"wrote {args.out} ({n_sets} wiretap sets{sizes})"]

@@ -253,9 +253,10 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
     The fast side is the primary cut the flow pass stored per set (its size
-    is the set's capacity) and one class table built from those cuts: a
-    partition and a `class_hasse` diagram, whose maximal classes are the
-    ones `compute_bound` reports. Returns one record per check; `ok` False
+    is the set's capacity), the class table the same pass grouped from
+    those cuts (`coll.classes`, compared as a partition of set indices), and
+    its `class_hasse` diagram, whose maximal classes are the ones
+    `compute_bound` reports. Returns one record per check; `ok` False
     means the two implementations disagree, always a bug in one of them. The
     domination record also fails when the fast relation is not a strict
     partial order, and the n_max record unless n_max <= n <= len(sets).
@@ -288,8 +289,9 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         )
 
     ob = _bounds(exposed, coll.sets, families)
-    classes = wiretap.partition_classes(coll)
-    fast_partition = tuple(cls.members for cls in classes)
+    classes = coll.classes
+    index = {s: i for i, s in enumerate(coll.sets)}
+    fast_partition = tuple(tuple(map(index.__getitem__, cls.members)) for cls in classes)
     record(
         "partition",
         fast_partition == ob.classes,

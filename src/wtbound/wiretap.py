@@ -14,16 +14,18 @@ have the same tails, and the same target edges inside the searched part of
 the network, differ only in edges the flow never reads. The cut is the only
 fact stored per set; its size is the set's capacity. Everything after that
 is set algebra over the stored cuts: sets with the same primary cut form a
-class, and class j dominates class i when j has the larger capacity and
-deleting j's primary cut severs i's representative. `class_hasse` is the
-only code that derives that order, in one topological sweep whose masks
-carry one bit per class; `compute_bound` and `oracle.cross_check` read the
-maximal classes off its diagram.
+class, which the same loop records as it stores each cut, and class j
+dominates class i when j has the larger capacity and deleting j's primary
+cut severs i's representative. `class_hasse` is the only code that derives
+that order, in one topological sweep whose masks carry one bit per class;
+`compute_bound` and `oracle.cross_check` read the maximal classes off its
+diagram.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -33,29 +35,31 @@ from .flow import Cut
 from .graph import EdgeId, Network, NodeId, topological_order
 
 
+class EquivalenceClass(NamedTuple):
+    """One class of mutually equivalent wiretap sets.
+
+    `members` are the member edge sets in collection order; every member
+    shares `primary_cut`, whose target is the first member, the class's
+    representative.
+    """
+
+    members: tuple[frozenset[EdgeId], ...]
+    primary_cut: Cut
+
+
 class WiretapCollection(NamedTuple):
     """Deduplicated wiretap sets with their primary cuts, in input order.
 
     `cuts[i]` is the primary minimum cut of `sets[i]` (sets with equal cuts
-    share one frozenset), and `len(cuts[i])` its minimum cut capacity. Build
-    via `preprocess`. The set count is `len(coll.sets)`; `len(coll)` counts
-    the record's two fields.
+    share one frozenset), and `len(cuts[i])` its minimum cut capacity.
+    `classes` groups the sets by equal cut: one class per distinct cut, in
+    order of first member. Build via `preprocess`. The set count is
+    `len(coll.sets)`; `len(coll)` counts the record's three fields.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
     cuts: tuple[frozenset[EdgeId], ...]
-
-
-class EquivalenceClass(NamedTuple):
-    """One class of mutually equivalent wiretap sets.
-
-    `members` are indices into the owning collection, ascending; every
-    member shares `primary_cut`, whose target is the first member's edge
-    set, the class's representative.
-    """
-
-    members: tuple[int, ...]
-    primary_cut: Cut
+    classes: tuple[EquivalenceClass, ...]
 
 
 class _HasseFields(NamedTuple):
@@ -129,7 +133,7 @@ def _primes() -> Iterator[int]:
 def preprocess(
     net: Network, raw_sets: Iterable[Iterable[EdgeId]]
 ) -> tuple[WiretapCollection, tuple[tuple[int, str, frozenset[EdgeId]], ...]]:
-    """Deduplicate and drop degenerate sets, caching primary cuts.
+    """Deduplicate and drop degenerate sets, caching primary cuts and classes.
 
     Duplicates keep their first occurrence; empty sets and sets none of
     whose edges is reachable from the source (an empty primary cut) are
@@ -137,20 +141,28 @@ def preprocess(
     index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
     Raises UnknownEdge on bad ids.
 
-    One loop, one pass over `raw_sets`: each set is deduplicated, keyed
-    and given its cut, and `flow.max_flow` runs once per reduced flow
-    instance: the set's tails, with multiplicity, and its target edges
-    whose head is live. Why that instance fixes the cut: the flow kernel
-    searches only the live nodes L, the ancestors of the target edges'
-    tails. Inside L the flow problem is fixed by three things: L itself,
-    the exit capacity at each tail (the tail multiset), and which edges
-    inside L stop being pass-through edges (the target edges with a live
-    head). A target edge with a dead head is only an exit at its tail, and
-    a non-target edge into a dead node is never searched. The flow value
-    and the primary source side S (the least min-cut side, Picard & Queyranne
-    1980) depend only on that problem, not on edge ids or on which maximum
-    flow was found. So targets posing equal instances have equal capacities,
-    and cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
+    One loop, one pass over `raw_sets`: each set is deduplicated, keyed,
+    given its cut and placed in its class. `seen` maps each distinct set to
+    its cut in input order, so it deduplicates and is the collection's
+    `sets` and `cuts` at once; an unreachable set stays in it until the
+    loop ends, so a later copy is still dropped as a duplicate. Two sets are
+    equivalent exactly when their primary cuts are equal, so the classes
+    are the groups of equal cuts: `groups` maps each cut to its sets, and
+    its insertion order is the classes' first-member order.
+
+    `flow.max_flow` runs once per reduced flow instance: the set's tails,
+    with multiplicity, and its target edges whose head is live. Why that
+    instance fixes the cut: the flow kernel searches only the live nodes L,
+    the ancestors of the target edges' tails. Inside L the flow problem is
+    fixed by three things: L itself, the exit capacity at each tail (the
+    tail multiset), and which edges inside L stop being pass-through edges
+    (the target edges with a live head). A target edge with a dead head is
+    only an exit at its tail, and a non-target edge into a dead node is
+    never searched. The flow value and the primary source side S (the least
+    min-cut side, Picard & Queyranne 1980) depend only on that problem, not
+    on edge ids or on which maximum flow was found. So targets posing equal
+    instances have equal capacities, and
+    cut(T) = base | {e in T : tail(e) in cut_tails}, where `base` is the
     cut's non-target edges (all with a live head, so none is a target edge
     of another target with the instance) and `cut_tails` the tails of its
     target edges, both taken from the first target solved.
@@ -167,11 +179,13 @@ def preprocess(
     are cached per key; on a miss, L is read off the live mask of the flow
     the miss runs, which also solves the entry's first instance. Every edge
     of T leaves one of the tails, so T's live-headed edges are one
-    intersection with that entry. The cache holds one entry per distinct
-    tail multiset the collection uses (at worst, one per set), each with
-    out-edges of those tails only, and the prime tables one entry per tail
-    and per edge the collection names, so memory grows with the collection,
-    not with the network. Sets with equal cuts share one frozenset.
+    intersection with that entry, skipped when the entry is empty. The
+    cache holds one entry per distinct tail multiset the collection uses
+    (at worst, one per set), each with out-edges of those tails only, and
+    the prime tables one entry per tail and per edge the collection names,
+    so memory grows with the collection, not with the network. Sets with
+    equal cuts share one frozenset, which is also their class's key and
+    primary cut.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
@@ -186,10 +200,9 @@ def preprocess(
         tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
     ] = {}
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
-    kept: list[frozenset[EdgeId]] = []
-    cuts: list[frozenset[EdgeId]] = []
     shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
-    seen: set[frozenset[EdgeId]] = set()
+    seen: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}  # set -> its cut, in input order
+    groups: dict[frozenset[EdgeId], list[frozenset[EdgeId]]] = {}  # cut -> its sets
     for pos, raw in enumerate(raw_sets):
         s = frozenset(raw)
         if not s:
@@ -198,7 +211,6 @@ def preprocess(
         if s in seen:
             drops.append((pos, "duplicate", s))
             continue
-        seen.add(s)
         try:
             key = prod(map(factor.__getitem__, s))
         except KeyError:
@@ -219,7 +231,7 @@ def preprocess(
             )
             entry = cache[key] = (inside, {})
         inside, solved = entry
-        reduced = s & inside
+        reduced = s & inside if inside else inside
         found = solved.get(reduced)
         if found is None:
             cut = (run or flow.max_flow(net, s)).cut
@@ -233,28 +245,27 @@ def preprocess(
             # s has the solved target's tails, so it has an edge at each cut tail
             cut = cut.union([e for e in s if tails[e] in cut_tails])
             cut = shared.setdefault(cut, cut)
-        elif not cut:
+        seen[s] = cut
+        if not cut:
             drops.append((pos, "unreachable", s))
             continue
-        kept.append(s)
-        cuts.append(cut)
-    coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
-    return coll, tuple(drops)
-
-
-def partition_classes(coll: WiretapCollection) -> tuple[EquivalenceClass, ...]:
-    """Group the collection into equivalence classes, by first-member order.
-
-    Two sets are equivalent exactly when they share their primary minimum
-    cut, so the classes are the groups of equal stored cuts; no flow runs.
-    """
-    groups: dict[frozenset[EdgeId], list[int]] = {}
-    for i, cut in enumerate(coll.cuts):
-        groups.setdefault(cut, []).append(i)
-    return tuple(
-        EquivalenceClass(members=tuple(mem), primary_cut=Cut(coll.sets[mem[0]], cut))
-        for cut, mem in groups.items()
+        members = groups.get(cut)
+        if members is None:
+            groups[cut] = [s]
+        else:
+            members.append(s)
+    for _, kind, s in drops:
+        if kind == "unreachable":
+            del seen[s]
+    coll = WiretapCollection(
+        sets=tuple(seen),
+        cuts=tuple(seen.values()),
+        classes=tuple(
+            EquivalenceClass(members=tuple(members), primary_cut=Cut(members[0], cut))
+            for cut, members in groups.items()
+        ),
     )
+    return coll, tuple(drops)
 
 
 def _bits(mask: int) -> list[int]:
@@ -331,17 +342,20 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     """
     if mode not in ("nmax", "n", "both"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax', 'n' or 'both'")
-    classes = partition_classes(coll)
+    classes = coll.classes
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
     if mode in ("nmax", "both"):
         classes = tuple(classes[i] for i in class_hasse(net, classes).maximal)
         n_max = len(classes)
-
-    def pick_key(cls: EquivalenceClass) -> tuple[int, list[EdgeId]]:
-        return min((-len(coll.sets[m]), sorted(coll.sets[m])) for m in cls.members)
-
-    picks = sorted((pick_key(cls), i) for i, cls in enumerate(classes))
+    picks = []
+    for i, cls in enumerate(classes):
+        # min((-len(s), sorted(s)) for s in cls.members), without a frame per member
+        sizes = list(map(len, cls.members))
+        size = max(sizes)
+        largest = compress(cls.members, map(size.__eq__, sizes))
+        picks.append(((-size, min(map(sorted, largest))), i))
+    picks.sort()
     cuts = tuple(
         Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
         for (_, edges), i in picks

@@ -12,7 +12,6 @@ from wtbound import (
     compute_bound,
     parse_collection,
     parse_network,
-    partition_classes,
     preprocess,
 )
 
@@ -74,7 +73,7 @@ def corpus():
                 coll=coll,
                 fams=fams,
                 ob=oracle_bounds(net, coll.sets),
-                classes=partition_classes(coll),
+                classes=coll.classes,
                 report=compute_bound(net, coll),
             )
         )

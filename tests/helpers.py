@@ -105,6 +105,21 @@ def wtb_process(argv, extra_env=None, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
+def draw_dag(draw) -> Network:
+    """A DAG on <=7 nodes with <=10 edges (parallel edges possible), node ids
+    ascending along every edge so node 0 is a valid source. The first edge
+    leaves node 0, so some edge is always reachable. `draw` is a Hypothesis
+    draw function."""
+    from hypothesis import strategies as st
+
+    n_nodes = draw(st.integers(2, 7))
+    pairs = st.integers(0, n_nodes - 2).flatmap(
+        lambda t: st.tuples(st.just(t), st.integers(t + 1, n_nodes - 1))
+    )
+    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=9))]
+    return build_network(edges, source=0, num_nodes=n_nodes)
+
+
 def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
     """A random DAG (<=8 nodes, <=14 edges, parallel edges possible) plus a
     random collection (<=20 sets of <=3 edges, duplicates and unreachable
@@ -249,8 +264,35 @@ def reference_preprocess(
             continue
         kept.append(s)
         cuts.append(flow.cut)
-    coll = WiretapCollection(sets=tuple(kept), cuts=tuple(cuts))
+    coll = WiretapCollection(
+        sets=tuple(kept), cuts=tuple(cuts), classes=reference_classes(kept, cuts)
+    )
     return coll, tuple(drops)
+
+
+def reference_classes(
+    sets: Sequence[frozenset[int]], cuts: Sequence[frozenset[int]]
+) -> tuple[EquivalenceClass, ...]:
+    """`WiretapCollection.classes` by the definition: one class per distinct
+    cut, in order of its first set, holding every set with that cut in input
+    order, with the first of them as its primary cut's target."""
+    distinct: list[frozenset[int]] = []
+    for cut in cuts:
+        if cut not in distinct:
+            distinct.append(cut)
+    classes = []
+    for cut in distinct:
+        members = tuple(s for s, c in zip(sets, cuts) if c == cut)
+        classes.append(EquivalenceClass(members=members, primary_cut=Cut(members[0], cut)))
+    return tuple(classes)
+
+
+def member_sets(
+    sets: Sequence[frozenset[int]], classes: Iterable[Sequence[int]]
+) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Classes given as indices into `sets` (the oracle's form), as the
+    member sets `EquivalenceClass.members` holds."""
+    return tuple(tuple(sets[m] for m in cls) for cls in classes)
 
 
 def reference_flow_key(net: Network, target: frozenset[int]) -> tuple[tuple[int, ...], frozenset[int]]:

@@ -22,7 +22,6 @@ from wtbound import (
     max_flow,
     parse_collection,
     parse_network,
-    partition_classes,
     primary_min_cut,
 )
 from wtbound.cli import main
@@ -39,6 +38,7 @@ from helpers import (
     enumerate_min_cuts,
     equivalent,
     eset,
+    member_sets,
     minord_merge,
     oracle_bounds,
     oracle_primary_min_cut,
@@ -85,13 +85,13 @@ def test_maximal_cut_list_is_invariant_under_tie_breaking(fig1):
 
 
 def test_two_sink_instance_class_structure(fig1):
-    classes = partition_classes(fig1.coll)
+    classes = fig1.coll.classes
     assert len(classes) == 15
     assert sorted(len(c.members) for c in classes) == [2] * 9 + [3] * 2 + [4] * 2 + [8] * 2
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
         assert cls.primary_cut.capacity == cap
         assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
-        assert [fig1.coll.sets[m] for m in cls.members] == [
+        assert list(cls.members) == [
             eset(fig1.labels, spec) for spec in member_specs
         ]
     diagram = class_hasse(fig1.net, classes)
@@ -121,8 +121,8 @@ def test_two_sink_instance_matches_reference_diagram(fig1):
     """
     lab = fig1.labels
     ob = oracle_bounds(fig1.net, fig1.coll.sets)
-    classes = partition_classes(fig1.coll)
-    assert ob.classes == tuple(cls.members for cls in classes)
+    classes = fig1.coll.classes
+    assert member_sets(fig1.coll.sets, ob.classes) == tuple(cls.members for cls in classes)
     families = [
         [enumerate_min_cuts(fig1.net, fig1.coll.sets[m]) for m in members]
         for members in ob.classes
@@ -220,7 +220,9 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
             assert fast_cut == oracle_primary_min_cut(net, s).edges, (rec.seed, sorted(s))
             assert fast_cut in rec.fams[i].cuts, (rec.seed, sorted(s))
 
-        assert tuple(cls.members for cls in rec.classes) == rec.ob.classes, rec.seed
+        assert tuple(cls.members for cls in rec.classes) == member_sets(
+            coll.sets, rec.ob.classes
+        ), rec.seed
 
         fast_order = set()
         for i, ci in enumerate(rec.classes):

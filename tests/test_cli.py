@@ -127,7 +127,22 @@ def test_bound_report_that_cannot_be_written_prints_no_result(data_files, tmp_pa
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and str(report) in captured.err
+        assert captured.err.startswith("error: ")
+        if report == "":  # named by its option, not by the '.' it would open
+            assert captured.err == "error: --report: empty path\n"
+        else:
+            assert str(report) in captured.err
+
+
+def test_an_empty_output_path_names_its_option(data_files, capsys):
+    net, sets = str(data_files / "fig1.net"), str(data_files / "fig1.wsets")
+    for option, argv in (
+        ("--dot", ["hasse", net, sets, "--dot", ""]),
+        ("--out", ["gen", "rwiretap", net, "--r", "1", "--out", ""]),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {option}: empty path\n")
 
 
 def test_classes_fig1(data_files, capsys):
@@ -257,7 +272,7 @@ def test_gen_rwiretap_on_a_network_with_no_edges_names_no_sizes(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "command, partitions, diagrams",
+    "command, tables, diagrams",
     [
         (["bound"], 1, 1),
         (["bound", "--mode", "nmax"], 1, 1),
@@ -270,13 +285,14 @@ def test_gen_rwiretap_on_a_network_with_no_edges_names_no_sizes(tmp_path, capsys
     ids=["bound", "bound-nmax", "bound-regularize", "bound-n", "classes", "hasse", "verify"],
 )
 def test_each_command_builds_one_class_table(
-    data_files, tmp_path, capsys, monkeypatch, command, partitions, diagrams
+    data_files, tmp_path, capsys, monkeypatch, command, tables, diagrams
 ):
-    # one partition per collection command, and one domination pass for each
-    # command that needs the maximal classes
+    # one `preprocess`, which groups the classes, per collection command, and
+    # one domination pass for each command that needs the maximal classes
     import wtbound.wiretap
 
-    calls = {"partition_classes": 0, "class_hasse": 0}
+    calls = {"preprocess": 0, "class_hasse": 0}
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "wtbound"]
     for name in calls:
         real = getattr(wtbound.wiretap, name)
 
@@ -284,13 +300,15 @@ def test_each_command_builds_one_class_table(
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(wtbound.wiretap, name, counted)
+        for module in modules:  # `from .wiretap import preprocess` holds its own reference
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     fig1 = [str(data_files / "fig1.net"), str(data_files / "fig1.wsets")]
     if command[-1] == "--dot":
         command = [*command, str(tmp_path / "fig1.dot")]
     assert main([command[0], *fig1, *command[1:]]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
-    assert calls == {"partition_classes": partitions, "class_hasse": diagrams}
+    assert calls == {"preprocess": tables, "class_hasse": diagrams}
 
 
 def test_verify_clean_instance(g21, capsys):
@@ -610,7 +628,7 @@ def test_every_public_name_resolves_before_the_oracle_is_loaded():
     # the second line holds the lazily resolved names: the oracle's public
     # surface is its check and the check's record
     assert out == "False\nCheckResult cross_check\n\n\n"
-    assert len(wtbound.__all__) == len(set(wtbound.__all__)) == 37
+    assert len(wtbound.__all__) == len(set(wtbound.__all__)) == 36
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         wtbound.no_such_name
 

@@ -25,7 +25,6 @@ from wtbound import (
     max_flow,
     parse_collection,
     parse_network,
-    partition_classes,
     serialize_collection,
     serialize_network,
 )
@@ -387,12 +386,12 @@ def test_export_hasse_dot_small_golden():
     net_text, sets_text = gen_combination(2, 1, 1)
     net, labels = parse_network(net_text)
     coll, _ = parse_collection(sets_text, net, labels)
-    diagram = class_hasse(net, partition_classes(coll))
+    diagram = class_hasse(net, coll.classes)
     assert export_hasse_dot(diagram) == G21_DOT
 
 
 def test_export_hasse_dot_fig1(fig1):
-    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
+    diagram = class_hasse(fig1.net, fig1.coll.classes)
     dot = export_hasse_dot(diagram)
     lines = dot.splitlines()
     assert lines[0] == "digraph classes {"

@@ -7,6 +7,8 @@ import pytest
 
 import wtbound.flow
 from wtbound import (
+    Cut,
+    EquivalenceClass,
     UnknownEdgeLabel,
     WiretapCollection,
     WtbError,
@@ -17,7 +19,6 @@ from wtbound import (
     max_flow,
     parse_collection,
     parse_network,
-    partition_classes,
     preprocess,
     primary_min_cut,
     serialize_collection,
@@ -26,6 +27,7 @@ from wtbound import (
 
 from helpers import (
     COLLECTION_NETWORK,
+    draw_dag,
     enumerate_min_cuts,
     oracle_bounds,
     oracle_primary_min_cut,
@@ -37,18 +39,6 @@ from helpers import (
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-
-
-def draw_dag(draw):
-    """A DAG on <=7 nodes with <=10 edges (parallel edges possible), node ids
-    ascending along every edge so node 0 is a valid source. The first edge
-    leaves node 0, so some edge is always reachable."""
-    n_nodes = draw(st.integers(2, 7))
-    pairs = st.integers(0, n_nodes - 2).flatmap(
-        lambda t: st.tuples(st.just(t), st.integers(t + 1, n_nodes - 1))
-    )
-    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=9))]
-    return build_network(edges, source=0, num_nodes=n_nodes)
 
 
 @st.composite
@@ -91,7 +81,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     report = compute_bound(net, coll)
     oracle = oracle_bounds(net, coll.sets)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
-    classes = partition_classes(coll)
+    classes = coll.classes
     assert list(class_hasse(net, classes).above) == reference_domination_rows(net, classes)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
     assert oracle == reference_bounds(net, coll.sets, fams)
@@ -218,7 +208,9 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
     for c in coll.cuts:
         assert primary_min_cut(net, c).edges == c
     cuts = tuple(dict.fromkeys(coll.cuts))
-    regular = WiretapCollection(sets=cuts, cuts=cuts)
+    regular = WiretapCollection(
+        sets=cuts, cuts=cuts, classes=tuple(EquivalenceClass((c,), Cut(c, c)) for c in cuts)
+    )
     assert preprocess(net, coll.cuts)[0] == regular
     assert bound_summary(net, regular) == bound_summary(net, coll)
 

@@ -10,7 +10,6 @@ from wtbound import (
     build_network,
     class_hasse,
     compute_bound,
-    partition_classes,
     primary_min_cut,
 )
 
@@ -20,7 +19,7 @@ from helpers import FIG1_COVERING, enumerate_min_cuts
 @pytest.fixture(scope="module")
 def records(fig1):
     """One record of each type, taken from what the package computes on fig1."""
-    classes = partition_classes(fig1.coll)
+    classes = fig1.coll.classes
     target = fig1.coll.sets[0]
     return {
         "Network": fig1.net,
@@ -83,7 +82,7 @@ def test_network_adjacency_is_computed_once(fig1):
 
 
 def test_hasse_covering_is_computed_once(fig1):
-    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
+    diagram = class_hasse(fig1.net, fig1.coll.classes)
     unread = pickle.loads(pickle.dumps(diagram))
     covering = diagram.covering
     assert sorted(covering) == FIG1_COVERING and diagram.covering is covering

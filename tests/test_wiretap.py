@@ -19,7 +19,6 @@ from wtbound import (
     gen_combination,
     parse_collection,
     parse_network,
-    partition_classes,
     preprocess,
     primary_min_cut,
 )
@@ -32,12 +31,15 @@ from helpers import (
     FIG1_MAXIMAL_CUTS,
     FIG1_ORDER,
     dominates,
+    draw_dag,
     equivalent,
     eset,
     layered_network,
+    oracle_bounds,
     pruning_loop,
     random_instance,
     reachable_after_delete,
+    reference_classes,
     reference_domination_rows,
     reference_preprocess,
 )
@@ -129,6 +131,48 @@ def test_preprocess_finds_live_nodes_once_per_flow(fig1, monkeypatch):
         assert calls == {"max_flow": flows, "_live_nodes": flows}
 
 
+def test_preprocess_groups_drawn_collections_as_the_references_do():
+    # Each drawn collection holds an empty set, a repeat, and an unreachable
+    # set twice, shuffled among the drawn sets: the loop must keep the
+    # unreachable one in `seen` so that its copy drops as a duplicate.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def collections(draw):
+        drawn = draw_dag(draw)
+        # two fresh nodes past the drawn ones: the source misses their edge
+        n = drawn.num_nodes
+        net = build_network([*drawn.edges, (n, n + 1)], source=0, num_nodes=n + 2)
+        off = len(drawn.edges)
+        edge_set = st.frozensets(st.integers(0, off), max_size=3)
+        sets = draw(st.lists(edge_set, min_size=1, max_size=8))
+        sets += [frozenset(), sets[0], frozenset({off}), frozenset({off})]
+        return net, draw(st.permutations(sets))
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(collections())
+    def check(case):
+        net, sets = case
+        coll, drops = preprocess(net, sets)
+        want, want_drops = reference_preprocess(net, sets)
+        assert coll.classes == reference_classes(coll.sets, coll.cuts)
+        assert (coll.sets, coll.cuts, drops) == (want.sets, want.cuts, want_drops)
+        unreachable = frozenset({len(net.edges) - 1})
+        kinds = [kind for _, kind, s in drops if s == unreachable]
+        assert kinds[0] == "unreachable" and set(kinds[1:]) == {"duplicate"}
+        oracle = oracle_bounds(net, coll.sets)
+        for mode, counts in (
+            ("n", (oracle.n, None)),
+            ("nmax", (None, oracle.n_max)),
+            ("both", (oracle.n, oracle.n_max)),
+        ):
+            report = compute_bound(net, coll, mode=mode)
+            assert (report.n_classes, report.n_max) == counts
+
+    check()
+
+
 def test_preprocess_checks_every_id_before_sharing_a_flow():
     net = build_network(HAND_EDGES, source=0)
     for bad in ({4, 9}, {4, -1}):
@@ -195,21 +239,20 @@ def test_dominates(fig1):
 
 
 def test_partition_classes_fig1(fig1):
-    classes = partition_classes(fig1.coll)
+    classes = fig1.coll.classes
     assert len(classes) == 15
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
         assert cls.primary_cut.capacity == cap
         assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
-        got = [fig1.coll.sets[m] for m in cls.members]
-        assert got == [eset(fig1.labels, spec) for spec in member_specs]
-        assert cls.primary_cut.target == got[0]
+        assert list(cls.members) == [eset(fig1.labels, spec) for spec in member_specs]
+        assert cls.primary_cut.target == cls.members[0]
     # Classes partition the collection.
-    all_members = sorted(m for cls in classes for m in cls.members)
-    assert all_members == list(range(48))
+    all_members = [s for cls in classes for s in cls.members]
+    assert sorted(all_members, key=fig1.coll.sets.index) == list(fig1.coll.sets)
 
 
 def test_class_hasse_fig1(fig1):
-    diagram = class_hasse(fig1.net, partition_classes(fig1.coll))
+    diagram = class_hasse(fig1.net, fig1.coll.classes)
     assert sorted(diagram.covering) == FIG1_COVERING
     assert diagram.maximal == (12, 13, 14)
     order = {(i, j) for i, row in enumerate(diagram.above) for j in range(15) if row >> j & 1}
@@ -225,7 +268,7 @@ def test_covering_pairs_come_in_ascending_order(fig1, instance):
         net = layered_network(5, 4, 2, 1)
         sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
         coll, pairs = preprocess(net, sets)[0], 466
-    covering = class_hasse(net, partition_classes(coll)).covering
+    covering = class_hasse(net, coll.classes).covering
     assert len(covering) == pairs
     assert covering == tuple(sorted(covering))
 
@@ -258,7 +301,7 @@ def test_reachable_after_delete(fig1):
 
 
 def assert_rows_match_reference(net, coll):
-    classes = partition_classes(coll)
+    classes = coll.classes
     rows = list(class_hasse(net, classes).above)
     assert rows == reference_domination_rows(net, classes)
     return rows
@@ -294,7 +337,7 @@ def test_domination_columns_match_reachability_on_a_class_heavy_network():
     net = layered_network(40, 30, 2, 1)
     rng = random.Random(2000)
     sets = [frozenset(rng.sample(range(len(net.edges)), rng.randint(1, 3))) for _ in range(2000)]
-    classes = partition_classes(preprocess(net, sets)[0])
+    classes = preprocess(net, sets)[0].classes
     assert len(classes) > 1500
     above = class_hasse(net, classes).above
     reps = [c.primary_cut.target for c in classes]
@@ -313,7 +356,7 @@ def test_domination_rows_read_each_class_representative(fig1):
     # Any member of a class gives the same rows, so hand-built classes with
     # their representatives (their cuts' targets) rotated, each now off its
     # own cut, show which edge set the rows read.
-    classes = partition_classes(fig1.coll)
+    classes = fig1.coll.classes
     rotated = [
         c._replace(primary_cut=c.primary_cut._replace(target=classes[i - 1].primary_cut.target))
         for i, c in enumerate(classes)
@@ -326,14 +369,16 @@ def test_domination_rows_read_each_class_representative(fig1):
 def test_bad_class_ids_raise_unknown_edge():
     # a 3-edge path s -> a -> b -> t, hand-built classes around a good one
     net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
-    good = partition_classes(preprocess(net, [{1, 2}])[0])[0]
+    good = preprocess(net, [{1, 2}])[0].classes[0]
     bad = [
         good._replace(primary_cut=good.primary_cut._replace(edges=frozenset({5}))),
         good._replace(primary_cut=good.primary_cut._replace(target=frozenset({-1}))),
         good._replace(primary_cut=good.primary_cut._replace(target=frozenset({9}))),
     ]
     for cls in bad:
-        coll = WiretapCollection(sets=(cls.primary_cut.target,), cuts=(cls.primary_cut.edges,))
+        target, cut = cls.primary_cut
+        cls = cls._replace(members=(target,))
+        coll = WiretapCollection(sets=(target,), cuts=(cut,), classes=(cls,))
         with pytest.raises(UnknownEdge):
             class_hasse(net, [good, cls])
         with pytest.raises(UnknownEdge):
@@ -396,10 +441,37 @@ def test_compute_bound_picks_the_smallest_of_the_largest_members():
         assert [c.edges for c in cuts] == pruning_loop(net, coll, per_capacity)
 
 
+def test_compute_bound_picks_by_the_size_then_edge_list_key():
+    # s->x twice (0, 1), x->t three times (2-4), s->t (5). The maximal
+    # class cut by x's two in-edges {0, 1} has members of sizes 2 and 3, so
+    # its pick must come from its largest member only.
+    net = build_network([(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (0, 2)], source=0)
+    sets = [{2, 3}, {5}, {3, 4}, {2, 3, 4}, {0, 1}, {0}, {2, 4}]
+    coll, drops = preprocess(net, sets)
+    assert drops == ()
+    sizes = {cls.primary_cut.edges: sorted(map(len, cls.members)) for cls in coll.classes}
+    assert sizes[frozenset({0, 1})] == [2, 2, 2, 2, 3]
+
+    def old_key(cls):
+        return min((-len(s), sorted(s)) for s in cls.members)
+
+    for mode in ("n", "nmax", "both"):
+        report = compute_bound(net, coll, mode=mode)
+        picked = {c.edges: c for c in report.cuts}
+        classes = [cls for cls in coll.classes if cls.primary_cut.edges in picked]
+        assert len(classes) == len(report.cuts)
+        classes.sort(key=old_key)
+        assert [c.edges for c in report.cuts] == [cls.primary_cut.edges for cls in classes]
+        assert [c.target for c in report.cuts] == [
+            frozenset(old_key(cls)[1]) for cls in classes
+        ]
+    assert picked[frozenset({0, 1})].target == frozenset({2, 3, 4})
+
+
 def test_compute_bound_degenerate_inputs(fig1):
     from wtbound import WiretapCollection, build_network
 
-    empty = WiretapCollection(sets=(), cuts=())
+    empty = WiretapCollection(sets=(), cuts=(), classes=())
     rep = compute_bound(fig1.net, empty)
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
