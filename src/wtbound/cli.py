@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from . import fileio, flow, wiretap
-from .errors import InstanceTooLarge, ParameterOutOfRange, ParseError, WtbError
+from .errors import InstanceTooLarge, ParameterOutOfRange, ParseError, UnreachableTarget, WtbError
 from .fileio import LabelTable
 from .graph import Network
 from .wiretap import WiretapCollection
@@ -103,11 +103,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         before = len(coll.sets)
         # A primary cut is its own primary cut, so no flow runs here and
         # each distinct cut is a class of its own.
-        cuts = tuple(dict.fromkeys(coll.cuts))
+        cuts = tuple(c.cut for c in coll.classes)
         coll = WiretapCollection(
-            sets=cuts,
-            cuts=cuts,
-            classes=tuple(wiretap.EquivalenceClass((c,), flow.Cut(c, c)) for c in cuts),
+            sets=cuts, classes=tuple(wiretap.EquivalenceClass((c,), c) for c in cuts)
         )
         human.append(
             f"regularized: {before} sets replaced by {len(coll.sets)} distinct minimum cuts"
@@ -149,14 +147,14 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     machine: list[tuple[str, object]] = [("sets", len(coll.sets)), ("classes", len(classes))]
     for i, cls in enumerate(classes, start=1):
         human.append(
-            f"class {i}: capacity {cls.primary_cut.capacity}, primary cut "
-            f"{labels.format_set(cls.primary_cut.edges)}, {len(cls.members)} sets"
+            f"class {i}: capacity {len(cls.cut)}, primary cut "
+            f"{labels.format_set(cls.cut)}, {len(cls.members)} sets"
         )
         members = list(map(labels.format_set, cls.members))
         human += [f"  {member}" for member in members]
         machine += [
-            (f"class.{i}.capacity", cls.primary_cut.capacity),
-            (f"class.{i}.cut", labels.format_edges(cls.primary_cut.edges)),
+            (f"class.{i}.capacity", len(cls.cut)),
+            (f"class.{i}.cut", labels.format_edges(cls.cut)),
             (f"class.{i}.size", len(cls.members)),
             (f"class.{i}.members", ";".join(members)),
         ]
@@ -195,7 +193,12 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 def _cmd_primary_cut(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     target = _parse_target(args.target, labels)
-    cut = flow.primary_min_cut(net, target)
+    try:
+        cut = flow.primary_min_cut(net, target)
+    except UnreachableTarget:  # the library names edge ids; this names labels
+        raise UnreachableTarget(
+            f"no edge of {labels.format_set(target)} is reachable from the source"
+        ) from None
     human = [
         f"primary minimum cut of {labels.format_set(target)}: "
         f"{labels.format_set(cut.edges)} (capacity {cut.capacity})"
@@ -225,8 +228,9 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
     net_text, sets_text = fileio.gen_combination(
         args.n, args.k, args.r, max_sets=args.max_sets
     )
-    net_path = Path(args.out_prefix + ".net")
-    sets_path = Path(args.out_prefix + ".wsets")
+    prefix = _output_path("--out-prefix", args.out_prefix)
+    net_path = Path(f"{prefix}.net")
+    sets_path = Path(f"{prefix}.wsets")
     _write_text(net_path, net_text)
     _write_text(sets_path, sets_text)
     net, _ = fileio.parse_network(net_text)

@@ -252,10 +252,11 @@ class CheckResult(NamedTuple):
 def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
-    The fast side is the primary cut the flow pass stored per set (its size
-    is the set's capacity), the class table the same pass grouped from
-    those cuts (`coll.classes`, compared as a partition of set indices), and
-    its `class_hasse` diagram, whose maximal classes are the ones
+    The fast side is the class table the flow pass built (`coll.classes`,
+    compared as a partition of set indices), each set's primary cut, read
+    as the `cut` of the class that holds it (its size is the set's
+    capacity; a set no class holds reads the empty cut), and the table's
+    `class_hasse` diagram, whose maximal classes are the ones
     `compute_bound` reports. Returns one record per check; `ok` False
     means the two implementations disagree, always a bug in one of them. The
     domination record also fails when the fast relation is not a strict
@@ -271,9 +272,10 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     # each family is enumerated once and serves every record below
     exposed = _Exposed(net)
     families = [_min_cuts(exposed, s) for s in coll.sets]
+    cut_of = {s: cls.cut for cls in coll.classes for s in cls.members}
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
-        fast_cut = coll.cuts[i]
+        fast_cut = cut_of.get(s, frozenset())
         fast, slow = len(fast_cut), families[i].capacity
         record(
             f"mincut[{i}]",
@@ -323,7 +325,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
 
     dominated = {i for i, _ in ob.order}
     oracle_b = {primaries[cls[0]] for i, cls in enumerate(ob.classes) if i not in dominated}
-    fast_b = {classes[i].primary_cut.edges for i in diagram.maximal}
+    fast_b = {classes[i].cut for i in diagram.maximal}
     record(
         "maximal_cuts",
         fast_b == oracle_b,

@@ -11,15 +11,15 @@ always at most the class count N, which is at most the collection size.
 One maximum flow per distinct reduced flow instance (in `preprocess`)
 yields the primary cut of every set that poses it: sets whose target edges
 have the same tails, and the same target edges inside the searched part of
-the network, differ only in edges the flow never reads. The cut is the only
-fact stored per set; its size is the set's capacity. Everything after that
-is set algebra over the stored cuts: sets with the same primary cut form a
-class, which the same loop records as it stores each cut, and class j
-dominates class i when j has the larger capacity and deleting j's primary
-cut severs i's representative. `class_hasse` is the only code that derives
-that order, in one topological sweep whose masks carry one bit per class;
-`compute_bound` and `oracle.cross_check` read the maximal classes off its
-diagram.
+the network, differ only in edges the flow never reads. Sets with the same
+primary cut form a class, and the class table is the only place a cut is
+stored: each class holds its cut once, and a set's cut, whose size is the
+set's capacity, is the cut of the class that holds it. Everything after
+that is set algebra over the classes' cuts: class j dominates class i when
+j has the larger capacity and deleting j's cut severs i's representative.
+`class_hasse` is the only code that derives that order, in one topological
+sweep whose masks carry one bit per class; `compute_bound` and
+`oracle.cross_check` read the maximal classes off its diagram.
 """
 
 from __future__ import annotations
@@ -39,26 +39,25 @@ class EquivalenceClass(NamedTuple):
     """One class of mutually equivalent wiretap sets.
 
     `members` are the member edge sets in collection order; every member
-    shares `primary_cut`, whose target is the first member, the class's
-    representative.
+    has the primary minimum cut `cut`, and `len(cut)` is the class's
+    capacity. The first member is the class's representative.
     """
 
     members: tuple[frozenset[EdgeId], ...]
-    primary_cut: Cut
+    cut: frozenset[EdgeId]
 
 
 class WiretapCollection(NamedTuple):
-    """Deduplicated wiretap sets with their primary cuts, in input order.
+    """Deduplicated wiretap sets, in input order, and their class table.
 
-    `cuts[i]` is the primary minimum cut of `sets[i]` (sets with equal cuts
-    share one frozenset), and `len(cuts[i])` its minimum cut capacity.
-    `classes` groups the sets by equal cut: one class per distinct cut, in
-    order of first member. Build via `preprocess`. The set count is
-    `len(coll.sets)`; `len(coll)` counts the record's three fields.
+    `classes` groups the sets by equal primary cut: one class per distinct
+    cut, in order of first member. A set's primary cut is the `cut` of the
+    class that holds it, and its size the set's minimum cut capacity.
+    Build via `preprocess`. The set count is `len(coll.sets)`; `len(coll)`
+    counts the record's two fields.
     """
 
     sets: tuple[frozenset[EdgeId], ...]
-    cuts: tuple[frozenset[EdgeId], ...]
     classes: tuple[EquivalenceClass, ...]
 
 
@@ -142,13 +141,12 @@ def preprocess(
     Raises UnknownEdge on bad ids.
 
     One loop, one pass over `raw_sets`: each set is deduplicated, keyed,
-    given its cut and placed in its class. `seen` maps each distinct set to
-    its cut in input order, so it deduplicates and is the collection's
-    `sets` and `cuts` at once; an unreachable set stays in it until the
-    loop ends, so a later copy is still dropped as a duplicate. Two sets are
-    equivalent exactly when their primary cuts are equal, so the classes
-    are the groups of equal cuts: `groups` maps each cut to its sets, and
-    its insertion order is the classes' first-member order.
+    given its cut and placed in its class. `seen` holds every distinct set,
+    an unreachable one too, so a later copy is dropped as a duplicate;
+    `kept` lists the reachable ones in input order. Two sets are equivalent
+    exactly when their primary cuts are equal, so the classes are the
+    groups of equal cuts: `groups` maps each cut to its sets, and its
+    insertion order is the classes' first-member order.
 
     `flow.max_flow` runs once per reduced flow instance: the set's tails,
     with multiplicity, and its target edges whose head is live. Why that
@@ -183,9 +181,8 @@ def preprocess(
     cache holds one entry per distinct tail multiset the collection uses
     (at worst, one per set), each with out-edges of those tails only, and
     the prime tables one entry per tail and per edge the collection names,
-    so memory grows with the collection, not with the network. Sets with
-    equal cuts share one frozenset, which is also their class's key and
-    primary cut.
+    so memory grows with the collection, not with the network. A set's cut
+    is kept only as its class's key and `cut`, once per class.
     """
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
@@ -200,8 +197,8 @@ def preprocess(
         tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
     ] = {}
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
-    shared: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}
-    seen: dict[frozenset[EdgeId], frozenset[EdgeId]] = {}  # set -> its cut, in input order
+    seen: set[frozenset[EdgeId]] = set()
+    kept: list[frozenset[EdgeId]] = []
     groups: dict[frozenset[EdgeId], list[frozenset[EdgeId]]] = {}  # cut -> its sets
     for pos, raw in enumerate(raw_sets):
         s = frozenset(raw)
@@ -211,6 +208,7 @@ def preprocess(
         if s in seen:
             drops.append((pos, "duplicate", s))
             continue
+        seen.add(s)
         try:
             key = prod(map(factor.__getitem__, s))
         except KeyError:
@@ -235,34 +233,24 @@ def preprocess(
         found = solved.get(reduced)
         if found is None:
             cut = (run or flow.max_flow(net, s)).cut
-            base = cut - s
-            found = solved[reduced] = (
-                shared.setdefault(base, base),
-                frozenset(tails[e] for e in cut & s),
-            )
+            found = solved[reduced] = (cut - s, frozenset(tails[e] for e in cut & s))
         cut, cut_tails = found
         if cut_tails:
             # s has the solved target's tails, so it has an edge at each cut tail
             cut = cut.union([e for e in s if tails[e] in cut_tails])
-            cut = shared.setdefault(cut, cut)
-        seen[s] = cut
         if not cut:
             drops.append((pos, "unreachable", s))
             continue
+        kept.append(s)
         members = groups.get(cut)
         if members is None:
             groups[cut] = [s]
         else:
             members.append(s)
-    for _, kind, s in drops:
-        if kind == "unreachable":
-            del seen[s]
     coll = WiretapCollection(
-        sets=tuple(seen),
-        cuts=tuple(seen.values()),
+        sets=tuple(kept),
         classes=tuple(
-            EquivalenceClass(members=tuple(members), primary_cut=Cut(members[0], cut))
-            for cut, members in groups.items()
+            EquivalenceClass(members=tuple(members), cut=cut) for cut, members in groups.items()
         ),
     )
     return coll, tuple(drops)
@@ -282,28 +270,27 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     """The domination order on classes, as one bitmask row per class.
 
     Class j dominates class i when its capacity is larger and deleting its
-    primary cut leaves no edge of i's representative (the target of i's
-    primary cut) reachable. One sweep in topological order decides this for
-    all j at once; bit j of each mask stands for the network without j's
-    cut. `severs[e]` holds the classes whose cut contains edge e, and
-    `reach[v]` the classes whose cut leaves node v reachable: all of them
-    at the source, elsewhere the OR of `kept[e] = reach[tail] & ~severs[e]`
-    over v's in-edges. Every tail is swept before its heads, so bit j of
-    `kept[e]` is set exactly when e is not in j's cut and the source reaches
-    e's tail with that cut deleted: when a search from the source that skips
-    j's cut edges would cross e. So j dominates i exactly when j is larger
-    and no edge of i's representative is kept for j. Raises UnknownEdge on a
-    bad representative or cut id. `oracle.cross_check` checks that the
-    relation is a strict partial order.
+    cut leaves no edge of i's representative (i's first member) reachable.
+    One sweep in topological order decides this for all j at once; bit j of
+    each mask stands for the network without j's cut. `severs[e]` holds the
+    classes whose cut contains edge e, and `reach[v]` the classes whose cut
+    leaves node v reachable: all of them at the source, elsewhere the OR of
+    `kept[e] = reach[tail] & ~severs[e]` over v's in-edges. Every tail is
+    swept before its heads, so bit j of `kept[e]` is set exactly when e is
+    not in j's cut and the source reaches e's tail with that cut deleted:
+    when a search from the source that skips j's cut edges would cross e. So
+    j dominates i exactly when j is larger and no edge of i's representative
+    is kept for j. Raises UnknownEdge on a bad representative or cut id.
+    `oracle.cross_check` checks that the relation is a strict partial order.
     """
     severs = [0] * len(net.edges)
     at_cap: dict[int, int] = {}  # capacity -> the classes that have it
     for j, c in enumerate(classes):
-        for e in c.primary_cut.target | c.primary_cut.edges:
+        for e in c.members[0] | c.cut:
             net.check_edge(e)
-        for e in c.primary_cut.edges:
+        for e in c.cut:
             severs[e] |= 1 << j
-        at_cap[c.primary_cut.capacity] = at_cap.get(c.primary_cut.capacity, 0) | 1 << j
+        at_cap[len(c.cut)] = at_cap.get(len(c.cut), 0) | 1 << j
     larger, acc = {}, 0  # capacity -> the classes of larger capacity
     for cap in sorted(at_cap, reverse=True):
         larger[cap], acc = acc, acc | at_cap[cap]
@@ -317,9 +304,9 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     rows = []
     for c in classes:
         kept = 0
-        for e in c.primary_cut.target:
+        for e in c.members[0]:
             kept |= reach[edges[e][0]] & ~severs[e]
-        rows.append(larger[c.primary_cut.capacity] & ~kept)
+        rows.append(larger[len(c.cut)] & ~kept)
     return HasseDiagram(
         classes=tuple(classes),
         maximal=tuple(i for i, row in enumerate(rows) if not row),
@@ -356,10 +343,7 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
         largest = compress(cls.members, map(size.__eq__, sizes))
         picks.append(((-size, min(map(sorted, largest))), i))
     picks.sort()
-    cuts = tuple(
-        Cut(target=frozenset(edges), edges=classes[i].primary_cut.edges)
-        for (_, edges), i in picks
-    )
+    cuts = tuple(Cut(target=frozenset(edges), edges=classes[i].cut) for (_, edges), i in picks)
     return BoundReport(
         n_classes=n_classes,
         n_max=n_max,

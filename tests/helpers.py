@@ -264,9 +264,7 @@ def reference_preprocess(
             continue
         kept.append(s)
         cuts.append(flow.cut)
-    coll = WiretapCollection(
-        sets=tuple(kept), cuts=tuple(cuts), classes=reference_classes(kept, cuts)
-    )
+    coll = WiretapCollection(sets=tuple(kept), classes=reference_classes(kept, cuts))
     return coll, tuple(drops)
 
 
@@ -275,7 +273,7 @@ def reference_classes(
 ) -> tuple[EquivalenceClass, ...]:
     """`WiretapCollection.classes` by the definition: one class per distinct
     cut, in order of its first set, holding every set with that cut in input
-    order, with the first of them as its primary cut's target."""
+    order, the first of them its representative."""
     distinct: list[frozenset[int]] = []
     for cut in cuts:
         if cut not in distinct:
@@ -283,8 +281,15 @@ def reference_classes(
     classes = []
     for cut in distinct:
         members = tuple(s for s, c in zip(sets, cuts) if c == cut)
-        classes.append(EquivalenceClass(members=members, primary_cut=Cut(members[0], cut)))
+        classes.append(EquivalenceClass(members=members, cut=cut))
     return tuple(classes)
+
+
+def set_cuts(coll: WiretapCollection) -> tuple[frozenset[int], ...]:
+    """The primary cut of each of `coll.sets`, in order: the `cut` of the
+    class that holds the set. Raises KeyError on a set no class holds."""
+    cut_of = {s: cls.cut for cls in coll.classes for s in cls.members}
+    return tuple(map(cut_of.__getitem__, coll.sets))
 
 
 def member_sets(
@@ -356,13 +361,13 @@ def reference_domination_rows(net: Network, classes: Sequence[EquivalenceClass])
     def mask(edges: Iterable[int]) -> int:
         return sum(1 << e for e in edges)
 
-    reps = [mask(c.primary_cut.target) for c in classes]
-    survivors = [mask(reachable_after_delete(net, c.primary_cut.edges)) for c in classes]
+    reps = [mask(c.members[0]) for c in classes]
+    survivors = [mask(reachable_after_delete(net, c.cut)) for c in classes]
     return [
         sum(
             1 << j
             for j, cj in enumerate(classes)
-            if ci.primary_cut.capacity < cj.primary_cut.capacity and not reps[i] & survivors[j]
+            if len(ci.cut) < len(cj.cut) and not reps[i] & survivors[j]
         )
         for i, ci in enumerate(classes)
     ]
@@ -505,7 +510,8 @@ def pruning_loop(
     without it the kept cuts the new cut separates are dropped too, leaving
     the primary cuts of the maximal classes. Returns the cuts in pick order.
     """
-    size = [len(c) for c in coll.cuts] if select == "mincut" else [len(s) for s in coll.sets]
+    capacity = list(map(len, set_cuts(coll)))
+    size = capacity if select == "mincut" else [len(s) for s in coll.sets]
     remaining = list(range(len(coll.sets)))
     cuts: list[frozenset[int]] = []
     while remaining:
@@ -518,9 +524,8 @@ def pruning_loop(
         cut = primary_min_cut(net, coll.sets[idx]).edges
         survivors = reachable_after_delete(net, cut)
         if per_capacity:
-            cap = len(coll.cuts[idx])
             remaining = [
-                i for i in remaining if len(coll.cuts[i]) != cap or coll.sets[i] & survivors
+                i for i in remaining if capacity[i] != capacity[idx] or coll.sets[i] & survivors
             ]
         else:
             remaining = [i for i in remaining if coll.sets[i] & survivors]

@@ -46,6 +46,7 @@ from helpers import (
     residual_side,
     result_block,
     separates,
+    set_cuts,
 )
 
 # The two covering pairs (low, high) that earlier documentation of this
@@ -89,18 +90,18 @@ def test_two_sink_instance_class_structure(fig1):
     assert len(classes) == 15
     assert sorted(len(c.members) for c in classes) == [2] * 9 + [3] * 2 + [4] * 2 + [8] * 2
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
-        assert cls.primary_cut.capacity == cap
-        assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
+        assert len(cls.cut) == cap
+        assert cls.cut == eset(fig1.labels, cut_spec)
         assert list(cls.members) == [
             eset(fig1.labels, spec) for spec in member_specs
         ]
     diagram = class_hasse(fig1.net, classes)
     assert diagram.maximal == (12, 13, 14)
-    maximal_reps = {classes[i].primary_cut.target for i in diagram.maximal}
+    maximal_reps = {classes[i].members[0] for i in diagram.maximal}
     assert maximal_reps == {
         eset(fig1.labels, spec) for spec in ("e18 e20", "e1 e3 e16", "e3 e5 e17")
     }
-    assert {classes[i].primary_cut.edges for i in diagram.maximal} == {
+    assert {classes[i].cut for i in diagram.maximal} == {
         eset(fig1.labels, spec) for spec in FIG1_MAXIMAL_CUTS
     }
 
@@ -213,8 +214,8 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
     assert len(corpus) == CORPUS_SIZE
     for rec in corpus:
         net, coll = rec.net, rec.coll
-        for i, s in enumerate(coll.sets):
-            assert len(coll.cuts[i]) == rec.fams[i].capacity, (rec.seed, sorted(s))
+        for i, (s, cut) in enumerate(zip(coll.sets, set_cuts(coll))):
+            assert len(cut) == rec.fams[i].capacity, (rec.seed, sorted(s))
             assert max_flow(net, s).value == rec.fams[i].capacity, (rec.seed, sorted(s))
             fast_cut = primary_min_cut(net, s).edges
             assert fast_cut == oracle_primary_min_cut(net, s).edges, (rec.seed, sorted(s))
@@ -227,7 +228,7 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
         fast_order = set()
         for i, ci in enumerate(rec.classes):
             for j, cj in enumerate(rec.classes):
-                if i != j and dominates(net, ci.primary_cut.target, cj.primary_cut.target):
+                if i != j and dominates(net, ci.members[0], cj.members[0]):
                     fast_order.add((i, j))
         assert fast_order == set(rec.ob.order), rec.seed
 

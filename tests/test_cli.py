@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import wtbound
-from wtbound import compute_bound, gen_combination, parse_collection, parse_network
+from wtbound import (
+    UnreachableTarget,
+    compute_bound,
+    gen_combination,
+    parse_collection,
+    parse_network,
+    primary_min_cut,
+)
 from wtbound.cli import build_parser, main, run
 from wtbound.oracle import ENV_EDGE_LIMIT
 
@@ -134,15 +141,22 @@ def test_bound_report_that_cannot_be_written_prints_no_result(data_files, tmp_pa
             assert str(report) in captured.err
 
 
-def test_an_empty_output_path_names_its_option(data_files, capsys):
+def test_an_empty_output_path_names_its_option(data_files, tmp_path, capsys, monkeypatch):
+    # an empty --out-prefix would write hidden '.net' and '.wsets' files here
+    monkeypatch.chdir(tmp_path)
     net, sets = str(data_files / "fig1.net"), str(data_files / "fig1.wsets")
     for option, argv in (
         ("--dot", ["hasse", net, sets, "--dot", ""]),
         ("--out", ["gen", "rwiretap", net, "--r", "1", "--out", ""]),
+        (
+            "--out-prefix",
+            ["gen", "combination", "--n", "2", "--k", "1", "--r", "1", "--out-prefix", ""],
+        ),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {option}: empty path\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classes_fig1(data_files, capsys):
@@ -194,6 +208,19 @@ def test_primary_cut_and_mincut(data_files, capsys):
     block = result_block(capsys.readouterr().out)
     assert code == 0
     assert block["mincut"] == "1"
+
+
+def test_primary_cut_names_the_labels_of_an_unreachable_target(tmp_path, capsys):
+    split = tmp_path / "split.net"
+    split.write_text("edge a s x\nedge b y t\nsource s\n")
+    net, labels = parse_network(split.read_text())
+    # the library names edge ids, the command names the labels it was given
+    with pytest.raises(UnreachableTarget, match=r"^no edge of \[1\] is reachable"):
+        primary_min_cut(net, labels.edge_set(["b"]))
+    assert main(["primary-cut", str(split), "--target", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no edge of {b} is reachable from the source\n"
 
 
 def test_gen_combination_command(tmp_path, capsys):

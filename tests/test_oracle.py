@@ -122,6 +122,57 @@ def test_cross_check_fig1_all_green(fig1):
     assert {"partition", "domination", "n", "n_max", "maximal_cuts"} <= names
 
 
+def _failures(net, coll):
+    return {r.name: r.detail for r in cross_check(net, coll) if not r.ok}
+
+
+def _set_failures(failures):
+    return {name for name in failures if "[" in name}
+
+
+def test_cross_check_fails_a_member_moved_to_another_class(fig1):
+    # a set's fast cut is read through the class that holds it, so a set
+    # filed under the wrong class must show as a wrong cut, not pass
+    coll, lab = fig1.coll, fig1.labels
+    first, second = coll.classes[:2]
+    assert (first.cut, second.cut) == (eset(lab, "e1"), eset(lab, "e2"))
+    moved = first.members[1]
+    classes = (
+        first._replace(members=first.members[:1]),
+        second._replace(members=(*second.members, moved)),
+        *coll.classes[2:],
+    )
+    failures = _failures(fig1.net, coll._replace(classes=classes))
+    i = coll.sets.index(moved)
+    assert _set_failures(failures) == {f"primary[{i}]"}
+    assert "partition" in failures
+
+
+def test_cross_check_fails_every_member_of_a_class_with_a_swapped_cut(fig1):
+    coll = fig1.coll
+    k = 6  # eight members, cut {e1, e2}; class 7 has another cut of size 2
+    assert len(coll.classes[k].members) == 8
+    assert coll.classes[k].cut != coll.classes[k + 1].cut
+    classes = list(coll.classes)
+    classes[k] = classes[k]._replace(cut=classes[k + 1].cut)
+    failures = _failures(fig1.net, coll._replace(classes=tuple(classes)))
+    primary = {name for name in _set_failures(failures) if name.startswith("primary")}
+    assert primary == {f"primary[{coll.sets.index(s)}]" for s in coll.classes[k].members}
+
+
+def test_cross_check_reads_a_set_no_class_holds_as_an_empty_cut(fig1):
+    coll = fig1.coll
+    first = coll.classes[0]
+    dropped = first.members[1]
+    classes = (first._replace(members=first.members[:1]), *coll.classes[1:])
+    failures = _failures(fig1.net, coll._replace(classes=classes))
+    i = coll.sets.index(dropped)
+    assert _set_failures(failures) == {f"mincut[{i}]", f"primary[{i}]"}
+    assert failures[f"mincut[{i}]"].startswith("fast 0, oracle 1")
+    assert failures[f"primary[{i}]"].startswith("fast [], oracle [0]")
+    assert "partition" in failures
+
+
 def test_oracle_bounds_equal_the_pairwise_reference_over_the_corpus(corpus):
     for rec in corpus:
         reference = reference_bounds(rec.net, rec.coll.sets, rec.fams)

@@ -7,7 +7,6 @@ import pytest
 
 import wtbound.flow
 from wtbound import (
-    Cut,
     EquivalenceClass,
     UnknownEdgeLabel,
     WiretapCollection,
@@ -35,6 +34,7 @@ from helpers import (
     reference_domination_rows,
     reference_flow_key,
     reference_preprocess,
+    set_cuts,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -188,7 +188,7 @@ def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wtbound.flow, "max_flow", recording)
         coll, drops = preprocess(net, targets)
-    cuts = dict(zip(coll.sets, coll.cuts))
+    cuts = dict(zip(coll.sets, set_cuts(coll)))
     cuts.update((t, frozenset()) for _, kind, t in drops if kind == "unreachable")
     assert cuts.keys() == set(targets)
     keys = [reference_flow_key(net, t) for t in flows]
@@ -201,17 +201,17 @@ def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
 @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @hypothesis.given(dag_and_targets())
 def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
-    # `wtb bound --regularize` keeps each distinct stored cut as its own set
-    # and cut, which holds when every primary cut is its own primary cut.
+    # `wtb bound --regularize` keeps each class's cut as its own set and
+    # class, which holds when every primary cut is its own primary cut.
     net, targets = case
     coll, _ = preprocess(net, targets)
-    for c in coll.cuts:
+    cuts = tuple(c.cut for c in coll.classes)
+    # class order is first-member order: the sets' distinct cuts as they come
+    assert cuts == tuple(dict.fromkeys(set_cuts(coll)))
+    for c in cuts:
         assert primary_min_cut(net, c).edges == c
-    cuts = tuple(dict.fromkeys(coll.cuts))
-    regular = WiretapCollection(
-        sets=cuts, cuts=cuts, classes=tuple(EquivalenceClass((c,), Cut(c, c)) for c in cuts)
-    )
-    assert preprocess(net, coll.cuts)[0] == regular
+    regular = WiretapCollection(sets=cuts, classes=tuple(EquivalenceClass((c,), c) for c in cuts))
+    assert preprocess(net, set_cuts(coll))[0] == regular
     assert bound_summary(net, regular) == bound_summary(net, coll)
 
 

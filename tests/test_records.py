@@ -5,8 +5,10 @@ import pickle
 import pytest
 
 from wtbound import (
+    EquivalenceClass,
     LabelTable,
     Network,
+    WiretapCollection,
     build_network,
     class_hasse,
     compute_bound,
@@ -68,6 +70,16 @@ def test_record_contract(records, name):
 
     copy = pickle.loads(pickle.dumps(rec))
     assert type(copy) is type(rec) and copy == rec
+
+
+def test_each_cut_is_stored_once_in_its_class(fig1):
+    # a set's cut is its class's `cut`, and a class's representative its
+    # first member: neither is stored a second time
+    assert WiretapCollection._fields == ("sets", "classes")
+    assert EquivalenceClass._fields == ("members", "cut")
+    for cls in fig1.coll.classes:
+        assert type(cls.cut) is frozenset
+        assert primary_min_cut(fig1.net, cls.members[0]).edges == cls.cut
 
 
 def test_network_adjacency_is_computed_once(fig1):

@@ -42,6 +42,7 @@ from helpers import (
     reference_classes,
     reference_domination_rows,
     reference_preprocess,
+    set_cuts,
 )
 
 # s=0 a=1 b=2 t=3 c=4 d=5: three parallel edges s->a (0-2), a->b (3), three
@@ -52,7 +53,7 @@ HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4
 def test_preprocess_keeps_fig1_intact(fig1):
     assert len(fig1.coll.sets) == 48
     assert fig1.warnings == ()
-    assert tuple(map(len, fig1.coll.cuts)) == tuple(len(s) for s in fig1.coll.sets)
+    assert tuple(map(len, set_cuts(fig1.coll))) == tuple(len(s) for s in fig1.coll.sets)
     singles = sum(1 for s in fig1.coll.sets if len(s) == 1)
     assert (singles, len(fig1.coll.sets) - singles) == (12, 36)
 
@@ -63,7 +64,7 @@ def test_preprocess_drops_and_warns():
     net = build_network([(0, 1), (2, 3)], source=0)
     coll, drops = preprocess(net, [{0}, set(), {0}, {1}])
     assert coll.sets == (frozenset({0}),)
-    assert coll.cuts == (frozenset({0}),)
+    assert set_cuts(coll) == (frozenset({0}),)
     assert drops == (
         (1, "empty", frozenset()),
         (2, "duplicate", frozenset({0})),
@@ -95,21 +96,22 @@ def test_preprocess_shares_a_flow_only_between_equal_reduced_instances(monkeypat
     # Parallel target edges on one tail pose one instance; so does a->b while
     # b is not a tail, since b then reaches no target. Each set's cut holds
     # its own target edges.
+    cuts = set_cuts(coll)
     assert coll.sets[:3] == (frozenset({4, 5}), frozenset({5, 6}), frozenset({3, 4}))
-    assert coll.cuts[:3] == coll.sets[:3]
+    assert cuts[:3] == coll.sets[:3]
     # Three exits at a: the three edges into a are the cut.
-    assert coll.cuts[3] == frozenset({0, 1, 2})
+    assert cuts[3] == frozenset({0, 1, 2})
     # Equal tails a and b: with a->b a target, its head b is live and no
     # unit can pass through it to b->t, so the two sets must not share a flow.
-    assert coll.cuts[4] == frozenset({3})
-    assert coll.cuts[5] == frozenset({3, 4})
+    assert cuts[4] == frozenset({3})
+    assert cuts[5] == frozenset({3, 4})
     # Tails s, s, a and s, a, a: one tail set, two multisets, two flows;
     # both cuts are the three edges into a.
-    assert coll.cuts[6:8] == (frozenset({0, 1, 2}),) * 2
+    assert cuts[6:8] == (frozenset({0, 1, 2}),) * 2
     # Tails s, a and s, a, a with the same live-headed target {0}: only the
     # multiplicity at a tells them apart. With one exit at a, a stays on the
     # source side; with two, it does not. {0, 4, 5} poses {0, 3, 4}'s instance.
-    assert coll.cuts[8:] == (frozenset({0, 4}), frozenset({0, 1, 2}))
+    assert cuts[8:] == (frozenset({0, 4}), frozenset({0, 1, 2}))
     assert flows == [{4, 5}, {4, 5, 6}, {3, 7}, {4, 7}, {8}, {0, 1, 3}, {0, 3, 4}, {0, 4}]
 
 
@@ -156,8 +158,9 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
         net, sets = case
         coll, drops = preprocess(net, sets)
         want, want_drops = reference_preprocess(net, sets)
-        assert coll.classes == reference_classes(coll.sets, coll.cuts)
-        assert (coll.sets, coll.cuts, drops) == (want.sets, want.cuts, want_drops)
+        cuts = set_cuts(coll)
+        assert coll.classes == reference_classes(coll.sets, cuts)
+        assert (coll.sets, cuts, drops) == (want.sets, set_cuts(want), want_drops)
         unreachable = frozenset({len(net.edges) - 1})
         kinds = [kind for _, kind, s in drops if s == unreachable]
         assert kinds[0] == "unreachable" and set(kinds[1:]) == {"duplicate"}
@@ -242,10 +245,9 @@ def test_partition_classes_fig1(fig1):
     classes = fig1.coll.classes
     assert len(classes) == 15
     for cls, (cap, cut_spec, member_specs) in zip(classes, FIG1_CLASSES):
-        assert cls.primary_cut.capacity == cap
-        assert cls.primary_cut.edges == eset(fig1.labels, cut_spec)
+        assert len(cls.cut) == cap
+        assert cls.cut == eset(fig1.labels, cut_spec)
         assert list(cls.members) == [eset(fig1.labels, spec) for spec in member_specs]
-        assert cls.primary_cut.target == cls.members[0]
     # Classes partition the collection.
     all_members = [s for cls in classes for s in cls.members]
     assert sorted(all_members, key=fig1.coll.sets.index) == list(fig1.coll.sets)
@@ -340,11 +342,11 @@ def test_domination_columns_match_reachability_on_a_class_heavy_network():
     classes = preprocess(net, sets)[0].classes
     assert len(classes) > 1500
     above = class_hasse(net, classes).above
-    reps = [c.primary_cut.target for c in classes]
-    caps = [c.primary_cut.capacity for c in classes]
+    reps = [c.members[0] for c in classes]
+    caps = [len(c.cut) for c in classes]
     set_bits = 0
     for j in rng.sample(range(len(classes)), 100):
-        survivors = reachable_after_delete(net, classes[j].primary_cut.edges)
+        survivors = reachable_after_delete(net, classes[j].cut)
         for i, row in enumerate(above):
             want = caps[i] < caps[j] and survivors.isdisjoint(reps[i])
             assert (row >> j & 1) == want, (i, j)
@@ -354,11 +356,11 @@ def test_domination_columns_match_reachability_on_a_class_heavy_network():
 
 def test_domination_rows_read_each_class_representative(fig1):
     # Any member of a class gives the same rows, so hand-built classes with
-    # their representatives (their cuts' targets) rotated, each now off its
+    # their representatives (their first members) rotated, each now off its
     # own cut, show which edge set the rows read.
     classes = fig1.coll.classes
     rotated = [
-        c._replace(primary_cut=c.primary_cut._replace(target=classes[i - 1].primary_cut.target))
+        c._replace(members=(classes[i - 1].members[0], *c.members[1:]))
         for i, c in enumerate(classes)
     ]
     rows = list(class_hasse(fig1.net, rotated).above)
@@ -371,14 +373,12 @@ def test_bad_class_ids_raise_unknown_edge():
     net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
     good = preprocess(net, [{1, 2}])[0].classes[0]
     bad = [
-        good._replace(primary_cut=good.primary_cut._replace(edges=frozenset({5}))),
-        good._replace(primary_cut=good.primary_cut._replace(target=frozenset({-1}))),
-        good._replace(primary_cut=good.primary_cut._replace(target=frozenset({9}))),
+        good._replace(cut=frozenset({5})),
+        good._replace(members=(frozenset({-1}),)),
+        good._replace(members=(frozenset({9}),)),
     ]
     for cls in bad:
-        target, cut = cls.primary_cut
-        cls = cls._replace(members=(target,))
-        coll = WiretapCollection(sets=(target,), cuts=(cut,), classes=(cls,))
+        coll = WiretapCollection(sets=cls.members, classes=(cls,))
         with pytest.raises(UnknownEdge):
             class_hasse(net, [good, cls])
         with pytest.raises(UnknownEdge):
@@ -449,7 +449,7 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
     sets = [{2, 3}, {5}, {3, 4}, {2, 3, 4}, {0, 1}, {0}, {2, 4}]
     coll, drops = preprocess(net, sets)
     assert drops == ()
-    sizes = {cls.primary_cut.edges: sorted(map(len, cls.members)) for cls in coll.classes}
+    sizes = {cls.cut: sorted(map(len, cls.members)) for cls in coll.classes}
     assert sizes[frozenset({0, 1})] == [2, 2, 2, 2, 3]
 
     def old_key(cls):
@@ -458,10 +458,10 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
     for mode in ("n", "nmax", "both"):
         report = compute_bound(net, coll, mode=mode)
         picked = {c.edges: c for c in report.cuts}
-        classes = [cls for cls in coll.classes if cls.primary_cut.edges in picked]
+        classes = [cls for cls in coll.classes if cls.cut in picked]
         assert len(classes) == len(report.cuts)
         classes.sort(key=old_key)
-        assert [c.edges for c in report.cuts] == [cls.primary_cut.edges for cls in classes]
+        assert [c.edges for c in report.cuts] == [cls.cut for cls in classes]
         assert [c.target for c in report.cuts] == [
             frozenset(old_key(cls)[1]) for cls in classes
         ]
@@ -471,7 +471,7 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
 def test_compute_bound_degenerate_inputs(fig1):
     from wtbound import WiretapCollection, build_network
 
-    empty = WiretapCollection(sets=(), cuts=(), classes=())
+    empty = WiretapCollection(sets=(), classes=())
     rep = compute_bound(fig1.net, empty)
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
