@@ -22,7 +22,6 @@ from . import fileio, flow, wiretap
 from .errors import InstanceTooLarge, ParameterOutOfRange, ParseError, UnreachableTarget, WtbError
 from .fileio import LabelTable
 from .graph import Network
-from .wiretap import WiretapCollection
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,15 +49,11 @@ def _output_path(option: str, path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")  # what _read_text reads, whatever the locale
-
-
 def _load_network(path: str) -> tuple[Network, LabelTable]:
     return fileio.parse_network(_read_text(path))
 
 
-def _load_collection(path: str, net: Network, labels: LabelTable) -> WiretapCollection:
+def _load_collection(path: str, net: Network, labels: LabelTable) -> wiretap.WiretapCollection:
     coll, warnings = fileio.parse_collection(_read_text(path), net, labels)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -78,16 +73,28 @@ def _network_summary(net: Network, labels: LabelTable) -> str:
     )
 
 
-def _finish(human: list[str], machine: list[tuple[str, object]], report_path: Optional[str] = None) -> None:
+def _finish(
+    human: list[str],
+    machine: list[tuple[str, object]],
+    files: Sequence[tuple[str, Optional[str], Optional[str]]] = (),
+) -> None:
+    """Print the result after writing `files`; no other code writes a file.
+
+    Each file is `(option, path, text)`: a None path means the option was
+    not given, a None text the result itself. Empty paths are refused, a
+    result stdout cannot encode fails the run, and only then is each file
+    written, as UTF-8 (what `_read_text` reads, whatever the locale). So a
+    run writes files only if it can print, and prints once they are written.
+    """
     text = "\n".join(human) + "\n\n[result]\n"
     text += "".join(f"{k}={v}\n" for k, v in machine)
-    # Write the file first: a run that cannot write it prints no result. A
-    # label stdout cannot encode fails the run before the file is written.
-    if report_path is not None:
+    given = [(_output_path(opt, path), body) for opt, path, body in files if path is not None]
+    if given:
         encoding = getattr(sys.stdout, "encoding", None)  # None when fd 1 is closed
         if encoding:
             text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
-        _write_text(report_path, text)
+    for path, body in given:
+        Path(path).write_text(text if body is None else body, encoding="utf-8")
     print(text, end="")
 
 
@@ -99,22 +106,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ("nodes", net.num_nodes),
         ("edges", len(net.edges)),
     ]
+    n_sets, classes = len(coll.sets), coll.classes
     if args.regularize:
-        before = len(coll.sets)
         # A primary cut is its own primary cut, so no flow runs here and
         # each distinct cut is a class of its own.
-        cuts = tuple(c.cut for c in coll.classes)
-        coll = WiretapCollection(
-            sets=cuts, classes=tuple(wiretap.EquivalenceClass((c,), c) for c in cuts)
-        )
-        human.append(
-            f"regularized: {before} sets replaced by {len(coll.sets)} distinct minimum cuts"
-        )
-        machine.append(("regularized_from", before))
-    human.append(f"collection: {len(coll.sets)} sets")
-    machine += [("sets", len(coll.sets)), ("mode", args.mode)]
+        classes = tuple(wiretap.EquivalenceClass((c.cut,), c.cut) for c in coll.classes)
+        human.append(f"regularized: {n_sets} sets replaced by {len(classes)} distinct minimum cuts")
+        machine.append(("regularized_from", n_sets))
+        n_sets = len(classes)
+    human.append(f"collection: {n_sets} sets")
+    machine += [("sets", n_sets), ("mode", args.mode)]
 
-    result = wiretap.compute_bound(net, coll, mode=args.mode)
+    result = wiretap.compute_bound(net, classes, mode=args.mode)
     if result.n_classes is not None:
         human.append(f"equivalence classes (N): {result.n_classes}")
         machine.append(("n", result.n_classes))
@@ -134,7 +137,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         f"(covers {len(net.sinks)} sinks)"
     )
     machine.append(("recommended_alphabet", result.recommended_alphabet))
-    _finish(human, machine, _output_path("--report", args.report))
+    _finish(human, machine, [("--report", args.report, None)])
     return 0
 
 
@@ -167,8 +170,6 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     coll = _load_collection(args.collection, net, labels)
     classes = coll.classes
     diagram = wiretap.class_hasse(net, classes)
-    dot = fileio.export_hasse_dot(diagram)
-    _write_text(_output_path("--dot", args.dot), dot)
     human = [
         _network_summary(net, labels),
         f"{len(classes)} classes, {len(diagram.covering)} covering pairs, "
@@ -186,7 +187,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
         (f"cover.{k + 1}", f"{lo + 1}<{hi + 1}")
         for k, (lo, hi) in enumerate(diagram.covering)
     ]
-    _finish(human, machine)
+    _finish(human, machine, [("--dot", args.dot, fileio.export_hasse_dot(diagram))])
     return 0
 
 
@@ -229,10 +230,8 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
         args.n, args.k, args.r, max_sets=args.max_sets
     )
     prefix = _output_path("--out-prefix", args.out_prefix)
-    net_path = Path(f"{prefix}.net")
+    net_path = Path(f"{prefix}.net")  # printed as Path spells it: ./x.net is x.net
     sets_path = Path(f"{prefix}.wsets")
-    _write_text(net_path, net_text)
-    _write_text(sets_path, sets_text)
     net, _ = fileio.parse_network(net_text)
     n_sets = sets_text.count("\n")
     human = [
@@ -248,19 +247,19 @@ def _cmd_gen_combination(args: argparse.Namespace) -> int:
         ("sinks", len(net.sinks)),
         ("sets", n_sets),
     ]
-    _finish(human, machine)
+    files = [("--out-prefix", str(net_path), net_text), ("--out-prefix", str(sets_path), sets_text)]
+    _finish(human, machine, files)
     return 0
 
 
 def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     text = fileio.gen_r_wiretap(net, labels, args.r, max_sets=args.max_sets)
-    _write_text(_output_path("--out", args.out), text)
     n_sets = text.count("\n")
     sizes = f", sizes 1..{min(args.r, len(net.edges))}" if n_sets else ""
     human = [f"wrote {args.out} ({n_sets} wiretap sets{sizes})"]
     machine = [("wsets", args.out), ("sets", n_sets), ("r", args.r)]
-    _finish(human, machine)
+    _finish(human, machine, [("--out", args.out, text)])
     return 0
 
 

@@ -253,13 +253,13 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     """Compare every fast-path result against this module, item by item.
 
     The fast side is the class table the flow pass built (`coll.classes`,
-    compared as a partition of set indices), each set's primary cut, read
-    as the `cut` of the class that holds it (its size is the set's
-    capacity; a set no class holds reads the empty cut), and the table's
-    `class_hasse` diagram, whose maximal classes are the ones
-    `compute_bound` reports. Returns one record per check; `ok` False
-    means the two implementations disagree, always a bug in one of them. The
-    domination record also fails when the fast relation is not a strict
+    compared as a partition of set indices; a member missing from `coll.sets`
+    reads -1), each set's primary cut, read as the `cut` of the class that
+    holds it (its size is the set's capacity; a set no class holds reads the
+    empty cut), and the table's `class_hasse` diagram, whose maximal classes
+    are the ones `compute_bound` reports. Returns one record per check; `ok`
+    False means the two implementations disagree, always a bug in one of them.
+    The domination record also fails when the fast relation is not a strict
     partial order, and the n_max record unless n_max <= n <= len(sets).
     """
     from . import wiretap
@@ -293,7 +293,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     ob = _bounds(exposed, coll.sets, families)
     classes = coll.classes
     index = {s: i for i, s in enumerate(coll.sets)}
-    fast_partition = tuple(tuple(map(index.__getitem__, cls.members)) for cls in classes)
+    fast_partition = tuple(tuple(index.get(s, -1) for s in cls.members) for cls in classes)
     record(
         "partition",
         fast_partition == ob.classes,

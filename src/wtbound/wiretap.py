@@ -314,14 +314,15 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     )
 
 
-def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> BoundReport:
-    """Alphabet-size lower bounds from the class table.
+def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str = "both") -> BoundReport:
+    """Alphabet-size lower bounds from a class table, such as `coll.classes`.
 
+    A `WiretapCollection` in place of the table raises AttributeError.
     Modes: "nmax" computes only the count of maximal classes, "n" only the
     class count, "both" the two together; any other raises ParameterOutOfRange.
     The recommendation is max(len(cuts) + 1, number of sinks), using the
     strongest bound computed; with no declared sinks the sink term is 0. An
-    empty collection yields zero bounds.
+    empty table yields zero bounds.
 
     The cuts come in the order the paper's pruning loop picks them: by their
     class's largest member, ties broken by the lexicographically smallest
@@ -329,7 +330,6 @@ def compute_bound(net: Network, coll: WiretapCollection, mode: str = "both") -> 
     """
     if mode not in ("nmax", "n", "both"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax', 'n' or 'both'")
-    classes = coll.classes
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
     if mode in ("nmax", "both"):

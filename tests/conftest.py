@@ -74,7 +74,7 @@ def corpus():
                 fams=fams,
                 ob=oracle_bounds(net, coll.sets),
                 classes=coll.classes,
-                report=compute_bound(net, coll),
+                report=compute_bound(net, coll.classes),
             )
         )
     return records

@@ -73,7 +73,7 @@ def test_bundled_two_sink_instance_bounds_via_cli(data_files, capsys):
 
 def test_maximal_cut_list_is_invariant_under_tie_breaking(fig1):
     expected = {eset(fig1.labels, spec) for spec in FIG1_MAXIMAL_CUTS}
-    report = compute_bound(fig1.net, fig1.coll)
+    report = compute_bound(fig1.net, fig1.coll.classes)
     assert {c.edges for c in report.cuts} == expected
     assert (report.n_classes, report.n_max) == (15, 3)
     for select in ("cardinality", "mincut"):
@@ -179,7 +179,7 @@ def test_generated_benchmark_bounds_and_runtime():
     net_text, sets_text = gen_combination(6, 5, 3)
     net, labels = parse_network(net_text)
     coll, warnings = parse_collection(sets_text, net, labels)
-    report = compute_bound(net, coll)
+    report = compute_bound(net, coll.classes)
     elapsed = time.perf_counter() - started
     assert warnings == ()
     assert len(coll.sets) == 2905
@@ -202,7 +202,7 @@ def test_combination_family_meets_its_closed_forms():
                 net_text, sets_text = gen_combination(n, k, r, max_sets=total)
                 net, labels = parse_network(net_text)
                 coll, warnings = parse_collection(sets_text, net, labels)
-                report = compute_bound(net, coll)
+                report = compute_bound(net, coll.classes)
                 assert (len(coll.sets), warnings) == (total, ()), (n, k, r)
                 n_classes = sum(comb(n, c) for c in range(1, r + 1))
                 assert (report.n_classes, report.n_max) == (n_classes, comb(n, r)), (n, k, r)
@@ -380,6 +380,6 @@ def test_bound_cuts_follow_the_pruning_loop_over_the_corpus(corpus):
     # default pick order, in both modes.
     for rec in corpus:
         for mode, per_capacity in (("n", True), ("nmax", False)):
-            report = compute_bound(rec.net, rec.coll, mode=mode)
+            report = compute_bound(rec.net, rec.coll.classes, mode=mode)
             expected = pruning_loop(rec.net, rec.coll, per_capacity)
             assert [c.edges for c in report.cuts] == expected, (rec.seed, mode)

@@ -87,7 +87,7 @@ def test_the_printed_bound_is_the_cut_count(data_files, tmp_path, capsys, instan
             path.write_text(text)
     net, labels = parse_network(net_path.read_text())
     coll, _ = parse_collection(sets_path.read_text(), net, labels)
-    report = compute_bound(net, coll, mode=mode)
+    report = compute_bound(net, coll.classes, mode=mode)
     assert len(report.cuts) == (report.n_classes if mode == "n" else report.n_max)
     assert report.recommended_alphabet == max(len(report.cuts) + 1, len(net.sinks))
     assert main(["bound", str(net_path), str(sets_path), "--mode", mode]) == 0
@@ -770,6 +770,31 @@ def test_process_writes_utf8_files_under_an_ascii_locale(tmp_path, capsys):
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
     assert proc.stdout == b"" and not report.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="LC_ALL=C means ASCII on Linux")
+def test_process_writes_no_dot_file_when_its_result_cannot_be_printed(tmp_path):
+    # the summary line names the source, which an ASCII stdout cannot hold
+    ascii_env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": ""}
+    net = tmp_path / "accent.net"
+    net.write_bytes("edge a \u00e9 x\nedge b x t\nsource \u00e9\nsink t\n".encode("utf-8"))
+    sets = tmp_path / "accent.wsets"
+    sets.write_text("a\nb\n")
+    dot = tmp_path / "accent.dot"
+    proc = wtb_process(["hasse", str(net), str(sets), "--dot", str(dot)], ascii_env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+    assert proc.stdout == b"" and not dot.exists()
+
+
+def test_process_writes_no_collection_when_its_path_cannot_be_printed(data_files, tmp_path):
+    # `wrote <path>` is the result, so a path stdout cannot encode fails the run
+    out = tmp_path / "\u00fc.wsets"
+    argv = ["gen", "rwiretap", str(data_files / "fig1.net"), "--r", "1", "--out", str(out)]
+    proc = wtb_process(argv, {"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+    assert proc.stdout == b"" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child with preexec_fn")

@@ -312,7 +312,7 @@ def test_gen_combination_shape_and_bound():
     assert (net.num_nodes, len(net.edges), len(net.sinks)) == (9, 16, 4)
     assert len(coll.sets) == 66
     assert warnings == ()
-    report = compute_bound(net, coll)
+    report = compute_bound(net, coll.classes)
     assert (report.n_classes, report.n_max) == (10, 6)
     assert report.recommended_alphabet == 7
 
@@ -378,7 +378,7 @@ def test_gen_r_wiretap_pipeline_bound(fig1):
     coll, warnings = parse_collection(text, fig1.net, fig1.labels)
     assert len(coll.sets) == 231
     assert warnings == ()
-    report = compute_bound(fig1.net, coll)
+    report = compute_bound(fig1.net, coll.classes)
     assert (report.n_classes, report.n_max) == (24, 17)
 
 

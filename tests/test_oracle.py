@@ -173,6 +173,17 @@ def test_cross_check_reads_a_set_no_class_holds_as_an_empty_cut(fig1):
     assert "partition" in failures
 
 
+def test_cross_check_fails_the_partition_for_a_member_missing_from_the_sets(fig1):
+    # a class member that is not in coll.sets has no set index; it reads -1
+    # and fails the partition record instead of ending the check
+    coll = fig1.coll
+    missing = coll.sets[0]
+    failures = _failures(fig1.net, coll._replace(sets=coll.sets[1:]))
+    assert list(failures) == ["partition"]
+    assert "-1" in failures["partition"]
+    assert any(missing in cls.members for cls in coll.classes)
+
+
 def test_oracle_bounds_equal_the_pairwise_reference_over_the_corpus(corpus):
     for rec in corpus:
         reference = reference_bounds(rec.net, rec.coll.sets, rec.fams)

@@ -78,7 +78,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     net, sets = case
     coll, drops = preprocess(net, sets)
     assert (coll, drops) == reference_preprocess(net, sets)
-    report = compute_bound(net, coll)
+    report = compute_bound(net, coll.classes)
     oracle = oracle_bounds(net, coll.sets)
     assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
     classes = coll.classes
@@ -133,7 +133,7 @@ def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_se
     primary = [s for s in sets if max_flow(net, s).cut == s]
     largest = {s for s in primary if len(s) == m}
     coll, _ = preprocess(net, sets)
-    report = compute_bound(net, coll)
+    report = compute_bound(net, coll.classes)
     assert report.n_classes == len(primary)
     assert report.n_max == len(largest)
     assert {cut.edges for cut in report.cuts} == largest
@@ -217,7 +217,7 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
 
 def bound_summary(net, coll):
     """N, N_max and the set of maximal cuts of `coll`."""
-    report = compute_bound(net, coll)
+    report = compute_bound(net, coll.classes)
     return report.n_classes, report.n_max, {cut.edges for cut in report.cuts}
 
 

@@ -30,7 +30,7 @@ def records(fig1):
         "WiretapCollection": fig1.coll,
         "EquivalenceClass": classes[0],
         "HasseDiagram": class_hasse(fig1.net, classes),
-        "BoundReport": compute_bound(fig1.net, fig1.coll),
+        "BoundReport": compute_bound(fig1.net, fig1.coll.classes),
         "MinCutFamily": enumerate_min_cuts(fig1.net, target),
     }
 

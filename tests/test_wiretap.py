@@ -11,7 +11,6 @@ from wtbound import (
     HasseDiagram,
     ParameterOutOfRange,
     UnknownEdge,
-    WiretapCollection,
     build_network,
     class_hasse,
     compute_bound,
@@ -170,7 +169,7 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
             ("nmax", (None, oracle.n_max)),
             ("both", (oracle.n, oracle.n_max)),
         ):
-            report = compute_bound(net, coll, mode=mode)
+            report = compute_bound(net, coll.classes, mode=mode)
             assert (report.n_classes, report.n_max) == counts
 
     check()
@@ -281,7 +280,7 @@ def test_bound_and_verify_never_read_the_covering(fig1, monkeypatch):
         raise AssertionError("HasseDiagram.covering was read")
 
     monkeypatch.setattr(HasseDiagram, "covering", property(unread))
-    report = compute_bound(fig1.net, fig1.coll)
+    report = compute_bound(fig1.net, fig1.coll.classes)
     assert (report.n_classes, report.n_max) == (15, 3)
     assert {c.edges for c in report.cuts} == {eset(fig1.labels, s) for s in FIG1_MAXIMAL_CUTS}
     checks = cross_check(fig1.net, fig1.coll)
@@ -378,27 +377,26 @@ def test_bad_class_ids_raise_unknown_edge():
         good._replace(members=(frozenset({9}),)),
     ]
     for cls in bad:
-        coll = WiretapCollection(sets=cls.members, classes=(cls,))
         with pytest.raises(UnknownEdge):
             class_hasse(net, [good, cls])
         with pytest.raises(UnknownEdge):
-            compute_bound(net, coll)
+            compute_bound(net, (cls,))
 
 
 def test_compute_bound_fig1_modes(fig1):
     lab = fig1.labels
     expected_b = {eset(lab, s) for s in FIG1_MAXIMAL_CUTS}
 
-    both = compute_bound(fig1.net, fig1.coll)
+    both = compute_bound(fig1.net, fig1.coll.classes)
     assert (both.n_classes, both.n_max) == (15, 3)
     assert both.recommended_alphabet == 4
     assert {c.edges for c in both.cuts} == expected_b
 
-    nmax_only = compute_bound(fig1.net, fig1.coll, mode="nmax")
+    nmax_only = compute_bound(fig1.net, fig1.coll.classes, mode="nmax")
     assert (nmax_only.n_classes, nmax_only.n_max) == (None, 3)
     assert {c.edges for c in nmax_only.cuts} == expected_b
 
-    n_only = compute_bound(fig1.net, fig1.coll, mode="n")
+    n_only = compute_bound(fig1.net, fig1.coll.classes, mode="n")
     assert (n_only.n_classes, n_only.n_max) == (15, None)
     assert len(n_only.cuts) == 15
     assert {c.edges for c in n_only.cuts} == {
@@ -412,7 +410,7 @@ def test_compute_bound_selection_and_tie_breaks(fig1):
     # the other choice key and random tie-breaks only reorder them.
     net, coll = fig1.net, fig1.coll
     for mode, per_capacity in (("n", True), ("nmax", False)):
-        got = [c.edges for c in compute_bound(net, coll, mode=mode).cuts]
+        got = [c.edges for c in compute_bound(net, coll.classes, mode=mode).cuts]
         assert got == pruning_loop(net, coll, per_capacity)
         assert set(pruning_loop(net, coll, per_capacity, "mincut")) == set(got)
         for seed in range(10):
@@ -436,7 +434,7 @@ def test_compute_bound_picks_the_smallest_of_the_largest_members():
         ("n", True, ["e f g", "b k", "b c", "b e"]),
         ("nmax", False, ["b k", "b e"]),
     ):
-        cuts = compute_bound(net, coll, mode=mode).cuts
+        cuts = compute_bound(net, coll.classes, mode=mode).cuts
         assert [c.target for c in cuts] == [eset(labels, p) for p in picks]
         assert [c.edges for c in cuts] == pruning_loop(net, coll, per_capacity)
 
@@ -456,7 +454,7 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
         return min((-len(s), sorted(s)) for s in cls.members)
 
     for mode in ("n", "nmax", "both"):
-        report = compute_bound(net, coll, mode=mode)
+        report = compute_bound(net, coll.classes, mode=mode)
         picked = {c.edges: c for c in report.cuts}
         classes = [cls for cls in coll.classes if cls.cut in picked]
         assert len(classes) == len(report.cuts)
@@ -469,19 +467,24 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
 
 
 def test_compute_bound_degenerate_inputs(fig1):
-    from wtbound import WiretapCollection, build_network
-
-    empty = WiretapCollection(sets=(), classes=())
-    rep = compute_bound(fig1.net, empty)
+    rep = compute_bound(fig1.net, ())
     assert (rep.n_classes, rep.n_max) == (0, 0)
     assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
     assert rep.cuts == ()
 
     net = build_network([(0, 1)], source=0)
     coll, _ = preprocess(net, [{0}])
-    solo = compute_bound(net, coll)
+    solo = compute_bound(net, coll.classes)
     assert (solo.n_classes, solo.n_max) == (1, 1)
-    assert compute_bound(net, empty).recommended_alphabet == 1
+    assert compute_bound(net, ()).recommended_alphabet == 1
 
     with pytest.raises(ParameterOutOfRange, match="unknown mode 'fast'"):
-        compute_bound(fig1.net, fig1.coll, mode="fast")
+        compute_bound(fig1.net, fig1.coll.classes, mode="fast")
+
+
+def test_compute_bound_refuses_a_collection_in_place_of_its_class_table(fig1):
+    # the call compute_bound(net, coll) fails loudly in every mode; it cannot
+    # read the record's two fields as two classes and return a count
+    for mode in ("n", "nmax", "both"):
+        with pytest.raises(AttributeError):
+            compute_bound(fig1.net, fig1.coll, mode=mode)
