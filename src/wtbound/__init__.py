@@ -32,12 +32,11 @@ from .graph import (
     topological_order,
 )
 from .flow import (
-    Cut,
     max_flow,
-    primary_min_cut,
 )
 from .wiretap import (
     BoundReport,
+    Cut,
     EquivalenceClass,
     HasseDiagram,
     WiretapCollection,
@@ -91,7 +90,6 @@ __all__ = [
     "parse_collection",
     "parse_network",
     "preprocess",
-    "primary_min_cut",
     "serialize_collection",
     "serialize_network",
     "topological_order",

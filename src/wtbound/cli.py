@@ -194,20 +194,19 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 def _cmd_primary_cut(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     target = _parse_target(args.target, labels)
-    try:
-        cut = flow.primary_min_cut(net, target)
-    except UnreachableTarget:  # the library names edge ids; this names labels
+    run = flow.max_flow(net, target)
+    if run.value == 0:
         raise UnreachableTarget(
             f"no edge of {labels.format_set(target)} is reachable from the source"
-        ) from None
+        )
     human = [
         f"primary minimum cut of {labels.format_set(target)}: "
-        f"{labels.format_set(cut.edges)} (capacity {cut.capacity})"
+        f"{labels.format_set(run.cut)} (capacity {run.value})"
     ]
     machine = [
         ("target", labels.format_edges(target)),
-        ("cut", labels.format_edges(cut.edges)),
-        ("capacity", cut.capacity),
+        ("cut", labels.format_edges(run.cut)),
+        ("capacity", run.value),
     ]
     _finish(human, machine)
     return 0

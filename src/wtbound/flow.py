@@ -1,10 +1,11 @@
-"""Unit-capacity maximum flow from the source to an edge set, and its cuts.
+"""The flow kernel: unit-capacity maximum flow from the source to an edge set.
 
 A cut of a target edge set is a set of edges whose removal leaves no path
 from the source that reaches (covers) a target edge, the path's own last
 edge included. The minimum cuts of a target form a lattice under "C1 <= C2
 iff C1 separates C2 from the source"; its least element, the one closest to
-the source, is the primary minimum cut.
+the source, is the primary minimum cut. `max_flow(net, target)` returns the
+minimum cut capacity as `.value` and the primary cut as `.cut`.
 
 The flow runs on the base network's own adjacency. Each target edge (u, v)
 acts as an arc from u straight to an implicit sink: a unit that crosses it
@@ -33,24 +34,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyTargetSet, UnreachableTarget
+from .errors import EmptyTargetSet
 from .graph import EdgeId, Network, NodeId
-
-
-class Cut(NamedTuple):
-    """An edge set separating `target` from the source in some network.
-
-    Instances are plain values; nothing checks on construction that `edges`
-    actually separates `target`. The functions in this module that return
-    cuts always produce minimum ones.
-    """
-
-    target: frozenset[EdgeId]
-    edges: frozenset[EdgeId]
-
-    @property
-    def capacity(self) -> int:
-        return len(self.edges)
 
 
 class MaxFlow(NamedTuple):
@@ -59,8 +44,9 @@ class MaxFlow(NamedTuple):
     `values[e]` is 1 when a unit crosses base edge e (a target edge: leaves
     the network); `value` counts the units, and is the target's minimum cut
     capacity; `cut` is the primary minimum cut, the edges leaving the
-    residual source side; `live[v]` is 1 when node v reaches a target edge's
-    tail. `value` is 0 and `cut` empty when no target edge is reachable.
+    residual source side, and the package's one spelling of it; `live[v]` is
+    1 when node v reaches a target edge's tail. `value` is 0 and `cut` empty
+    when no target edge is reachable.
     """
 
     value: int
@@ -151,19 +137,3 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
         if is_target[e] or edges[e][1] not in pred and live[edges[e][1]]
     )
     return MaxFlow(value=value, values=flow, cut=cut, live=live)
-
-
-def primary_min_cut(net: Network, target: Iterable[EdgeId]) -> Cut:
-    """The unique minimum cut of `target` lying closest to the source.
-
-    Computed as the edges leaving the set of residual-reachable nodes of a
-    maximum flow, which is the intersection of the source sides of all
-    minimum cuts and hence independent of which maximum flow was found.
-    Raises UnreachableTarget when no target edge is reachable (capacity 0),
-    EmptyTargetSet on an empty target, UnknownEdge on a bad id.
-    """
-    tset = frozenset(target)
-    flow = max_flow(net, tset)
-    if flow.value == 0:
-        raise UnreachableTarget(f"no edge of {sorted(tset)} is reachable from the source")
-    return Cut(target=tset, edges=flow.cut)

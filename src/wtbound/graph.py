@@ -41,7 +41,7 @@ class Network(_NetworkFields):
     """
 
     def check_edge(self, e: EdgeId) -> None:
-        if not 0 <= e < len(self.edges):
+        if not isinstance(e, int) or not 0 <= e < len(self.edges):
             raise UnknownEdge(f"edge id {e} not in 0..{len(self.edges) - 1}")
 
     @cached_property
@@ -71,11 +71,11 @@ def build_network(
 
     Node ids are inferred as 0..max(referenced id) unless `num_nodes` pins a
     larger range (isolated nodes are legal). Raises ParameterOutOfRange when
-    a sink is listed twice, DanglingEndpoint when an edge, the source, or a
-    sink falls outside the node range, SourceHasIncomingEdges when any edge
-    enters the source, and CyclicGraph when the edge list admits no
-    topological order. Sinks may have outgoing edges and nodes may be
-    unreachable; neither is an error here.
+    a sink is listed twice, DanglingEndpoint when an edge end, the source, or
+    a sink is not an int or falls outside the node range,
+    SourceHasIncomingEdges when any edge enters the source, and CyclicGraph
+    when the edge list admits no topological order. Sinks may have outgoing
+    edges and nodes may be unreachable; neither is an error here.
     """
     edge_list = tuple((t, h) for t, h in edges)
     if len(set(sinks)) < len(sinks):
@@ -84,6 +84,9 @@ def build_network(
     for t, h in edge_list:
         referenced.append(t)
         referenced.append(h)
+    bad = [v for v in referenced if not isinstance(v, int)]
+    if bad:
+        raise DanglingEndpoint(f"node id {bad[0]!r} is not an integer")
     low = min(referenced)
     high = max(referenced)
     if low < 0:

@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import flow
 from .errors import ParameterOutOfRange
-from .flow import Cut
 from .graph import EdgeId, Network, NodeId, topological_order
 
 
@@ -87,6 +86,18 @@ class HasseDiagram(_HasseFields):
                 implied |= above[j]
             covering += [(i, j) for j in _bits(row & ~implied)]
         return tuple(covering)
+
+
+class Cut(NamedTuple):
+    """An edge set `edges` separating `target` from the source.
+
+    `BoundReport.cuts` holds one per counted class: the class's primary cut,
+    with `target` the member the pick chose. The capacity is `len(edges)`.
+    Nothing checks on construction that `edges` separates `target`.
+    """
+
+    target: frozenset[EdgeId]
+    edges: frozenset[EdgeId]
 
 
 class BoundReport(NamedTuple):
@@ -286,7 +297,7 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     severs = [0] * len(net.edges)
     at_cap: dict[int, int] = {}  # capacity -> the classes that have it
     for j, c in enumerate(classes):
-        for e in c.members[0] | c.cut:
+        for e in (*c.members[0], *c.cut):  # a union would let 1.0 hide behind 1
             net.check_edge(e)
         for e in c.cut:
             severs[e] |= 1 << j

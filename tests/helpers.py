@@ -16,7 +16,6 @@ from wtbound import (
     WiretapCollection,
     build_network,
     max_flow,
-    primary_min_cut,
 )
 from wtbound.fileio import LabelTable
 from wtbound.graph import Network
@@ -521,7 +520,7 @@ def pruning_loop(
             idx = tied[rng.randrange(len(tied))]
         else:
             idx = min(tied, key=lambda i: sorted(coll.sets[i]))
-        cut = primary_min_cut(net, coll.sets[idx]).edges
+        cut = max_flow(net, coll.sets[idx]).cut
         survivors = reachable_after_delete(net, cut)
         if per_capacity:
             remaining = [

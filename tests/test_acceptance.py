@@ -22,7 +22,6 @@ from wtbound import (
     max_flow,
     parse_collection,
     parse_network,
-    primary_min_cut,
 )
 from wtbound.cli import main
 from wtbound.oracle import ENV_EDGE_LIMIT
@@ -166,12 +165,11 @@ def test_single_sink_primary_cut(singlesink, monkeypatch):
     assert residual_side(singlesink.net, in_t, flow.values) == frozenset(
         node(lab) for lab in ("s", "i1", "i2", "i3", "i5", "i6", "i7", "i9")
     )
-    cut = primary_min_cut(singlesink.net, in_t)
-    assert cut.edges == eset(singlesink.labels, "s-i4 i5-t i7-i10 i9-t")
+    assert flow.cut == eset(singlesink.labels, "s-i4 i5-t i7-i10 i9-t")
     # every edge lies on a source-to-sink path here, so brute force needs the
     # documented override to search all 21 edges
     monkeypatch.setenv(ENV_EDGE_LIMIT, "21")
-    assert cut.edges == oracle_primary_min_cut(singlesink.net, in_t).edges
+    assert flow.cut == oracle_primary_min_cut(singlesink.net, in_t).edges
 
 
 def test_generated_benchmark_bounds_and_runtime():
@@ -216,8 +214,9 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
         net, coll = rec.net, rec.coll
         for i, (s, cut) in enumerate(zip(coll.sets, set_cuts(coll))):
             assert len(cut) == rec.fams[i].capacity, (rec.seed, sorted(s))
-            assert max_flow(net, s).value == rec.fams[i].capacity, (rec.seed, sorted(s))
-            fast_cut = primary_min_cut(net, s).edges
+            run = max_flow(net, s)
+            assert run.value == rec.fams[i].capacity, (rec.seed, sorted(s))
+            fast_cut = run.cut
             assert fast_cut == oracle_primary_min_cut(net, s).edges, (rec.seed, sorted(s))
             assert fast_cut in rec.fams[i].cuts, (rec.seed, sorted(s))
 
@@ -306,8 +305,8 @@ def test_cut_order_axioms_over_the_corpus(corpus):
 
             # The primary cut is the unique least element of the family.
             if k == len(fam.cuts):
-                primary = primary_min_cut(net, fam.target)
-                p = next(a for a in range(k) if cuts[a].edges == primary.edges)
+                primary = max_flow(net, fam.target).cut
+                p = next(a for a in range(k) if cuts[a].edges == primary)
                 least = [a for a in range(k) if all(leq[a, b] for b in range(k))]
                 assert least == [p], (rec.seed, sorted(fam.target))
 

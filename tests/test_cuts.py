@@ -6,10 +6,8 @@ import pytest
 from wtbound import (
     Cut,
     UnknownEdge,
-    UnreachableTarget,
     build_network,
     max_flow,
-    primary_min_cut,
 )
 
 from helpers import cut_leq, eset, minord_merge, reachable_nodes, separates
@@ -65,37 +63,30 @@ def test_primary_min_cut_goldens(fig1):
         ("e6 e10 e12 e18 e20", "e1 e2 e3 e4 e5"),
     ]
     for target_spec, cut_spec in cases:
-        cut = primary_min_cut(fig1.net, eset(lab, target_spec))
-        assert cut.edges == eset(lab, cut_spec)
-        assert cut.target == eset(lab, target_spec)
+        assert max_flow(fig1.net, eset(lab, target_spec)).cut == eset(lab, cut_spec)
 
 
 def test_primary_min_cut_singlesink(singlesink):
     lab = singlesink.labels
     in_t = eset(lab, "i5-t i9-t i10-t i11-t")
-    cut = primary_min_cut(singlesink.net, in_t)
-    assert cut.capacity == 4
-    assert cut.edges == eset(lab, "s-i4 i5-t i7-i10 i9-t")
+    run = max_flow(singlesink.net, in_t)
+    assert run.value == 4
+    assert run.cut == eset(lab, "s-i4 i5-t i7-i10 i9-t")
 
 
 def test_primary_min_cut_separates_its_target(fig1):
     lab = fig1.labels
     for spec in ("e18", "e19 e20", "e6 e10 e18", "e9 e15 e21"):
         target = eset(lab, spec)
-        cut = primary_min_cut(fig1.net, target)
-        assert separates(fig1.net, cut.edges, target)
-        assert cut.capacity == max_flow(fig1.net, target).value
+        run = max_flow(fig1.net, target)
+        assert separates(fig1.net, run.cut, target)
+        assert len(run.cut) == run.value
 
 
 def test_primary_min_cut_unreachable_target():
     net = build_network([(0, 1), (2, 3)], source=0)
-    with pytest.raises(UnreachableTarget):
-        primary_min_cut(net, {1})
-
-
-def test_cut_capacity_is_its_edge_count():
-    cut = Cut(target=frozenset({5}), edges=frozenset({4, 2, 9}))
-    assert cut.capacity == 3
+    run = max_flow(net, {1})
+    assert (run.value, run.cut) == (0, frozenset())
 
 
 def test_cut_leq_on_a_small_family(fig1):
@@ -105,7 +96,7 @@ def test_cut_leq_on_a_small_family(fig1):
         spec: Cut(target=target, edges=eset(lab, spec))
         for spec in ("e16 e17", "e16 e20", "e17 e19", "e19 e20")
     }
-    primary = primary_min_cut(fig1.net, target)
+    primary = Cut(target=target, edges=max_flow(fig1.net, target).cut)
     assert primary.edges == family["e16 e17"].edges
     for cut in family.values():
         assert cut_leq(fig1.net, primary, cut)
@@ -125,7 +116,7 @@ def test_minord_merge_picks_the_earlier_edge_per_path(fig1):
     assert cut_leq(fig1.net, merged, c1)
     assert cut_leq(fig1.net, merged, c2)
     # Merging with the primary cut is absorbing.
-    primary = primary_min_cut(fig1.net, target)
+    primary = Cut(target=target, edges=max_flow(fig1.net, target).cut)
     assert minord_merge(fig1.net, primary, c1).edges == primary.edges
     assert minord_merge(fig1.net, c1, c1).edges == c1.edges
 

@@ -19,7 +19,6 @@ from wtbound import (
     parse_collection,
     parse_network,
     preprocess,
-    primary_min_cut,
     serialize_collection,
     serialize_network,
 )
@@ -209,7 +208,7 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
     # class order is first-member order: the sets' distinct cuts as they come
     assert cuts == tuple(dict.fromkeys(set_cuts(coll)))
     for c in cuts:
-        assert primary_min_cut(net, c).edges == c
+        assert max_flow(net, c).cut == c
     regular = WiretapCollection(sets=cuts, classes=tuple(EquivalenceClass((c,), c) for c in cuts))
     assert preprocess(net, set_cuts(coll))[0] == regular
     assert bound_summary(net, regular) == bound_summary(net, coll)

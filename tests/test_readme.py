@@ -26,6 +26,7 @@ def test_the_library_example_runs_as_documented(capsys):
     assert scope["dropped"] == ((4, "duplicate", frozenset({0})),)
     report = scope["report"]
     assert len(report.cuts) == report.n_max == scope["bound"]
+    assert (scope["capacity"], scope["cut"]) == (1, frozenset({2}))
 
 
 def test_the_regularize_expression_gives_what_the_command_prints(fig1, data_files, capsys):

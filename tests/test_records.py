@@ -4,7 +4,9 @@ import pickle
 
 import pytest
 
+import wtbound
 from wtbound import (
+    Cut,
     EquivalenceClass,
     LabelTable,
     Network,
@@ -12,7 +14,7 @@ from wtbound import (
     build_network,
     class_hasse,
     compute_bound,
-    primary_min_cut,
+    max_flow,
 )
 
 from helpers import FIG1_COVERING, enumerate_min_cuts
@@ -22,16 +24,16 @@ from helpers import FIG1_COVERING, enumerate_min_cuts
 def records(fig1):
     """One record of each type, taken from what the package computes on fig1."""
     classes = fig1.coll.classes
-    target = fig1.coll.sets[0]
+    report = compute_bound(fig1.net, classes)
     return {
         "Network": fig1.net,
         "LabelTable": fig1.labels,
-        "Cut": primary_min_cut(fig1.net, target),
+        "Cut": report.cuts[0],
         "WiretapCollection": fig1.coll,
         "EquivalenceClass": classes[0],
         "HasseDiagram": class_hasse(fig1.net, classes),
-        "BoundReport": compute_bound(fig1.net, fig1.coll.classes),
-        "MinCutFamily": enumerate_min_cuts(fig1.net, target),
+        "BoundReport": report,
+        "MinCutFamily": enumerate_min_cuts(fig1.net, fig1.coll.sets[0]),
     }
 
 
@@ -79,7 +81,17 @@ def test_each_cut_is_stored_once_in_its_class(fig1):
     assert EquivalenceClass._fields == ("members", "cut")
     for cls in fig1.coll.classes:
         assert type(cls.cut) is frozenset
-        assert primary_min_cut(fig1.net, cls.members[0]).edges == cls.cut
+        assert max_flow(fig1.net, cls.members[0]).cut == cls.cut
+
+
+def test_the_primary_cut_has_one_spelling():
+    # `max_flow(net, T).cut` is the primary cut; `Cut` is the bound report's
+    # record, and its capacity is `len(cut.edges)`
+    assert Cut._fields == ("target", "edges")
+    assert not hasattr(Cut, "capacity")
+    assert wtbound.Cut is wtbound.wiretap.Cut
+    assert not hasattr(wtbound.flow, "primary_min_cut")
+    assert not hasattr(wtbound, "primary_min_cut")
 
 
 def test_network_adjacency_is_computed_once(fig1):

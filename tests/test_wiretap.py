@@ -8,6 +8,7 @@ import pytest
 
 import wtbound.flow
 from wtbound import (
+    DanglingEndpoint,
     HasseDiagram,
     ParameterOutOfRange,
     UnknownEdge,
@@ -18,8 +19,8 @@ from wtbound import (
     gen_combination,
     parse_collection,
     parse_network,
+    max_flow,
     preprocess,
-    primary_min_cut,
 )
 
 from helpers import (
@@ -214,11 +215,9 @@ def test_preprocess_runs_one_flow_per_relay_subset(monkeypatch):
 def test_regularize_replaces_a_set_by_its_primary_cut(fig1):
     # `wtb bound --regularize` replaces every set by this stand-in.
     lab = fig1.labels
-    cut = primary_min_cut(fig1.net, eset(lab, "e6 e10 e18"))
-    assert cut.edges == eset(lab, "e1 e2 e3")
-    assert cut.target == eset(lab, "e6 e10 e18")
+    assert max_flow(fig1.net, eset(lab, "e6 e10 e18")).cut == eset(lab, "e1 e2 e3")
     # Regular sets are their own minimum cut but not always their primary one.
-    assert primary_min_cut(fig1.net, eset(lab, "e18")).edges == eset(lab, "e16")
+    assert max_flow(fig1.net, eset(lab, "e18")).cut == eset(lab, "e16")
 
 
 def test_equivalent(fig1):
@@ -381,6 +380,28 @@ def test_bad_class_ids_raise_unknown_edge():
             class_hasse(net, [good, cls])
         with pytest.raises(UnknownEdge):
             compute_bound(net, (cls,))
+
+
+def test_ids_that_are_not_ints_raise_typed_errors():
+    net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
+    with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
+        max_flow(net, [1.0])
+    with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
+        preprocess(net, [[1.0]])
+    with pytest.raises(DanglingEndpoint, match=r"^node id 1\.5 is not an integer$"):
+        build_network([(0, 1.5)], 0)
+    with pytest.raises(DanglingEndpoint, match=r"^node id '1' is not an integer$"):
+        build_network([(0, "1")], 0)
+    with pytest.raises(DanglingEndpoint, match=r"^node id 1\.0 is not an integer$"):
+        build_network([(0, 1)], 0, sinks=(1.0,))
+    # the representative {1, 2} holds 1, and 1.0 == 1: a union of the two
+    # would drop the cut's 1.0 before it is checked
+    good = preprocess(net, [{1, 2}])[0].classes[0]
+    with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
+        class_hasse(net, [good, good._replace(cut=frozenset({1.0}))])
+    # bool subclasses int, so True and False stay ids
+    assert build_network([(False, True)], source=False).edges == ((False, True),)
+    assert max_flow(net, [True]).value == 1
 
 
 def test_compute_bound_fig1_modes(fig1):
