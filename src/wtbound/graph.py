@@ -71,13 +71,16 @@ def build_network(
 
     Node ids are inferred as 0..max(referenced id) unless `num_nodes` pins a
     larger range (isolated nodes are legal). Raises ParameterOutOfRange when
-    a sink is listed twice, DanglingEndpoint when an edge end, the source, or
-    a sink is not an int or falls outside the node range,
-    SourceHasIncomingEdges when any edge enters the source, and CyclicGraph
-    when the edge list admits no topological order. Sinks may have outgoing
-    edges and nodes may be unreachable; neither is an error here.
+    `num_nodes` is not a positive int or a sink is listed twice,
+    DanglingEndpoint when an edge end, the source, or a sink is not an int
+    or falls outside the node range, SourceHasIncomingEdges when any edge
+    enters the source, and CyclicGraph when the edge list admits no
+    topological order. Sinks may have outgoing edges and nodes may be
+    unreachable; neither is an error here.
     """
     edge_list = tuple((t, h) for t, h in edges)
+    if num_nodes is not None and not (isinstance(num_nodes, int) and num_nodes > 0):
+        raise ParameterOutOfRange(f"num_nodes must be a positive integer, got {num_nodes!r}")
     if len(set(sinks)) < len(sinks):
         raise ParameterOutOfRange(f"sink {max(sinks, key=sinks.count)} is listed more than once")
     referenced = [source, *sinks]

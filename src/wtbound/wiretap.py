@@ -3,10 +3,11 @@
 Two wiretap sets are equivalent when they share a minimum cut; a set's class
 is fully described by its primary minimum cut, so the classes form a finite
 poset under domination (a strictly larger minimum-cut capacity plus a cut of
-the dominator that also covers the dominated). Security codes only need to
-treat one class per maximal element of that poset, which is where the
-improved alphabet-size bound comes from: the count N_max of maximal classes,
-always at most the class count N, which is at most the collection size.
+the dominator that also covers the dominated; between primary cuts, one cut
+severing the other). Security codes only need to treat one class per
+maximal element of that poset, which is where the improved alphabet-size
+bound comes from: the count N_max of maximal classes, always at most the
+class count N, which is at most the collection size.
 
 One maximum flow per distinct reduced flow instance (in `preprocess`)
 yields the primary cut of every set that poses it: sets whose target edges
@@ -16,10 +17,11 @@ primary cut form a class, and the class table is the only place a cut is
 stored: each class holds its cut once, and a set's cut, whose size is the
 set's capacity, is the cut of the class that holds it. Everything after
 that is set algebra over the classes' cuts: class j dominates class i when
-j has the larger capacity and deleting j's cut severs i's representative.
-`class_hasse` is the only code that derives that order, in one topological
-sweep whose masks carry one bit per class; `compute_bound` and
-`oracle.cross_check` read the maximal classes off its diagram.
+j != i and deleting j's cut severs i's cut, with no member or capacity read
+(`class_hasse` proves it). `class_hasse` is the only code that derives that
+order, in one topological sweep whose masks carry one bit per class;
+`compute_bound` and `oracle.cross_check` read the maximal classes off its
+diagram.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class EquivalenceClass(NamedTuple):
 
     `members` are the member edge sets in collection order; every member
     has the primary minimum cut `cut`, and `len(cut)` is the class's
-    capacity. The first member is the class's representative.
+    capacity. `class_hasse` reads only `cut`; `compute_bound` also picks a
+    member as the target of each cut it reports.
     """
 
     members: tuple[frozenset[EdgeId], ...]
@@ -280,44 +283,69 @@ def _bits(mask: int) -> list[int]:
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
     """The domination order on classes, as one bitmask row per class.
 
-    Class j dominates class i when its capacity is larger and deleting its
-    cut leaves no edge of i's representative (i's first member) reachable.
-    One sweep in topological order decides this for all j at once; bit j of
-    each mask stands for the network without j's cut. `severs[e]` holds the
-    classes whose cut contains edge e, and `reach[v]` the classes whose cut
-    leaves node v reachable: all of them at the source, elsewhere the OR of
-    `kept[e] = reach[tail] & ~severs[e]` over v's in-edges. Every tail is
-    swept before its heads, so bit j of `kept[e]` is set exactly when e is
-    not in j's cut and the source reaches e's tail with that cut deleted:
-    when a search from the source that skips j's cut edges would cross e. So
-    j dominates i exactly when j is larger and no edge of i's representative
-    is kept for j. Raises UnknownEdge on a bad representative or cut id.
+    Class j dominates class i when j != i and deleting j's cut severs i's
+    cut: no edge of i's cut outside j's has a tail the source still reaches.
+    Only the cuts are read, so a class may have no members; the cuts must be
+    the distinct primary cuts `preprocess` stores. One sweep in topological
+    order decides this for all j at once; bit j of each mask stands for the
+    network without j's cut. `severs[e]` holds the classes whose cut
+    contains edge e, and `reach[v]` the classes whose cut leaves node v
+    reachable: all of them at the source, elsewhere the OR of
+    `reach[tail] & ~severs[e]` over v's in-edges. Every tail is swept before
+    its heads, so bit j of `reach[tail(e)] & ~severs[e]` is set exactly when
+    e is not in j's cut and the source reaches e's tail with that cut
+    deleted. So bit j of row i is set exactly when j != i and no edge of
+    i's cut sets bit j of that mask. Raises UnknownEdge on a bad cut id.
     `oracle.cross_check` checks that the relation is a strict partial order.
+
+    Why this is the paper's order, in which j dominates i when j has the
+    larger capacity and j's cut severs every member of i. "B severs X"
+    means that once B is deleted, no edge of X outside B has a tail the
+    source reaches. Write S(X) for the residual source side of a maximum
+    flow to the edge set X, searched over the whole network (the `side` of
+    `tests/helpers.reference_max_flow`): the least minimiser, over node sets
+    Y that hold the source, of k_X(Y) = #{e in X : tail in Y} +
+    #{e not in X : tail in Y, head not in Y}. Write P(X) for the primary
+    cut `flow.max_flow(net, X).cut`; a primary cut C has P(C) = C.
+
+    1. Deleting P(X) leaves exactly S(X) reachable.
+    2. If T is inside W, then S(W) is inside S(T): k is submodular, and
+       k_W - k_T = #{e in W - T : both ends in Y} grows with Y, so
+       S(T) & S(W) also minimises k_W.
+    3. If C_j severs a member T of class i, it severs C_i = P(T). Let
+       W = T | C_j. C_j cuts W, and every cut of W cuts C_j, so C_j is a
+       minimum cut of W and S(W) = S(C_j); by (2), S(C_j) is inside S(T).
+       An edge of C_i whose tail is in S(C_j) either lies in T, and so in
+       C_j, which severs T, or leaves S(T), which holds S(C_j), and so lies
+       in C_j. Conversely, anything that severs C_i severs T, since C_i
+       cuts T.
+    4. If C_j != C_i severs C_i, then |C_j| > |C_i|. Since C_j severs C_i
+       it is a cut of C_i, so |C_j| >= |C_i|. At equality C_j would be a
+       minimum cut of C_i, which C_i, the least one, severs in turn; two
+       minimum cuts that sever each other are equal, since each path of a
+       maximum flow crosses each of them exactly once.
+
+    So no member needs to be read, and the capacity test is implied.
     """
     severs = [0] * len(net.edges)
-    at_cap: dict[int, int] = {}  # capacity -> the classes that have it
     for j, c in enumerate(classes):
-        for e in (*c.members[0], *c.cut):  # a union would let 1.0 hide behind 1
-            net.check_edge(e)
         for e in c.cut:
+            net.check_edge(e)
             severs[e] |= 1 << j
-        at_cap[len(c.cut)] = at_cap.get(len(c.cut), 0) | 1 << j
-    larger, acc = {}, 0  # capacity -> the classes of larger capacity
-    for cap in sorted(at_cap, reverse=True):
-        larger[cap], acc = acc, acc | at_cap[cap]
     edges = net.edges
+    full = (1 << len(classes)) - 1
     reach = [0] * net.num_nodes
-    reach[net.source] = (1 << len(classes)) - 1
+    reach[net.source] = full
     for v in topological_order(net):
         if reach[v]:
             for e in net.out_edges[v]:
-                reach[edges[e][1]] |= reach[v] & ~severs[e]  # kept[e]
+                reach[edges[e][1]] |= reach[v] & ~severs[e]
     rows = []
-    for c in classes:
-        kept = 0
-        for e in c.members[0]:
+    for i, c in enumerate(classes):
+        kept = 1 << i  # a class does not dominate itself
+        for e in c.cut:
             kept |= reach[edges[e][0]] & ~severs[e]
-        rows.append(larger[len(c.cut)] & ~kept)
+        rows.append(full & ~kept)
     return HasseDiagram(
         classes=tuple(classes),
         maximal=tuple(i for i, row in enumerate(rows) if not row),
@@ -337,10 +365,16 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
 
     The cuts come in the order the paper's pruning loop picks them: by their
     class's largest member, ties broken by the lexicographically smallest
-    edge list. The loop's result does not depend on that order.
+    edge list. The loop's result does not depend on that order. Each cut's
+    target is that picked member. Raises ParameterOutOfRange on a class with
+    no members, and UnknownEdge on a bad id in a target it reports or, in
+    modes "nmax" and "both", in a cut (`class_hasse` checks the cuts).
     """
     if mode not in ("nmax", "n", "both"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax', 'n' or 'both'")
+    for i, cls in enumerate(classes):
+        if not cls.members:
+            raise ParameterOutOfRange(f"class {i} has no members")
     n_classes = len(classes) if mode in ("n", "both") else None
     n_max = None
     if mode in ("nmax", "both"):
@@ -354,10 +388,14 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
         largest = compress(cls.members, map(size.__eq__, sizes))
         picks.append(((-size, min(map(sorted, largest))), i))
     picks.sort()
-    cuts = tuple(Cut(target=frozenset(edges), edges=classes[i].cut) for (_, edges), i in picks)
+    cuts = []
+    for (_, target), i in picks:
+        for e in target:
+            net.check_edge(e)
+        cuts.append(Cut(target=frozenset(target), edges=classes[i].cut))
     return BoundReport(
         n_classes=n_classes,
         n_max=n_max,
-        cuts=cuts,
+        cuts=tuple(cuts),
         recommended_alphabet=max(len(cuts) + 1, len(net.sinks)),
     )

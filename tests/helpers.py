@@ -62,6 +62,16 @@ FIG1_ORDER = FIG1_COVERING + [
 
 FIG1_MAXIMAL_CUTS = ("e1 e2 e3", "e3 e4 e5", "e16 e17")
 
+# A 12-node DAG on which the flow to edges {7, 18} takes a unit back: the
+# second augmenting path, 0 -> 1 -> 7, cancels the first path's unit on edge
+# 10 (2 -> 7) and leaves along 2 -> 3 -> exit 18. The value is 2 and the cut
+# {0, 7}; a kernel that kept the cancelled unit would report {7, 14}.
+CANCELLING_EDGES = (
+    (0, 2), (6, 8), (5, 7), (1, 7), (0, 1), (4, 5), (4, 6), (7, 9), (3, 11), (6, 11), (2, 7),
+    (1, 5), (7, 10), (8, 11), (2, 3), (8, 11), (1, 5), (6, 8), (3, 8), (1, 5), (10, 11),
+    (0, 5), (9, 11),
+)
+
 # A four-edge network for collection texts: edge d starts at y, which the
 # source misses, so a set of d alone is dropped.
 COLLECTION_NETWORK = "edge a s x\nedge b x t\nedge c s t\nedge d y t\nsource s\n"
@@ -104,18 +114,18 @@ def wtb_process(argv, extra_env=None, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
-def draw_dag(draw) -> Network:
-    """A DAG on <=7 nodes with <=10 edges (parallel edges possible), node ids
-    ascending along every edge so node 0 is a valid source. The first edge
-    leaves node 0, so some edge is always reachable. `draw` is a Hypothesis
-    draw function."""
+def draw_dag(draw, max_nodes: int = 7, max_edges: int = 10) -> Network:
+    """A DAG on <=max_nodes nodes with <=max_edges edges (parallel edges
+    possible), node ids ascending along every edge so node 0 is a valid
+    source. The first edge leaves node 0, so some edge is always reachable.
+    `draw` is a Hypothesis draw function."""
     from hypothesis import strategies as st
 
-    n_nodes = draw(st.integers(2, 7))
+    n_nodes = draw(st.integers(2, max_nodes))
     pairs = st.integers(0, n_nodes - 2).flatmap(
         lambda t: st.tuples(st.just(t), st.integers(t + 1, n_nodes - 1))
     )
-    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=9))]
+    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=max_edges - 1))]
     return build_network(edges, source=0, num_nodes=n_nodes)
 
 

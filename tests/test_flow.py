@@ -17,6 +17,7 @@ from wtbound import (
 from wtbound.flow import _live_nodes
 
 from helpers import (
+    CANCELLING_EDGES,
     CORPUS_SEED,
     CORPUS_SIZE,
     descendants,
@@ -178,6 +179,12 @@ def test_dead_branches_are_pruned_without_changing_the_flow():
     assert flow.value == 1
     assert flow.cut == frozenset({8})
     assert residual_side(net, {8}, flow.values) == frozenset(range(7))
+
+
+def test_max_flow_takes_a_unit_back_along_a_cancelling_path():
+    flow = assert_matches_reference(build_network(CANCELLING_EDGES, 0, num_nodes=12), {7, 18})
+    assert flow.value == 2
+    assert flow.cut == frozenset({0, 7})
 
 
 def test_live_nodes_mirror_descendant_searches(fig1, singlesink):

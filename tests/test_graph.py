@@ -40,6 +40,15 @@ def test_build_network_rejects_bad_node_ids():
         build_network([(0, 1)], source=-1)
 
 
+def test_build_network_rejects_a_node_count_that_is_not_a_positive_int():
+    for bad in (2.5, "3", -1, 0):
+        with pytest.raises(ParameterOutOfRange, match=r"^num_nodes must be a positive integer, got "):
+            build_network([(0, 1)], source=0, num_nodes=bad)
+    # a count too small for the ids stays an endpoint error
+    with pytest.raises(DanglingEndpoint, match=r"^node id 1 outside declared range 0\.\.0$"):
+        build_network([(0, 1)], source=0, num_nodes=1)
+
+
 def test_build_network_rejects_a_repeated_sink():
     # a repeated sink would count twice in compute_bound's recommended alphabet
     with pytest.raises(ParameterOutOfRange, match="sink 2 is listed more than once"):

@@ -24,6 +24,7 @@ from wtbound import (
 )
 
 from helpers import (
+    CANCELLING_EDGES,
     COLLECTION_NETWORK,
     draw_dag,
     enumerate_min_cuts,
@@ -32,6 +33,7 @@ from helpers import (
     reference_bounds,
     reference_domination_rows,
     reference_flow_key,
+    reference_max_flow,
     reference_preprocess,
     set_cuts,
 )
@@ -41,18 +43,18 @@ st = pytest.importorskip("hypothesis.strategies")
 
 
 @st.composite
-def dag_and_target(draw):
+def dag_and_target(draw, max_nodes=7, max_edges=10):
     """A DAG from `draw_dag` and a nonempty target edge set."""
-    net = draw_dag(draw)
+    net = draw_dag(draw, max_nodes, max_edges)
     target = draw(st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=4))
     return net, target
 
 
 @st.composite
-def dag_and_collection(draw):
+def dag_and_collection(draw, max_nodes=7, max_edges=10):
     """A DAG from `draw_dag` and a list of up to 8 edge sets of up to 3
     edges; empty, duplicate and unreachable sets are all possible."""
-    net = draw_dag(draw)
+    net = draw_dag(draw, max_nodes, max_edges)
     edge_set = st.frozensets(st.integers(0, len(net.edges) - 1), max_size=3)
     return net, draw(st.lists(edge_set, min_size=1, max_size=8))
 
@@ -69,6 +71,32 @@ def test_max_flow_agrees_with_the_oracle(case):
         assert flow.cut == oracle_primary_min_cut(net, target).edges
     else:
         assert flow.cut == frozenset()
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(dag_and_target(max_nodes=12, max_edges=30))
+@hypothesis.example((build_network(CANCELLING_EDGES, 0, num_nodes=12), frozenset({7, 18})))
+def test_max_flow_matches_the_unpruned_reference_and_conserves_flow(case):
+    net, target = case
+    flow = max_flow(net, target)
+    ref = reference_max_flow(net, target)
+    assert (flow.value, flow.values, flow.cut) == (ref.value, ref.values, ref.cut)
+    # a unit on a target edge leaves the network there
+    for v in range(net.num_nodes):
+        if v != net.source:
+            arriving = sum(flow.values[e] for e in net.in_edges[v] if e not in target)
+            assert arriving == sum(flow.values[e] for e in net.out_edges[v]), v
+    assert sum(flow.values[e] for e in target) == flow.value
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(dag_and_collection(max_nodes=12, max_edges=30))
+def test_domination_rows_match_the_member_and_capacity_reference(case):
+    # class_hasse reads only the cuts; the reference reads each class's
+    # first member and compares capacities, as the paper defines domination
+    net, sets = case
+    classes = preprocess(net, sets)[0].classes
+    assert list(class_hasse(net, classes).above) == reference_domination_rows(net, classes)
 
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -212,6 +240,8 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
     regular = WiretapCollection(sets=cuts, classes=tuple(EquivalenceClass((c,), c) for c in cuts))
     assert preprocess(net, set_cuts(coll))[0] == regular
     assert bound_summary(net, regular) == bound_summary(net, coll)
+    # the diagram is read off the cuts, which regularizing keeps in order
+    assert class_hasse(net, regular.classes).above == class_hasse(net, coll.classes).above
 
 
 def bound_summary(net, coll):

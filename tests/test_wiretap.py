@@ -352,34 +352,83 @@ def test_domination_columns_match_reachability_on_a_class_heavy_network():
     assert set_bits
 
 
-def test_domination_rows_read_each_class_representative(fig1):
-    # Any member of a class gives the same rows, so hand-built classes with
-    # their representatives (their first members) rotated, each now off its
-    # own cut, show which edge set the rows read.
+def test_severing_a_member_is_severing_its_class_cut(corpus):
+    # class_hasse's theorem on primary cuts: C_j severs a member of class i
+    # exactly when it severs C_i, and between distinct classes only when
+    # C_j is the larger cut. "Severs" is read off the surviving edges.
+    pairs = 0
+    for rec in corpus:
+        classes = rec.coll.classes
+        survivors = [reachable_after_delete(rec.net, c.cut) for c in classes]
+        for i, ci in enumerate(classes):
+            for j, cj in enumerate(classes):
+                severs_cut = survivors[j].isdisjoint(ci.cut)
+                for member in ci.members:
+                    assert survivors[j].isdisjoint(member) == severs_cut, (rec.seed, i, j)
+                if severs_cut and i != j:
+                    assert len(cj.cut) > len(ci.cut), (rec.seed, i, j)
+                    pairs += 1
+    assert pairs
+
+
+def test_domination_rows_read_only_the_cuts(fig1):
+    # Hand-built tables with each class's first member rotated, now off its
+    # own cut, or with no members at all give the table's own rows; the
+    # member-reading definition tells the rotated table apart.
     classes = fig1.coll.classes
+    rows = list(class_hasse(fig1.net, classes).above)
     rotated = [
         c._replace(members=(classes[i - 1].members[0], *c.members[1:]))
         for i, c in enumerate(classes)
     ]
-    rows = list(class_hasse(fig1.net, rotated).above)
-    assert rows == reference_domination_rows(fig1.net, rotated)
-    assert rows != list(class_hasse(fig1.net, classes).above)
+    bare = [c._replace(members=()) for c in classes]
+    assert list(class_hasse(fig1.net, rotated).above) == rows
+    assert list(class_hasse(fig1.net, bare).above) == rows
+    assert reference_domination_rows(fig1.net, rotated) != rows
+
+
+def test_covering_reduces_a_row_that_holds_class_0(fig1):
+    # With fig1's last set first, class 0 is a maximal class that dominates
+    # others, so a covering pair may have to be told apart by bit 0.
+    sets = fig1.coll.sets
+    diagram = class_hasse(fig1.net, preprocess(fig1.net, (sets[-1], *sets[:-1]))[0].classes)
+    above = diagram.above
+    assert any(row & 1 for row in above)
+    reduced = [
+        (i, j)
+        for i, row in enumerate(above)
+        for j in range(len(above))
+        if row >> j & 1 and not any(row >> k & 1 and above[k] >> j & 1 for k in range(len(above)))
+    ]
+    assert len(diagram.covering) == 18
+    assert list(diagram.covering) == reduced
 
 
 def test_bad_class_ids_raise_unknown_edge():
-    # a 3-edge path s -> a -> b -> t, hand-built classes around a good one
+    # A 3-edge path s -> a -> b -> t, hand-built classes around a good one.
+    # class_hasse reads only the cuts, so only a bad cut id fails there;
+    # compute_bound checks the member it reports as a cut's target.
     net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
     good = preprocess(net, [{1, 2}])[0].classes[0]
-    bad = [
-        good._replace(cut=frozenset({5})),
-        good._replace(members=(frozenset({-1}),)),
-        good._replace(members=(frozenset({9}),)),
-    ]
-    for cls in bad:
-        with pytest.raises(UnknownEdge):
-            class_hasse(net, [good, cls])
-        with pytest.raises(UnknownEdge):
-            compute_bound(net, (cls,))
+    bad_cut = good._replace(cut=frozenset({5}))
+    with pytest.raises(UnknownEdge):
+        class_hasse(net, [good, bad_cut])
+    with pytest.raises(UnknownEdge):
+        compute_bound(net, (bad_cut,))
+    for member in ({-1}, {9}):
+        cls = good._replace(members=(frozenset(member),))
+        assert class_hasse(net, [cls]).above == (0,)
+        for mode in ("n", "nmax", "both"):
+            with pytest.raises(UnknownEdge, match=rf"^edge id {min(member)} not in 0\.\.2$"):
+                compute_bound(net, (cls,), mode=mode)
+
+
+def test_a_class_with_no_members_has_no_target_to_report(fig1):
+    classes = list(fig1.coll.classes)
+    classes[4] = classes[4]._replace(members=())
+    for mode in ("n", "nmax", "both"):
+        with pytest.raises(ParameterOutOfRange, match=r"^class 4 has no members$"):
+            compute_bound(fig1.net, classes, mode=mode)
 
 
 def test_ids_that_are_not_ints_raise_typed_errors():
@@ -394,8 +443,7 @@ def test_ids_that_are_not_ints_raise_typed_errors():
         build_network([(0, "1")], 0)
     with pytest.raises(DanglingEndpoint, match=r"^node id 1\.0 is not an integer$"):
         build_network([(0, 1)], 0, sinks=(1.0,))
-    # the representative {1, 2} holds 1, and 1.0 == 1: a union of the two
-    # would drop the cut's 1.0 before it is checked
+    # class_hasse checks each cut id before it indexes by it
     good = preprocess(net, [{1, 2}])[0].classes[0]
     with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
         class_hasse(net, [good, good._replace(cut=frozenset({1.0}))])
