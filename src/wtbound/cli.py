@@ -117,14 +117,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     human.append(f"collection: {n_sets} sets")
     machine += [("sets", n_sets), ("mode", args.mode)]
 
-    result = wiretap.compute_bound(net, classes, mode=args.mode)
-    if result.n_classes is not None:
-        human.append(f"equivalence classes (N): {result.n_classes}")
-        machine.append(("n", result.n_classes))
-    if result.n_max is not None:
-        human.append(f"maximal classes (N_max): {result.n_max}")
-        machine.append(("n_max", result.n_max))
-    label = "maximal classes" if result.n_max is not None else "classes"
+    result = wiretap.compute_bound(net, classes, mode="n" if args.mode == "n" else "nmax")
+    if args.mode != "nmax":
+        human.append(f"equivalence classes (N): {len(classes)}")
+        machine.append(("n", len(classes)))
+    if args.mode != "n":
+        human.append(f"maximal classes (N_max): {len(result.cuts)}")
+        machine.append(("n_max", len(result.cuts)))
+    label = "classes" if args.mode == "n" else "maximal classes"
     human.append(f"primary cuts of the {label}:")
     human += [f"  {labels.format_set(c.edges)}" for c in result.cuts]
     machine.append(("cuts", len(result.cuts)))
@@ -187,7 +187,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
         (f"cover.{k + 1}", f"{lo + 1}<{hi + 1}")
         for k, (lo, hi) in enumerate(diagram.covering)
     ]
-    _finish(human, machine, [("--dot", args.dot, fileio.export_hasse_dot(diagram))])
+    _finish(human, machine, [("--dot", args.dot, fileio.export_hasse_dot(classes, diagram))])
     return 0
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, product, repeat
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CollectionTooLarge,
@@ -28,7 +28,7 @@ from .errors import (
     UnknownEdgeLabel,
 )
 from .graph import EdgeId, Network, build_network
-from .wiretap import HasseDiagram, WiretapCollection, preprocess
+from .wiretap import EquivalenceClass, HasseDiagram, WiretapCollection, preprocess
 
 DEFAULT_MAX_SETS = 100_000
 
@@ -283,12 +283,16 @@ def _capped_comb(n: int, k: int, cap: int) -> int:
     return c
 
 
+def _check_ints(**sizes: object) -> None:
+    """Refuse, by name, a size argument that is not an int (`True` is one)."""
+    for name, value in sizes.items():
+        if not isinstance(value, int):
+            raise ParameterOutOfRange(f"{name} must be an int, got {value!r}")
+
+
 def _count_sets(counts: Iterable[int], max_sets: int) -> int:
-    """The sum of `counts`, added in order. Raises ParameterOutOfRange for
-    max_sets < 1, and CollectionTooLarge at the first partial sum above
-    `max_sets`, so later counts are never formed."""
-    if max_sets < 1:
-        raise ParameterOutOfRange(f"max_sets must be at least 1, got {max_sets}")
+    """The sum of `counts`, added in order. Raises CollectionTooLarge at the
+    first partial sum above `max_sets`, so later counts are never formed."""
     total = 0
     for count in counts:
         total += count
@@ -305,16 +309,19 @@ def gen_combination(
     The source feeds every relay; each sink draws one edge from each relay of
     its subset. Wiretap sets take up to r relay-to-sink edges, no two from
     the same relay. Returns (network text, collection text), byte-identical
-    across runs. Raises ParameterOutOfRange unless 1 <= k <= n,
-    1 <= r <= n and max_sets >= 1, CollectionTooLarge when the set count
-    would top `max_sets`.
+    across runs. Raises ParameterOutOfRange, before any count is formed,
+    unless all four are ints, 1 <= k <= n, 1 <= r <= n and max_sets >= 1,
+    and CollectionTooLarge when the set count would top `max_sets`.
     """
+    _check_ints(n=n, k=k, r=r, max_sets=max_sets)
     if n < 1:
         raise ParameterOutOfRange(f"n must be at least 1, got {n}")
     if not 1 <= k <= n:
         raise ParameterOutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= r <= n:
         raise ParameterOutOfRange(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
+    if max_sets < 1:
+        raise ParameterOutOfRange(f"max_sets must be at least 1, got {max_sets}")
     per_node = _capped_comb(n - 1, k - 1, max_sets)  # lower edges per relay
     # a per_node above the cap makes the first count, n * per_node, top it too
     total = _count_sets((comb(n, c) * per_node**c for c in range(1, r + 1)), max_sets)
@@ -347,12 +354,15 @@ def gen_r_wiretap(
 ) -> str:
     """Collection of every edge set of size 1..r, in size-then-id order.
 
-    Raises ParameterOutOfRange for r < 1 or max_sets < 1,
+    Raises ParameterOutOfRange unless r and max_sets are ints of at least 1,
     CollectionTooLarge when the count would top `max_sets`, and UnknownEdge
     when `labels` holds fewer edge labels than `net` has edges.
     """
+    _check_ints(r=r, max_sets=max_sets)
     if r < 1:
         raise ParameterOutOfRange(f"r must be at least 1, got {r}")
+    if max_sets < 1:
+        raise ParameterOutOfRange(f"max_sets must be at least 1, got {max_sets}")
     n_edges = len(net.edges)
     r_eff = min(r, n_edges)
     _count_sets((comb(n_edges, c) for c in range(1, r_eff + 1)), max_sets)
@@ -362,16 +372,21 @@ def gen_r_wiretap(
     )
 
 
-def export_hasse_dot(diagram: HasseDiagram) -> str:
-    """Render the class order as deterministic DOT text.
+def export_hasse_dot(classes: Sequence[EquivalenceClass], diagram: HasseDiagram) -> str:
+    """Render the order `class_hasse(net, classes)` found as deterministic DOT text.
 
-    One node per class, labeled Cl<i> with its member count; an arrow from
-    each dominated class up to its covering dominator; maximal classes drawn
-    with a double border.
+    One node per class, labeled Cl<i> with its member count, read from
+    `classes`; an arrow from each dominated class up to its covering
+    dominator; maximal classes drawn with a double border. Raises
+    ParameterOutOfRange when `classes` and the diagram's rows differ in length.
     """
+    if len(classes) != len(diagram.above):
+        raise ParameterOutOfRange(
+            f"{len(classes)} classes for a diagram of {len(diagram.above)} rows"
+        )
     lines = ["digraph classes {", "  rankdir=BT;"]
     maximal = set(diagram.maximal)
-    for i, cls in enumerate(diagram.classes):
+    for i, cls in enumerate(classes):
         count = len(cls.members)
         label = f"Cl{i + 1} ({count} set{'s' if count != 1 else ''})"
         extra = ", peripheries=2" if i in maximal else ""

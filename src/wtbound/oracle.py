@@ -257,7 +257,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     reads -1), each set's primary cut, read as the `cut` of the class that
     holds it (its size is the set's capacity; a set no class holds reads the
     empty cut), and the table's `class_hasse` diagram, whose maximal classes
-    are the ones `compute_bound` reports. Returns one record per check; `ok`
+    are the ones `compute_bound` reports in mode "nmax". Returns one record per check; `ok`
     False means the two implementations disagree, always a bug in one of them.
     The domination record also fails when the fast relation is not a strict
     partial order, and the n_max record unless n_max <= n <= len(sets).

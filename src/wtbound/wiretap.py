@@ -20,8 +20,9 @@ that is set algebra over the classes' cuts: class j dominates class i when
 j != i and deleting j's cut severs i's cut, with no member or capacity read
 (`class_hasse` proves it). `class_hasse` is the only code that derives that
 order, in one topological sweep whose masks carry one bit per class;
-`compute_bound` and `oracle.cross_check` read the maximal classes off its
-diagram.
+`compute_bound` (mode "nmax") and `oracle.cross_check` read the maximal
+classes off its diagram. Records hold only what their stage computes: N is
+`len(classes)`, and N_max the length of the bound's `cuts`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from math import prod
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import flow
 from .errors import ParameterOutOfRange
@@ -64,17 +65,17 @@ class WiretapCollection(NamedTuple):
 
 
 class _HasseFields(NamedTuple):
-    classes: tuple[EquivalenceClass, ...]
     maximal: tuple[int, ...]
     above: tuple[int, ...]
 
 
 class HasseDiagram(_HasseFields):
-    """The domination order on classes. Build through `class_hasse`.
+    """The domination order on a class table. Build through `class_hasse`.
 
-    Bit j of `above[i]` is set when class j dominates class i; `maximal`
-    lists the classes with an empty row. The fields live in a NamedTuple
-    base, and the `__dict__` of this subclass caches `covering`.
+    Bit j of `above[i]` is set when class j dominates class i of the table,
+    which is not held; `maximal` lists the classes with an empty row. The
+    fields live in a NamedTuple base, and the `__dict__` of this subclass
+    caches `covering`.
     """
 
     @cached_property
@@ -104,19 +105,11 @@ class Cut(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """Outcome of `compute_bound`.
+    """Outcome of `compute_bound`: the primary cuts of the classes it counts,
+    each with the member the paper's pruning loop picks as its target, in
+    pick order, so `len(cuts)` is the bound (N_max, or N in mode "n"); and
+    the smallest alphabet above it that also serves every sink node."""
 
-    `n_classes` / `n_max` are None when the mode skipped them. `cuts` holds
-    the primary cuts of the maximal classes in modes "nmax" and "both", one
-    cut per class in mode "n"; each cut's target is the class member the
-    paper's pruning loop would pick, and the cuts come in that pick order;
-    their count is the bound (N_max, or N in mode "n"). `recommended_alphabet`
-    is the smallest size above that bound that also meets the decodability
-    needs of the network's sink nodes.
-    """
-
-    n_classes: Optional[int]
-    n_max: Optional[int]
     cuts: tuple[Cut, ...]
     recommended_alphabet: int
 
@@ -281,7 +274,8 @@ def _bits(mask: int) -> list[int]:
 
 
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
-    """The domination order on classes, as one bitmask row per class.
+    """The domination order on classes, as one bitmask row per class of the
+    table, which the diagram does not hold.
 
     Class j dominates class i when j != i and deleting j's cut severs i's
     cut: no edge of i's cut outside j's has a tail the source still reaches.
@@ -346,40 +340,33 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
         for e in c.cut:
             kept |= reach[edges[e][0]] & ~severs[e]
         rows.append(full & ~kept)
-    return HasseDiagram(
-        classes=tuple(classes),
-        maximal=tuple(i for i, row in enumerate(rows) if not row),
-        above=tuple(rows),
-    )
+    maximal = tuple(i for i, row in enumerate(rows) if not row)
+    return HasseDiagram(maximal=maximal, above=tuple(rows))
 
 
-def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str = "both") -> BoundReport:
-    """Alphabet-size lower bounds from a class table, such as `coll.classes`.
+def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str = "nmax") -> BoundReport:
+    """Alphabet-size lower bound from a class table, such as `coll.classes`.
 
     A `WiretapCollection` in place of the table raises AttributeError.
-    Modes: "nmax" computes only the count of maximal classes, "n" only the
-    class count, "both" the two together; any other raises ParameterOutOfRange.
-    The recommendation is max(len(cuts) + 1, number of sinks), using the
-    strongest bound computed; with no declared sinks the sink term is 0. An
-    empty table yields zero bounds.
+    Mode "nmax" reports the maximal classes' cuts (`class_hasse`), mode "n"
+    every class's cut with no domination pass, so `len(cuts)` is N_max or N;
+    any other mode raises ParameterOutOfRange. The recommendation is
+    max(len(cuts) + 1, number of sinks); with no declared sinks the sink
+    term is 0. An empty table yields no cuts.
 
     The cuts come in the order the paper's pruning loop picks them: by their
     class's largest member, ties broken by the lexicographically smallest
     edge list. The loop's result does not depend on that order. Each cut's
     target is that picked member. Raises ParameterOutOfRange on a class with
-    no members, and UnknownEdge on a bad id in a target it reports or, in
-    modes "nmax" and "both", in a cut (`class_hasse` checks the cuts).
+    no members, and UnknownEdge on a bad id in a cut or target it reports.
     """
-    if mode not in ("nmax", "n", "both"):
-        raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax', 'n' or 'both'")
+    if mode not in ("nmax", "n"):
+        raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax' or 'n'")
     for i, cls in enumerate(classes):
         if not cls.members:
             raise ParameterOutOfRange(f"class {i} has no members")
-    n_classes = len(classes) if mode in ("n", "both") else None
-    n_max = None
-    if mode in ("nmax", "both"):
+    if mode == "nmax":
         classes = tuple(classes[i] for i in class_hasse(net, classes).maximal)
-        n_max = len(classes)
     picks = []
     for i, cls in enumerate(classes):
         # min((-len(s), sorted(s)) for s in cls.members), without a frame per member
@@ -390,12 +377,8 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     picks.sort()
     cuts = []
     for (_, target), i in picks:
-        for e in target:
+        edges = classes[i].cut
+        for e in (*target, *edges):  # not their union, which keeps one of 1 and 1.0
             net.check_edge(e)
-        cuts.append(Cut(target=frozenset(target), edges=classes[i].cut))
-    return BoundReport(
-        n_classes=n_classes,
-        n_max=n_max,
-        cuts=tuple(cuts),
-        recommended_alphabet=max(len(cuts) + 1, len(net.sinks)),
-    )
+        cuts.append(Cut(target=frozenset(target), edges=edges))
+    return BoundReport(cuts=tuple(cuts), recommended_alphabet=max(len(cuts) + 1, len(net.sinks)))

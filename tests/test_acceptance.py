@@ -74,7 +74,7 @@ def test_maximal_cut_list_is_invariant_under_tie_breaking(fig1):
     expected = {eset(fig1.labels, spec) for spec in FIG1_MAXIMAL_CUTS}
     report = compute_bound(fig1.net, fig1.coll.classes)
     assert {c.edges for c in report.cuts} == expected
-    assert (report.n_classes, report.n_max) == (15, 3)
+    assert (len(fig1.coll.classes), len(report.cuts)) == (15, 3)
     for select in ("cardinality", "mincut"):
         assert set(pruning_loop(fig1.net, fig1.coll, False, select)) == expected
         assert len(pruning_loop(fig1.net, fig1.coll, True, select)) == 15
@@ -181,8 +181,7 @@ def test_generated_benchmark_bounds_and_runtime():
     elapsed = time.perf_counter() - started
     assert warnings == ()
     assert len(coll.sets) == 2905
-    assert (report.n_classes, report.n_max) == (41, 20)
-    assert report.n_max <= report.n_classes <= len(coll.sets)
+    assert (len(coll.classes), len(report.cuts)) == (41, 20)
     assert elapsed < 30.0
 
 
@@ -203,7 +202,7 @@ def test_combination_family_meets_its_closed_forms():
                 report = compute_bound(net, coll.classes)
                 assert (len(coll.sets), warnings) == (total, ()), (n, k, r)
                 n_classes = sum(comb(n, c) for c in range(1, r + 1))
-                assert (report.n_classes, report.n_max) == (n_classes, comb(n, r)), (n, k, r)
+                assert (len(coll.classes), len(report.cuts)) == (n_classes, comb(n, r)), (n, k, r)
                 cases += 1
     assert cases == 40
 
@@ -231,8 +230,8 @@ def test_fast_path_matches_brute_force_over_the_corpus(corpus):
                     fast_order.add((i, j))
         assert fast_order == set(rec.ob.order), rec.seed
 
-        assert rec.report.n_classes == rec.ob.n, rec.seed
-        assert rec.report.n_max == rec.ob.n_max, rec.seed
+        assert len(rec.classes) == rec.ob.n, rec.seed
+        assert len(rec.report.cuts) == rec.ob.n_max, rec.seed
         oracle_maximal_cuts = {
             oracle_primary_min_cut(net, coll.sets[cls[0]]).edges
             for i, cls in enumerate(rec.ob.classes)
@@ -364,9 +363,9 @@ def test_cut_order_is_decomposition_independent(corpus):
 def test_bound_ordering_and_tightness_over_the_corpus(corpus):
     saturated = 0
     for rec in corpus:
-        report = rec.report
-        assert report.n_max <= report.n_classes <= len(rec.coll.sets), rec.seed
-        if rec.coll.sets and report.n_max == len(rec.coll.sets):
+        n_max = len(rec.report.cuts)
+        assert n_max <= len(rec.classes) <= len(rec.coll.sets), rec.seed
+        if rec.coll.sets and n_max == len(rec.coll.sets):
             saturated += 1
             assert all(len(members) == 1 for members in rec.ob.classes), rec.seed
             assert rec.ob.order == frozenset(), rec.seed

@@ -76,7 +76,8 @@ def test_bound_mode_n(data_files, capsys):
 @pytest.mark.parametrize("instance", ["fig1", "c422"])
 @pytest.mark.parametrize("mode", ["both", "nmax", "n"])
 def test_the_printed_bound_is_the_cut_count(data_files, tmp_path, capsys, instance, mode):
-    # N_max in modes both and nmax, N in mode n: the report's cut count either way
+    # N_max in modes both and nmax, N in mode n: the report's cut count either
+    # way, and mode both is the library's mode nmax plus the class count
     if instance == "fig1":
         net_path, sets_path = data_files / "fig1.net", data_files / "fig1.wsets"
     else:
@@ -85,14 +86,17 @@ def test_the_printed_bound_is_the_cut_count(data_files, tmp_path, capsys, instan
             path.write_text(text)
     net, labels = parse_network(net_path.read_text())
     coll, _ = parse_collection(sets_path.read_text(), net, labels)
-    report = compute_bound(net, coll.classes, mode=mode)
-    assert len(report.cuts) == (report.n_classes if mode == "n" else report.n_max)
+    report = compute_bound(net, coll.classes, mode="n" if mode == "n" else "nmax")
+    if mode == "n":
+        assert len(report.cuts) == len(coll.classes)
     assert report.recommended_alphabet == max(len(report.cuts) + 1, len(net.sinks))
     assert main(["bound", str(net_path), str(sets_path), "--mode", mode]) == 0
     out = capsys.readouterr().out
     assert f"an alphabet with more than {len(report.cuts)} symbols suffices" in out
     block = result_block(out)
     assert block["cuts"] == str(len(report.cuts))
+    assert block.get("n") == (None if mode == "nmax" else str(len(coll.classes)))
+    assert block.get("n_max") == (None if mode == "n" else str(len(report.cuts)))
     assert block["recommended_alphabet"] == str(report.recommended_alphabet)
 
 

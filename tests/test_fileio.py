@@ -313,7 +313,7 @@ def test_gen_combination_shape_and_bound():
     assert len(coll.sets) == 66
     assert warnings == ()
     report = compute_bound(net, coll.classes)
-    assert (report.n_classes, report.n_max) == (10, 6)
+    assert (len(coll.classes), len(report.cuts)) == (10, 6)
     assert report.recommended_alphabet == 7
 
 
@@ -327,6 +327,30 @@ def test_gen_combination_rejects_bad_parameters():
     assert gen_combination(2, 1, 1, max_sets=2)[1] == "b1_1\nb2_2\n"
     with pytest.raises(CollectionTooLarge):
         gen_combination(6, 5, 3, max_sets=100)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda net, labels: gen_combination(3.0, 2, 1), "n", 3.0),
+        (lambda net, labels: gen_combination("3", 2, 1), "n", "3"),
+        (lambda net, labels: gen_combination(3, 2.0, 1), "k", 2.0),
+        (lambda net, labels: gen_combination(3, 2, 1.0), "r", 1.0),
+        (lambda net, labels: gen_combination(3, 2, 1, max_sets=10.5), "max_sets", 10.5),
+        (lambda net, labels: gen_r_wiretap(net, labels, 1.5), "r", 1.5),
+        (lambda net, labels: gen_r_wiretap(net, labels, 1, max_sets=2.5), "max_sets", 2.5),
+    ],
+    ids=["comb-n", "comb-n-str", "comb-k", "comb-r", "comb-max_sets", "rwiretap-r", "rwiretap-max_sets"],
+)
+def test_generators_refuse_a_size_that_is_not_an_int(fig1, call, name, value):
+    # a bare TypeError before, or a float taken as its floor or as a cap
+    with pytest.raises(ParameterOutOfRange, match=f"^{name} must be an int, got {value!r}$"):
+        call(fig1.net, fig1.labels)
+
+
+def test_generators_take_a_bool_as_an_int(fig1):
+    assert gen_combination(2, True, True, max_sets=2) == gen_combination(2, 1, 1, max_sets=2)
+    assert gen_r_wiretap(fig1.net, fig1.labels, True) == gen_r_wiretap(fig1.net, fig1.labels, 1)
 
 
 def test_generators_stop_counting_at_the_cap():
@@ -379,7 +403,7 @@ def test_gen_r_wiretap_pipeline_bound(fig1):
     assert len(coll.sets) == 231
     assert warnings == ()
     report = compute_bound(fig1.net, coll.classes)
-    assert (report.n_classes, report.n_max) == (24, 17)
+    assert (len(coll.classes), len(report.cuts)) == (24, 17)
 
 
 def test_export_hasse_dot_small_golden():
@@ -387,12 +411,12 @@ def test_export_hasse_dot_small_golden():
     net, labels = parse_network(net_text)
     coll, _ = parse_collection(sets_text, net, labels)
     diagram = class_hasse(net, coll.classes)
-    assert export_hasse_dot(diagram) == G21_DOT
+    assert export_hasse_dot(coll.classes, diagram) == G21_DOT
 
 
 def test_export_hasse_dot_fig1(fig1):
     diagram = class_hasse(fig1.net, fig1.coll.classes)
-    dot = export_hasse_dot(diagram)
+    dot = export_hasse_dot(fig1.coll.classes, diagram)
     lines = dot.splitlines()
     assert lines[0] == "digraph classes {"
     assert lines[1] == "  rankdir=BT;"
@@ -403,6 +427,15 @@ def test_export_hasse_dot_fig1(fig1):
     assert "  n1 -> n7;" in lines
     # Covering arrows point from the dominated class to its dominator.
     assert "  n13 [label=\"Cl13 (4 sets)\", peripheries=2];" in lines
+
+
+def test_export_hasse_dot_refuses_a_table_of_another_length(fig1):
+    # the diagram holds one row per class, not the table it was built from
+    diagram = class_hasse(fig1.net, fig1.coll.classes)
+    with pytest.raises(ParameterOutOfRange, match="^14 classes for a diagram of 15 rows$"):
+        export_hasse_dot(fig1.coll.classes[:-1], diagram)
+    with pytest.raises(ParameterOutOfRange, match="^16 classes for a diagram of 15 rows$"):
+        export_hasse_dot(fig1.coll.classes + fig1.coll.classes[:1], diagram)
 
 
 def test_singlesink_data_file(singlesink):

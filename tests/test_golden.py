@@ -24,6 +24,8 @@ def _collection_commands(prefix: str) -> dict[str, list[str]]:
         f"{prefix}-bound-mode-n": ["bound", *files, "--mode", "n"],
         f"{prefix}-bound-mode-nmax": ["bound", *files, "--mode", "nmax"],
         f"{prefix}-bound-regularize": ["bound", *files, "--regularize"],
+        f"{prefix}-bound-regularize-mode-n": ["bound", *files, "--regularize", "--mode", "n"],
+        f"{prefix}-bound-regularize-mode-nmax": ["bound", *files, "--regularize", "--mode", "nmax"],
         f"{prefix}-classes": ["classes", *files],
         f"{prefix}-hasse": ["hasse", *files, "--dot", f"{prefix}-hasse.dot"],
         f"{prefix}-verify": ["verify", *files],

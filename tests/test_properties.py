@@ -107,7 +107,7 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     assert (coll, drops) == reference_preprocess(net, sets)
     report = compute_bound(net, coll.classes)
     oracle = oracle_bounds(net, coll.sets)
-    assert (report.n_classes, report.n_max) == (oracle.n, oracle.n_max)
+    assert (len(coll.classes), len(report.cuts)) == (oracle.n, oracle.n_max)
     classes = coll.classes
     assert list(class_hasse(net, classes).above) == reference_domination_rows(net, classes)
     fams = [enumerate_min_cuts(net, s) for s in coll.sets]
@@ -161,8 +161,8 @@ def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_se
     largest = {s for s in primary if len(s) == m}
     coll, _ = preprocess(net, sets)
     report = compute_bound(net, coll.classes)
-    assert report.n_classes == len(primary)
-    assert report.n_max == len(largest)
+    assert len(coll.classes) == len(primary)
+    assert len(report.cuts) == len(largest)
     assert {cut.edges for cut in report.cuts} == largest
     # a drawn network has at most 10 edges, within the oracle's edge limit
     oracle = oracle_bounds(net, coll.sets)
@@ -247,7 +247,7 @@ def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
 def bound_summary(net, coll):
     """N, N_max and the set of maximal cuts of `coll`."""
     report = compute_bound(net, coll.classes)
-    return report.n_classes, report.n_max, {cut.edges for cut in report.cuts}
+    return len(coll.classes), len(report.cuts), {cut.edges for cut in report.cuts}
 
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -25,7 +25,7 @@ def test_the_library_example_runs_as_documented(capsys):
     assert "digraph" in capsys.readouterr().out
     assert scope["dropped"] == ((4, "duplicate", frozenset({0})),)
     report = scope["report"]
-    assert len(report.cuts) == report.n_max == scope["bound"]
+    assert (scope["n"], scope["n_max"]) == (4, 1) == (len(scope["coll"].classes), len(report.cuts))
     assert (scope["capacity"], scope["cut"]) == (1, frozenset({2}))
 
 
@@ -42,8 +42,8 @@ def test_the_regularize_expression_gives_what_the_command_prints(fig1, data_file
     report = compute_bound(fig1.net, regular)
     assert (block["sets"], block["n"], block["n_max"]) == (
         str(len(regular)),
-        str(report.n_classes),
-        str(report.n_max),
+        str(len(regular)),
+        str(len(report.cuts)),
     )
     printed = {key: value for key, value in block.items() if key.startswith("cut.")}
     assert printed == {

@@ -6,16 +6,21 @@ import pytest
 
 import wtbound
 from wtbound import (
+    BoundReport,
+    CheckResult,
     Cut,
     EquivalenceClass,
+    HasseDiagram,
     LabelTable,
     Network,
+    ParameterOutOfRange,
     WiretapCollection,
     build_network,
     class_hasse,
     compute_bound,
     max_flow,
 )
+from wtbound.flow import MaxFlow
 
 from helpers import FIG1_COVERING, enumerate_min_cuts
 
@@ -74,11 +79,37 @@ def test_record_contract(records, name):
     assert type(copy) is type(rec) and copy == rec
 
 
+RECORD_FIELDS = {
+    Network: ("num_nodes", "edges", "source", "sinks"),
+    LabelTable: ("node_labels", "edge_labels"),
+    MaxFlow: ("value", "values", "cut", "live"),
+    Cut: ("target", "edges"),
+    EquivalenceClass: ("members", "cut"),
+    WiretapCollection: ("sets", "classes"),
+    HasseDiagram: ("maximal", "above"),
+    BoundReport: ("cuts", "recommended_alphabet"),
+    CheckResult: ("name", "ok", "detail"),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORD_FIELDS), ids=lambda record: record.__name__)
+def test_each_record_holds_only_what_its_stage_computes(record):
+    # no field is a copy of another's length or a value a mode may leave
+    # out: N is len(classes), N_max len(report.cuts), and the diagram's
+    # table is the one the caller passed to class_hasse
+    assert record._fields == RECORD_FIELDS[record]
+    for annotation in record.__annotations__.values():
+        assert "Optional" not in str(annotation) and "None" not in str(annotation)
+
+
+def test_compute_bound_has_one_mode_per_behaviour(fig1):
+    with pytest.raises(ParameterOutOfRange, match="expected 'nmax' or 'n'"):
+        compute_bound(fig1.net, fig1.coll.classes, mode="both")
+
+
 def test_each_cut_is_stored_once_in_its_class(fig1):
     # a set's cut is its class's `cut`, and a class's representative its
     # first member: neither is stored a second time
-    assert WiretapCollection._fields == ("sets", "classes")
-    assert EquivalenceClass._fields == ("members", "cut")
     for cls in fig1.coll.classes:
         assert type(cls.cut) is frozenset
         assert max_flow(fig1.net, cls.members[0]).cut == cls.cut
@@ -87,7 +118,6 @@ def test_each_cut_is_stored_once_in_its_class(fig1):
 def test_the_primary_cut_has_one_spelling():
     # `max_flow(net, T).cut` is the primary cut; `Cut` is the bound report's
     # record, and its capacity is `len(cut.edges)`
-    assert Cut._fields == ("target", "edges")
     assert not hasattr(Cut, "capacity")
     assert wtbound.Cut is wtbound.wiretap.Cut
     assert not hasattr(wtbound.flow, "primary_min_cut")
@@ -115,7 +145,7 @@ def test_hasse_covering_is_computed_once(fig1):
     assert unread.covering == covering and unread.covering is not covering
     assert pickle.loads(pickle.dumps(diagram)).covering == covering
     # a replaced diagram computes its own covering, not its parent's
-    chain = diagram._replace(classes=diagram.classes[:3], maximal=(2,), above=(0b110, 0b100, 0))
+    chain = diagram._replace(maximal=(2,), above=(0b110, 0b100, 0))
     assert chain.covering == ((0, 1), (1, 2))
 
 

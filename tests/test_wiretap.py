@@ -9,6 +9,7 @@ import pytest
 import wtbound.flow
 from wtbound import (
     DanglingEndpoint,
+    EquivalenceClass,
     HasseDiagram,
     ParameterOutOfRange,
     UnknownEdge,
@@ -165,13 +166,9 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
         kinds = [kind for _, kind, s in drops if s == unreachable]
         assert kinds[0] == "unreachable" and set(kinds[1:]) == {"duplicate"}
         oracle = oracle_bounds(net, coll.sets)
-        for mode, counts in (
-            ("n", (oracle.n, None)),
-            ("nmax", (None, oracle.n_max)),
-            ("both", (oracle.n, oracle.n_max)),
-        ):
-            report = compute_bound(net, coll.classes, mode=mode)
-            assert (report.n_classes, report.n_max) == counts
+        assert len(coll.classes) == oracle.n
+        for mode, count in (("n", oracle.n), ("nmax", oracle.n_max)):
+            assert len(compute_bound(net, coll.classes, mode=mode).cuts) == count
 
     check()
 
@@ -280,7 +277,6 @@ def test_bound_and_verify_never_read_the_covering(fig1, monkeypatch):
 
     monkeypatch.setattr(HasseDiagram, "covering", property(unread))
     report = compute_bound(fig1.net, fig1.coll.classes)
-    assert (report.n_classes, report.n_max) == (15, 3)
     assert {c.edges for c in report.cuts} == {eset(fig1.labels, s) for s in FIG1_MAXIMAL_CUTS}
     checks = cross_check(fig1.net, fig1.coll)
     assert checks and all(c.ok for c in checks)
@@ -418,15 +414,27 @@ def test_bad_class_ids_raise_unknown_edge():
     for member in ({-1}, {9}):
         cls = good._replace(members=(frozenset(member),))
         assert class_hasse(net, [cls]).above == (0,)
-        for mode in ("n", "nmax", "both"):
+        for mode in ("n", "nmax"):
             with pytest.raises(UnknownEdge, match=rf"^edge id {min(member)} not in 0\.\.2$"):
                 compute_bound(net, (cls,), mode=mode)
+
+
+def test_compute_bound_checks_every_cut_it_reports_in_both_modes():
+    # mode "n" runs no class_hasse, so compute_bound checks the cut ids
+    # itself; the target and the cut are checked one after the other, since
+    # their union would hold only one of 1 and 1.0
+    net = build_network([(0, 1), (1, 2), (2, 3)], source=0)
+    for cut, bad in ((frozenset({5}), "5"), (frozenset({1.0}), r"1\.0")):
+        cls = EquivalenceClass((frozenset({1}),), cut)
+        for mode in ("n", "nmax"):
+            with pytest.raises(UnknownEdge, match=rf"^edge id {bad} not in 0\.\.2$"):
+                compute_bound(net, [cls], mode=mode)
 
 
 def test_a_class_with_no_members_has_no_target_to_report(fig1):
     classes = list(fig1.coll.classes)
     classes[4] = classes[4]._replace(members=())
-    for mode in ("n", "nmax", "both"):
+    for mode in ("n", "nmax"):
         with pytest.raises(ParameterOutOfRange, match=r"^class 4 has no members$"):
             compute_bound(fig1.net, classes, mode=mode)
 
@@ -456,18 +464,14 @@ def test_compute_bound_fig1_modes(fig1):
     lab = fig1.labels
     expected_b = {eset(lab, s) for s in FIG1_MAXIMAL_CUTS}
 
-    both = compute_bound(fig1.net, fig1.coll.classes)
-    assert (both.n_classes, both.n_max) == (15, 3)
-    assert both.recommended_alphabet == 4
-    assert {c.edges for c in both.cuts} == expected_b
-
-    nmax_only = compute_bound(fig1.net, fig1.coll.classes, mode="nmax")
-    assert (nmax_only.n_classes, nmax_only.n_max) == (None, 3)
-    assert {c.edges for c in nmax_only.cuts} == expected_b
+    nmax = compute_bound(fig1.net, fig1.coll.classes)
+    assert nmax == compute_bound(fig1.net, fig1.coll.classes, mode="nmax")
+    assert len(nmax.cuts) == 3
+    assert nmax.recommended_alphabet == 4
+    assert {c.edges for c in nmax.cuts} == expected_b
 
     n_only = compute_bound(fig1.net, fig1.coll.classes, mode="n")
-    assert (n_only.n_classes, n_only.n_max) == (15, None)
-    assert len(n_only.cuts) == 15
+    assert len(n_only.cuts) == len(fig1.coll.classes) == 15
     assert {c.edges for c in n_only.cuts} == {
         eset(lab, cut_spec) for _, cut_spec, _ in FIG1_CLASSES
     }
@@ -522,7 +526,7 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
     def old_key(cls):
         return min((-len(s), sorted(s)) for s in cls.members)
 
-    for mode in ("n", "nmax", "both"):
+    for mode in ("n", "nmax"):
         report = compute_bound(net, coll.classes, mode=mode)
         picked = {c.edges: c for c in report.cuts}
         classes = [cls for cls in coll.classes if cls.cut in picked]
@@ -536,24 +540,24 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
 
 
 def test_compute_bound_degenerate_inputs(fig1):
-    rep = compute_bound(fig1.net, ())
-    assert (rep.n_classes, rep.n_max) == (0, 0)
-    assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
-    assert rep.cuts == ()
+    for mode in ("n", "nmax"):
+        rep = compute_bound(fig1.net, (), mode=mode)
+        assert rep.cuts == ()
+        assert rep.recommended_alphabet == 2  # two sinks still need distinct symbols
 
     net = build_network([(0, 1)], source=0)
     coll, _ = preprocess(net, [{0}])
-    solo = compute_bound(net, coll.classes)
-    assert (solo.n_classes, solo.n_max) == (1, 1)
+    for mode in ("n", "nmax"):
+        assert len(compute_bound(net, coll.classes, mode=mode).cuts) == 1
     assert compute_bound(net, ()).recommended_alphabet == 1
 
-    with pytest.raises(ParameterOutOfRange, match="unknown mode 'fast'"):
+    with pytest.raises(ParameterOutOfRange, match=r"^unknown mode 'fast': expected 'nmax' or 'n'$"):
         compute_bound(fig1.net, fig1.coll.classes, mode="fast")
 
 
 def test_compute_bound_refuses_a_collection_in_place_of_its_class_table(fig1):
     # the call compute_bound(net, coll) fails loudly in every mode; it cannot
     # read the record's two fields as two classes and return a count
-    for mode in ("n", "nmax", "both"):
+    for mode in ("n", "nmax"):
         with pytest.raises(AttributeError):
             compute_bound(fig1.net, fig1.coll, mode=mode)
