@@ -215,11 +215,11 @@ def parse_collection(
     naming the line. Raises UnknownEdgeLabel with a line number when a label
     is not in the table.
 
-    One pass: `preprocess` pulls the sets from a chain of C-level iterators
-    over `_token_lines`, the line reader network files share, which skips
-    lines with no label and maps each label to its id, so neither the token
-    lists nor the resolved sets are held at once. Line numbers are recovered
-    only when needed, by walking the same lines once more through
+    One pass: `preprocess` reads the sets into one list from a chain of
+    C-level iterators over `_token_lines`, the line reader network files
+    share, which skips lines with no label and maps each label to its id,
+    so the resolved sets are held but no token list is. Line numbers are
+    recovered only when needed, by walking the same lines once more through
     `_content_lines`: for the first unknown label, and, when a set was
     dropped, to map drop positions (the k-th content line) back to line
     numbers.
@@ -251,19 +251,24 @@ def serialize_collection(
 ) -> str:
     """One line per set, labels in ascending edge-id order. Raises ParseError
     on an edge label that would not read back, UnknownEdge on an id outside
-    the table, and EmptyTargetSet on an empty set, whose blank line the
-    parser skips."""
+    the table or not an int (`True` is one), and EmptyTargetSet on an empty
+    set, whose blank line the parser skips."""
     _check_written(labels.edge_labels)
     last = len(labels.edge_labels) - 1
     lines = []
     for s in sets:
-        ids = sorted(s)
+        ids = list(s)
         if not ids:
             raise EmptyTargetSet("an empty wiretap set has no line that reads back")
-        for e in ids[:1] + ids[-1:]:  # an id out of range is the least or the greatest
-            if not 0 <= e <= last:
-                raise UnknownEdge(f"edge id {e} not in 0..{last}")  # Network.check_edge's words
-        lines.append(" ".join(map(labels.edge_labels.__getitem__, ids)))
+        try:
+            ids.sort()
+            for e in ids[:1] + ids[-1:]:  # an id out of range is the least or the greatest
+                if not 0 <= e <= last:
+                    raise UnknownEdge(f"edge id {e} not in 0..{last}")  # Network.check_edge's words
+            lines.append(" ".join(map(labels.edge_labels.__getitem__, ids)))
+        except TypeError:  # an id that does not compare with ints or index the table
+            bad = next(e for e in ids if not isinstance(e, int))
+            raise UnknownEdge(f"edge id {bad} not in 0..{last}") from None
     return "\n".join(lines) + ("\n" if lines else "")
 
 

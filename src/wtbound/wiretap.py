@@ -28,12 +28,12 @@ classes off its diagram. Records hold only what their stage computes: N is
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import repeat
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import flow
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, UnknownEdge
 from .graph import EdgeId, Network, NodeId, topological_order
 
 
@@ -145,15 +145,22 @@ def preprocess(
     whose edges is reachable from the source (an empty primary cut) are
     dropped. Each drop is recorded as `(position, kind, set)`: the 0-based
     index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
-    Raises UnknownEdge on bad ids.
+    Raises UnknownEdge on the first bad id met by checking, in input order,
+    each set that names an id no earlier set named or an id that is not an
+    int (1.0 after 1 too).
 
-    One loop, one pass over `raw_sets`: each set is deduplicated, keyed,
-    given its cut and placed in its class. `seen` holds every distinct set,
-    an unreachable one too, so a later copy is dropped as a duplicate;
-    `kept` lists the reachable ones in input order. Two sets are equivalent
-    exactly when their primary cuts are equal, so the classes are the
-    groups of equal cuts: `groups` maps each cut to its sets, and its
-    insertion order is the classes' first-member order.
+    The per-set work is C-level passes and one loop. `raw_sets` is read
+    into one list of frozensets, and `dict.fromkeys` keeps each distinct
+    set in input order. Only when that shows a drop (fewer distinct sets,
+    or an empty one) are the sets walked in Python, to record the drops
+    and the position of each distinct set. Every id is checked once, in
+    one union of the distinct sets, and the keys are one `map(prod, ...)`
+    over them. Two sets are equivalent exactly when their primary cuts are
+    equal, so the classes are the groups of equal cuts: `groups` maps each
+    cut to its sets, and its insertion order is the classes' first-member
+    order. An unreachable set stays among the distinct sets until the
+    loop ends, so a later copy of it drops as a duplicate, and its position
+    is looked up only then.
 
     `flow.max_flow` runs once per reduced flow instance: the set's tails,
     with multiplicity, and its target edges whose head is live. Why that
@@ -173,59 +180,86 @@ def preprocess(
     target edges, both taken from the first target solved.
 
     The tail multiset is keyed by one integer: each tail the collection
-    names gets the next unused prime, in order of first use, and a set's
-    key is the product of its edges' tail primes. By unique factorization
-    two sets have equal keys exactly when their tail multisets are equal.
-    An edge's prime is looked up in a table filled the first time the
-    collection names the edge, after its id is checked, so a key never
-    reads a bad id. A set costs O(|T|) multiplications beyond the misses.
+    names gets the next unused prime, and a set's key is the product of
+    its edges' tail primes. By unique factorization two sets have equal
+    keys exactly when their tail multisets are equal. The primes sit in a
+    list indexed by edge id, filled only for checked ids, so a key never
+    reads an unchecked id: 1.0 after 1 finds 1 in a set or a dict, but a
+    list index refuses it.
 
-    L is a function of the tails, so the edges leaving them with a live head
-    are cached per key; on a miss, L is read off the live mask of the flow
-    the miss runs, which also solves the entry's first instance. Every edge
-    of T leaves one of the tails, so T's live-headed edges are one
-    intersection with that entry, skipped when the entry is empty. The
-    cache holds one entry per distinct tail multiset the collection uses
-    (at worst, one per set), each with out-edges of those tails only, and
-    the prime tables one entry per tail and per edge the collection names,
-    so memory grows with the collection, not with the network. A set's cut
-    is kept only as its class's key and `cut`, once per class.
+    L is a function of the tails, so the edges leaving them with a live
+    head (`inside`) are cached per key; on a miss, L is read off the live
+    mask of the flow the miss runs, which also solves the entry's first
+    instance. Every edge of T leaves one of the tails, so T's live-headed
+    edges are one intersection with `inside`, skipped when it is empty.
+
+    When the tails decide the class, a set costs one lookup and an append.
+    If `inside` is empty, no set T with the key has a live-headed target
+    edge, so every such T poses the one instance of the first set solved,
+    and cut(T) = base | {e in T : tail(e) in cut_tails}. If that solved cut
+    also holds no target edge, `cut_tails` is empty, so cut(T) = base for
+    every T with the key. `decided` then maps the key to the member list
+    of base's class.
+
+    The cache holds one entry per distinct tail multiset the collection
+    uses (at worst, one per set), each with out-edges of those tails only,
+    `decided` at most as many, and `tail_prime` one entry per tail the
+    collection names. Beyond one int per edge (`tails`, `heads` and the
+    primes), memory grows with the collection, not with the network. A
+    set's cut is kept only as its class's key and `cut`, once per class.
     """
+    sets = list(map(frozenset, raw_sets))
+    uniq = dict.fromkeys(sets)
+    drops: list[tuple[int, str, frozenset[EdgeId]]] = []
+    where: Sequence[int] = range(len(sets))  # the position of each distinct set
+    if len(uniq) < len(sets) or frozenset() in uniq:
+        where = []
+        seen: set[frozenset[EdgeId]] = set()
+        for pos, s in enumerate(sets):
+            if not s:
+                drops.append((pos, "empty", s))
+            elif s in seen:
+                drops.append((pos, "duplicate", s))
+            else:
+                seen.add(s)
+                where.append(pos)
+        uniq.pop(frozenset(), None)
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
     out_edges = net.out_edges
     primes = _primes()
     tail_prime: dict[NodeId, int] = {}
-    factor: dict[EdgeId, int] = {}  # edge named so far -> the prime of its tail
+    factor = [0] * len(tails)  # named edge -> the prime of its tail
+    try:
+        for e in set().union(*uniq):
+            net.check_edge(e)
+            t = tails[e]
+            if t not in tail_prime:
+                tail_prime[t] = next(primes)
+            factor[e] = tail_prime[t]
+        keys = list(map(prod, map(map, repeat(factor.__getitem__), uniq)))
+    except (UnknownEdge, TypeError):  # a list index refuses 1.0 named after 1
+        named: set[EdgeId] = set()
+        for s in uniq:  # name the bad id a check of one set at a time meets first
+            if not named.issuperset(s) or not all(isinstance(e, int) for e in s):
+                named.update(s)
+                for e in s:
+                    net.check_edge(e)
+        raise
     # tail multiset key -> (edges leaving those tails whose head is live,
     #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
     cache: dict[
         int,
         tuple[frozenset[EdgeId], dict[frozenset[EdgeId], tuple[frozenset[EdgeId], frozenset[NodeId]]]],
     ] = {}
-    drops: list[tuple[int, str, frozenset[EdgeId]]] = []
-    seen: set[frozenset[EdgeId]] = set()
-    kept: list[frozenset[EdgeId]] = []
+    decided: dict[int, list[frozenset[EdgeId]]] = {}  # key -> the class its tails decide
     groups: dict[frozenset[EdgeId], list[frozenset[EdgeId]]] = {}  # cut -> its sets
-    for pos, raw in enumerate(raw_sets):
-        s = frozenset(raw)
-        if not s:
-            drops.append((pos, "empty", s))
+    dead: set[frozenset[EdgeId]] = set()
+    for s, key in zip(uniq, keys):
+        members = decided.get(key)
+        if members is not None:
+            members.append(s)  # the tails decide the class
             continue
-        if s in seen:
-            drops.append((pos, "duplicate", s))
-            continue
-        seen.add(s)
-        try:
-            key = prod(map(factor.__getitem__, s))
-        except KeyError:
-            for e in s:
-                net.check_edge(e)  # raises UnknownEdge on the first bad id
-                t = tails[e]
-                if t not in tail_prime:
-                    tail_prime[t] = next(primes)
-                factor[e] = tail_prime[t]
-            key = prod(map(factor.__getitem__, s))
         entry = cache.get(key)
         run = None  # a new tail multiset's flow, which its reduced target misses too
         if entry is None:
@@ -246,16 +280,21 @@ def preprocess(
             # s has the solved target's tails, so it has an edge at each cut tail
             cut = cut.union([e for e in s if tails[e] in cut_tails])
         if not cut:
-            drops.append((pos, "unreachable", s))
+            dead.add(s)
             continue
-        kept.append(s)
         members = groups.get(cut)
         if members is None:
-            groups[cut] = [s]
-        else:
-            members.append(s)
+            members = groups[cut] = []
+        members.append(s)
+        if not (inside or cut_tails):
+            decided[key] = members  # every later set with these tails has this cut
+    kept = tuple(uniq)
+    if dead:
+        drops += [(pos, "unreachable", s) for pos, s in zip(where, kept) if s in dead]
+        drops.sort()
+        kept = tuple(s for s in kept if s not in dead)
     coll = WiretapCollection(
-        sets=tuple(kept),
+        sets=kept,
         classes=tuple(
             EquivalenceClass(members=tuple(members), cut=cut) for cut, members in groups.items()
         ),
@@ -359,6 +398,16 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     edge list. The loop's result does not depend on that order. Each cut's
     target is that picked member. Raises ParameterOutOfRange on a class with
     no members, and UnknownEdge on a bad id in a cut or target it reports.
+
+    The pick filters by prefix instead of sorting every member. The largest
+    members all have one size, so their ascending lists have one length.
+    The least list starts with the least edge e of their union, and the
+    members that start with e are exactly those that hold it, since e is
+    below all their other edges. Among those, the next entry is the least
+    edge of their union outside the prefix, and so on. After `size` rounds
+    the members left equal the least list, and the first of them is the one
+    `min` would return. The rounds are counted, not run until one member is
+    left, since a member held twice stays to the end.
     """
     if mode not in ("nmax", "n"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax' or 'n'")
@@ -369,11 +418,14 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
         classes = tuple(classes[i] for i in class_hasse(net, classes).maximal)
     picks = []
     for i, cls in enumerate(classes):
-        # min((-len(s), sorted(s)) for s in cls.members), without a frame per member
-        sizes = list(map(len, cls.members))
-        size = max(sizes)
-        largest = compress(cls.members, map(size.__eq__, sizes))
-        picks.append(((-size, min(map(sorted, largest))), i))
+        size = max(map(len, cls.members))
+        largest = [s for s in cls.members if len(s) == size]
+        prefix: list[EdgeId] = []
+        for _ in range(size):  # then every member left equals the prefix
+            e = min(set().union(*largest).difference(prefix))
+            prefix.append(e)
+            largest = [s for s in largest if e in s]
+        picks.append(((-size, sorted(largest[0])), i))
     picks.sort()
     cuts = []
     for (_, target), i in picks:

@@ -118,14 +118,17 @@ def draw_dag(draw, max_nodes: int = 7, max_edges: int = 10) -> Network:
     """A DAG on <=max_nodes nodes with <=max_edges edges (parallel edges
     possible), node ids ascending along every edge so node 0 is a valid
     source. The first edge leaves node 0, so some edge is always reachable.
-    `draw` is a Hypothesis draw function."""
+    The edge count is drawn first, evenly from 1..max_edges, since a list
+    drawn with only a maximum size leans small. `draw` is a Hypothesis draw
+    function."""
     from hypothesis import strategies as st
 
     n_nodes = draw(st.integers(2, max_nodes))
+    more = draw(st.integers(1, max_edges)) - 1
     pairs = st.integers(0, n_nodes - 2).flatmap(
         lambda t: st.tuples(st.just(t), st.integers(t + 1, n_nodes - 1))
     )
-    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, max_size=max_edges - 1))]
+    edges = [(0, draw(st.integers(1, n_nodes - 1))), *draw(st.lists(pairs, min_size=more, max_size=more))]
     return build_network(edges, source=0, num_nodes=n_nodes)
 
 
@@ -299,6 +302,30 @@ def set_cuts(coll: WiretapCollection) -> tuple[frozenset[int], ...]:
     class that holds the set. Raises KeyError on a set no class holds."""
     cut_of = {s: cls.cut for cls in coll.classes for s in cls.members}
     return tuple(map(cut_of.__getitem__, coll.sets))
+
+
+def count_line_runs(func, text: str, call):
+    """`call()`'s result, and how many times the one line of `func` whose
+    text, stripped, is `text` ran meanwhile (a `sys.settrace` count)."""
+    import inspect
+
+    lines, first = inspect.getsourcelines(func)
+    (lineno,) = [first + i for i, line in enumerate(lines) if line.strip() == text]
+    code, runs = func.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno == lineno:
+            runs += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, runs
 
 
 def member_sets(

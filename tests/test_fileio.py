@@ -284,6 +284,27 @@ def test_serialize_collection_refuses_an_id_outside_the_table():
         gen_r_wiretap(net, LabelTable(node_labels=("s", "v", "t"), edge_labels=("x",)), 1)
 
 
+@pytest.mark.parametrize(
+    "sets, bad",
+    [(["ab"], "a"), ([[0.0]], "0.0"), ([{0}, [1.0, 0]], "1.0"), ([[1, "x"]], "x")],
+)
+def test_serialize_collection_refuses_an_id_that_is_not_an_int(sets, bad):
+    # before, "ab" (the ids "a" and "b") ended in a bare TypeError from the
+    # range check, and 0.0 in one from indexing the label table
+    net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
+    labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
+    with pytest.raises(UnknownEdge) as checked:
+        net.check_edge(bad)
+    assert str(checked.value) == f"edge id {bad} not in 0..1"
+    with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
+        serialize_collection(sets, labels)
+
+
+def test_serialize_collection_takes_a_bool_as_an_int():
+    labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
+    assert serialize_collection([{True}, [False, True]], labels) == "y\nx y\n"
+
+
 def test_serialize_collection_refuses_an_empty_set():
     # before, the empty set was written as a blank line, which the parser
     # skips, so [set(), {0}] read back as [{0}]

@@ -232,7 +232,7 @@ def test_flow_sharing_takes_memory_in_the_targets_not_the_network():
     net.out_edges, net.in_edges  # the network's own adjacency, built once
     tracemalloc.start()
     try:
-        preprocess(net, [])  # per-edge tails and heads, and the id set
+        preprocess(net, [])  # per-edge tails, heads and tail primes
         _, built_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         coll, _ = preprocess(net, targets)

@@ -31,6 +31,7 @@ from helpers import (
     FIG1_COVERING,
     FIG1_MAXIMAL_CUTS,
     FIG1_ORDER,
+    count_line_runs,
     dominates,
     draw_dag,
     equivalent,
@@ -49,6 +50,9 @@ from helpers import (
 # s=0 a=1 b=2 t=3 c=4 d=5: three parallel edges s->a (0-2), a->b (3), three
 # parallel edges a->t (4-6), b->t (7), and c->d (8), which the source misses
 HAND_EDGES = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (4, 5)]
+
+# the line of `preprocess` a set runs when its tails alone decide its class
+SHORTCUT = "members.append(s)  # the tails decide the class"
 
 
 def test_preprocess_keeps_fig1_intact(fig1):
@@ -136,8 +140,10 @@ def test_preprocess_finds_live_nodes_once_per_flow(fig1, monkeypatch):
 
 def test_preprocess_groups_drawn_collections_as_the_references_do():
     # Each drawn collection holds an empty set, a repeat, and an unreachable
-    # set twice, shuffled among the drawn sets: the loop must keep the
-    # unreachable one in `seen` so that its copy drops as a duplicate.
+    # set twice, shuffled among the drawn sets: the unreachable one must
+    # stay among the distinct sets so that its copy drops as a duplicate.
+    # Up to 16 sets of up to 3 of at most 11 edges repeat tail multisets,
+    # so some sets take the shortcut of a class decided by the tails alone.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -149,15 +155,20 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
         net = build_network([*drawn.edges, (n, n + 1)], source=0, num_nodes=n + 2)
         off = len(drawn.edges)
         edge_set = st.frozensets(st.integers(0, off), max_size=3)
-        sets = draw(st.lists(edge_set, min_size=1, max_size=8))
+        size = draw(st.integers(1, 16))
+        sets = draw(st.lists(edge_set, min_size=size, max_size=size))
         sets += [frozenset(), sets[0], frozenset({off}), frozenset({off})]
         return net, draw(st.permutations(sets))
+
+    shortcuts = 0
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @hypothesis.given(collections())
     def check(case):
+        nonlocal shortcuts
         net, sets = case
-        coll, drops = preprocess(net, sets)
+        (coll, drops), runs = count_line_runs(preprocess, SHORTCUT, lambda: preprocess(net, sets))
+        shortcuts += runs
         want, want_drops = reference_preprocess(net, sets)
         cuts = set_cuts(coll)
         assert coll.classes == reference_classes(coll.sets, cuts)
@@ -171,6 +182,40 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
             assert len(compute_bound(net, coll.classes, mode=mode).cuts) == count
 
     check()
+    assert shortcuts > 0
+
+
+def test_preprocess_takes_the_shortcut_only_where_the_tails_decide_the_class(monkeypatch):
+    # s=0 a=1 b=2 t=3: two parallel edges s->a (0, 1), a->b (2), two
+    # parallel edges a->t (3, 4), b->t (5). Three tail multisets over a,
+    # interleaved. Tails a, a: no edge leaving a has a live head, and the
+    # cut {0, 1} holds no target edge, so the class is decided by the tails
+    # and later sets with them ({2, 3}, {2, 4}) take the shortcut. Tail a:
+    # the cut is the set itself, a target edge. Tails a, b: a->b has a live
+    # head, and as a target it cuts b off, so {2, 5} is cut by {2} where
+    # {3, 5} and {4, 5} are cut by {0, 1}.
+    net = build_network([(0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (2, 3)], source=0)
+    sets = [{3, 4}, {3}, {3, 5}, {2, 3}, {2}, {2, 5}, {2, 4}, {4}, {4, 5}]
+    coll, drops = assert_preprocess_matches_reference(net, sets)
+    assert drops == ()
+    assert {cls.cut: cls.members for cls in coll.classes} == {
+        frozenset({0, 1}): tuple(map(frozenset, ({3, 4}, {3, 5}, {2, 3}, {2, 4}, {4, 5}))),
+        frozenset({3}): (frozenset({3}),),
+        frozenset({2}): (frozenset({2}), frozenset({2, 5})),
+        frozenset({4}): (frozenset({4}),),
+    }
+    flows = []
+    real = wtbound.flow.max_flow
+
+    def recording(net, target):
+        flows.append(target)
+        return real(net, target)
+
+    monkeypatch.setattr(wtbound.flow, "max_flow", recording)
+    got, runs = count_line_runs(preprocess, SHORTCUT, lambda: preprocess(net, sets))
+    assert got == (coll, drops)
+    assert flows == [{3, 4}, {3}, {3, 5}, {2, 5}]
+    assert runs == 2
 
 
 def test_preprocess_checks_every_id_before_sharing_a_flow():
@@ -178,6 +223,11 @@ def test_preprocess_checks_every_id_before_sharing_a_flow():
     for bad in ({4, 9}, {4, -1}):
         with pytest.raises(UnknownEdge):
             preprocess(net, [{4, 5}, bad])
+    # every id is checked at once, and a failure names the id that checking
+    # the sets one at a time meets first
+    for sets, bad in (([{4, 5}, {4, 9}, {-1}], "9"), ([{4, 5}, {-1}, {4, 9}], "-1")):
+        with pytest.raises(UnknownEdge, match=rf"^edge id {bad} not in 0\.\.8$"):
+            preprocess(net, sets)
 
 
 def test_preprocess_matches_the_per_set_reference_over_the_corpus():
@@ -445,6 +495,14 @@ def test_ids_that_are_not_ints_raise_typed_errors():
         max_flow(net, [1.0])
     with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
         preprocess(net, [[1.0]])
+    # a 1.0 after a 1 too: before, the first collection was kept with
+    # {1.0, 3} in it, and the second ended in a bare TypeError
+    for edges, sets in (
+        ([(0, 1), (1, 2), (1, 2), (1, 2)], [[1, 2], [2, 3], [1.0, 3]]),
+        ([(0, 1), (0, 1), (1, 2), (1, 2)], [[1, 2], [0, 3], [1.0, 3]]),
+    ):
+        with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.3$"):
+            preprocess(build_network(edges, source=0), sets)
     with pytest.raises(DanglingEndpoint, match=r"^node id 1\.5 is not an integer$"):
         build_network([(0, 1.5)], 0)
     with pytest.raises(DanglingEndpoint, match=r"^node id '1' is not an integer$"):
@@ -537,6 +595,45 @@ def test_compute_bound_picks_by_the_size_then_edge_list_key():
             frozenset(old_key(cls)[1]) for cls in classes
         ]
     assert picked[frozenset({0, 1})].target == frozenset({2, 3, 4})
+
+
+def test_compute_bound_picks_by_the_definition_over_drawn_class_tables():
+    # Members grow from a shared stem of low ids, so their least edges
+    # agree and the pick must look past them; sizes mix, and one member is
+    # held twice, so after its last edge two equal members may remain.
+    # Members come as frozensets, sets or tuples, all of which the pick
+    # takes. Mode "n" runs no domination pass, so the cuts need only be
+    # distinct valid ids.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    net = build_network([(0, 1)] * 12, source=0)
+
+    @st.composite
+    def class_tables(draw):
+        kind = draw(st.sampled_from([frozenset, set, lambda m: tuple(sorted(m))]))
+        table = []
+        for i in range(draw(st.integers(1, 5))):
+            stem = draw(st.frozensets(st.integers(0, 3), max_size=2))
+            grow = st.frozensets(st.integers(0, 11), min_size=1, max_size=3).map(stem.union)
+            members = draw(st.lists(grow, min_size=1, max_size=8))
+            members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(members)))
+            table.append(EquivalenceClass(tuple(map(kind, members)), frozenset({i})))
+        return table
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(class_tables())
+    def check(table):
+        def largest(cls):
+            size = max(map(len, cls.members))
+            return [m for m in cls.members if len(m) == size]
+
+        targets = [min(largest(cls), key=sorted) for cls in table]
+        order = sorted(range(len(table)), key=lambda i: (-len(targets[i]), sorted(targets[i])))
+        cuts = compute_bound(net, table, mode="n").cuts
+        assert [c.edges for c in cuts] == [table[i].cut for i in order]
+        assert [c.target for c in cuts] == [frozenset(targets[i]) for i in order]
+
+    check()
 
 
 def test_compute_bound_degenerate_inputs(fig1):
