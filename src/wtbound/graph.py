@@ -42,7 +42,7 @@ class Network(_NetworkFields):
 
     def check_edge(self, e: EdgeId) -> None:
         if not isinstance(e, int) or not 0 <= e < len(self.edges):
-            raise UnknownEdge(f"edge id {e} not in 0..{len(self.edges) - 1}")
+            raise UnknownEdge(f"edge id {e!r} not in 0..{len(self.edges) - 1}")
 
     @cached_property
     def out_edges(self) -> tuple[tuple[EdgeId, ...], ...]:
@@ -71,14 +71,20 @@ def build_network(
 
     Node ids are inferred as 0..max(referenced id) unless `num_nodes` pins a
     larger range (isolated nodes are legal). Raises ParameterOutOfRange when
-    `num_nodes` is not a positive int or a sink is listed twice,
-    DanglingEndpoint when an edge end, the source, or a sink is not an int
-    or falls outside the node range, SourceHasIncomingEdges when any edge
-    enters the source, and CyclicGraph when the edge list admits no
-    topological order. Sinks may have outgoing edges and nodes may be
-    unreachable; neither is an error here.
+    `num_nodes` is not a positive int, a sink is listed twice or an edge is
+    not a (tail, head) pair (naming its position), DanglingEndpoint when an
+    edge end, the source, or a sink is not an int or falls outside the node
+    range, SourceHasIncomingEdges when any edge enters the source, and
+    CyclicGraph when the edge list admits no topological order. Sinks may
+    have outgoing edges and nodes may be unreachable; neither is an error
+    here.
     """
-    edge_list = tuple((t, h) for t, h in edges)
+    pairs = ((t, h) for t, h in edges)
+    edge_list: list[tuple[NodeId, NodeId]] = []
+    try:
+        edge_list.extend(pairs)
+    except (TypeError, ValueError) as exc:  # extend keeps the pairs read before the bad one
+        raise ParameterOutOfRange(f"edge {len(edge_list)} is not a (tail, head) pair") from exc
     if num_nodes is not None and not (isinstance(num_nodes, int) and num_nodes > 0):
         raise ParameterOutOfRange(f"num_nodes must be a positive integer, got {num_nodes!r}")
     if len(set(sinks)) < len(sinks):
@@ -103,7 +109,7 @@ def build_network(
         if h == source:
             raise SourceHasIncomingEdges(f"edge {e} ({t} -> {h})", e)
 
-    net = Network(num_nodes=num_nodes, edges=edge_list, source=source, sinks=tuple(sinks))
+    net = Network(num_nodes=num_nodes, edges=tuple(edge_list), source=source, sinks=tuple(sinks))
     topological_order(net)  # raises CyclicGraph on a cycle
     return net
 

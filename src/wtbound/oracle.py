@@ -18,8 +18,9 @@ capped (WTB_MAX_ORACLE_EDGES, default 18).
 that cap once. The memo is keyed by the bitmask of a deleted edge set B and
 holds exposed(B), defined below. A miss costs one sweep over the nodes in
 topological order, so each distinct deleted set is swept once, however many
-targets, candidate cuts and class members ask about it. Candidate cuts stay
-bitmasks; only the minimum cuts found become edge sets.
+targets, candidate cuts and class members ask about it. Every cut stays a
+bitmask, from enumeration to the end; only the primary cut `_primary` picks
+for each target becomes an edge set, to be compared with the fast path's.
 
 Separation is one AND of two edge bitmasks. For a deleted set B, exposed(B)
 holds every edge not in B whose tail the source still reaches once B is
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .wiretap import WiretapCollection
@@ -67,11 +68,12 @@ def edge_limit() -> int:
 
 
 class MinCutFamily(NamedTuple):
-    """All minimum cuts of one target, sorted by ascending edge ids."""
+    """All minimum cuts of one target, each as its edge bitmask (bit e for
+    edge e), in the lexicographic order of their ascending edge lists."""
 
     target: frozenset[EdgeId]
     capacity: int
-    cuts: tuple[frozenset[EdgeId], ...]
+    cuts: tuple[int, ...]
 
 
 class _Exposed(dict):
@@ -137,7 +139,7 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
     Raises EmptyTargetSet on an empty target, UnknownEdge on a bad id, and
     InstanceTooLarge when more than `exposed.limit` edges lie on
     source-target paths. An unreachable target yields capacity 0 with the
-    empty cut as the family's only member.
+    empty cut, mask 0, as the family's only member.
     """
     net = exposed.net
     tset = frozenset(target)
@@ -152,17 +154,19 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
             f"{len(universe)} edges lie on paths to the target, limit is {exposed.limit} "
             f"(raise ${ENV_EDGE_LIMIT} to override)"
         )
+    # the universe ascends, so combinations yields each size's subsets in the
+    # lexicographic order of their ascending edge lists
     bits = [1 << e for e in universe]
     for k in range(len(universe) + 1):
         found = [m for m in map(sum, combinations(bits, k)) if not tmask & exposed[m]]
         if found:
-            cuts = tuple(map(frozenset, sorted(map(_ids, found))))
-            return MinCutFamily(target=tset, capacity=k, cuts=cuts)
+            return MinCutFamily(target=tset, capacity=k, cuts=tuple(found))
     raise AssertionError("unreachable: deleting every path edge always separates")
 
 
-def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
-    """The family member that separates every other member, by inspection.
+def _primary(exposed: _Exposed, family: MinCutFamily) -> int:
+    """The edge mask of the family member that separates every other member,
+    by inspection.
 
     Raises UnreachableTarget on capacity 0 and NoPrimaryFound if no unique
     such member exists (the fast path's correctness implies there always is
@@ -173,8 +177,10 @@ def _primary(exposed: _Exposed, family: MinCutFamily) -> frozenset[EdgeId]:
             f"no edge of {sorted(family.target)} is reachable from the source"
         )
     # a cut separates every member iff it separates the union of their edges
-    span = _mask(e for c in family.cuts for e in c)
-    least = [c for c in family.cuts if not span & exposed[_mask(c)]]
+    span = 0
+    for c in family.cuts:
+        span |= c
+    least = [c for c in family.cuts if not span & exposed[c]]
     if len(least) != 1:
         raise NoPrimaryFound(
             f"{len(least)} candidates among {len(family.cuts)} minimum cuts "
@@ -210,7 +216,7 @@ def _bounds(
             root[i] = i = root[root[i]]
         return i
 
-    holder: dict[frozenset[EdgeId], int] = {}
+    holder: dict[int, int] = {}
     for i, fam in enumerate(fams):
         for c in fam.cuts:
             a, b = find(holder.setdefault(c, i)), find(i)
@@ -227,7 +233,7 @@ def _bounds(
     for j, cls_j in enumerate(classes):
         common = set.intersection(*(set(fams[m].cuts) for m in cls_j))
         for cand in common:
-            exp = exposed[_mask(cand)]
+            exp = exposed[cand]
             order.update((i, j) for i, span in enumerate(spans) if i != j and not span & exp)
     dominated = {i for i, _ in order}
     return OracleBounds(
@@ -244,6 +250,9 @@ def _strict_order_pairs(above: Sequence[int]) -> frozenset[tuple[int, int]]:
 
 
 class CheckResult(NamedTuple):
+    """One comparison of `cross_check`; `detail` says how the two sides
+    differ, and is empty when they agree (`ok` True)."""
+
     name: str
     ok: bool
     detail: str
@@ -261,13 +270,15 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     False means the two implementations disagree, always a bug in one of them.
     The domination record also fails when the fast relation is not a strict
     partial order, and the n_max record unless n_max <= n <= len(sets).
+    A passing record's `detail` is empty: each detail is formatted only
+    for a check that fails.
     """
     from . import wiretap
 
     results: list[CheckResult] = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, ok, detail))
+    def record(name: str, ok: bool, detail: Callable[[], str]) -> None:
+        results.append(CheckResult(name, ok, "" if ok else detail()))
 
     # each family is enumerated once and serves every record below
     exposed = _Exposed(net)
@@ -280,14 +291,14 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         record(
             f"mincut[{i}]",
             fast == slow,
-            f"fast {fast}, oracle {slow} for {sorted(s)}",
+            lambda: f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
-        slow_cut = _primary(exposed, families[i])
+        slow_cut = frozenset(_ids(_primary(exposed, families[i])))
         primaries.append(slow_cut)
         record(
             f"primary[{i}]",
             fast_cut == slow_cut,
-            f"fast {sorted(fast_cut)}, oracle {sorted(slow_cut)} for {sorted(s)}",
+            lambda: f"fast {sorted(fast_cut)}, oracle {sorted(slow_cut)} for {sorted(s)}",
         )
 
     ob = _bounds(exposed, coll.sets, families)
@@ -297,7 +308,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     record(
         "partition",
         fast_partition == ob.classes,
-        f"fast {fast_partition}, oracle {ob.classes}",
+        lambda: f"fast {fast_partition}, oracle {ob.classes}",
     )
 
     diagram = wiretap.class_hasse(net, classes)
@@ -309,17 +320,17 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     record(
         "domination",
         fast_order == ob.order and strict,
-        f"fast {sorted(fast_order)}, oracle {sorted(ob.order)}"
+        lambda: f"fast {sorted(fast_order)}, oracle {sorted(ob.order)}"
         + ("" if strict else "; fast relation is not a strict partial order"),
     )
 
     n, n_max = len(classes), len(diagram.maximal)
-    record("n", n == ob.n, f"fast {n}, oracle {ob.n}")
+    record("n", n == ob.n, lambda: f"fast {n}, oracle {ob.n}")
     ordered = n_max <= n <= len(coll.sets)
     record(
         "n_max",
         n_max == ob.n_max and ordered,
-        f"fast {n_max}, oracle {ob.n_max}"
+        lambda: f"fast {n_max}, oracle {ob.n_max}"
         + ("" if ordered else f"; n_max <= n <= {len(coll.sets)} sets fails"),
     )
 
@@ -329,6 +340,6 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     record(
         "maximal_cuts",
         fast_b == oracle_b,
-        f"fast {sorted(map(sorted, fast_b))}, oracle {sorted(map(sorted, oracle_b))}",
+        lambda: f"fast {sorted(map(sorted, fast_b))}, oracle {sorted(map(sorted, oracle_b))}",
     )
     return results

@@ -147,7 +147,8 @@ def preprocess(
     index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
     Raises UnknownEdge on the first bad id met by checking, in input order,
     each set that names an id no earlier set named or an id that is not an
-    int (1.0 after 1 too).
+    int (1.0 after 1 too), and ParameterOutOfRange, naming its position, on
+    a set that is not an iterable of hashable ids (`preprocess(net, [1])`).
 
     The per-set work is C-level passes and one loop. `raw_sets` is read
     into one list of frozensets, and `dict.fromkeys` keeps each distinct
@@ -208,7 +209,12 @@ def preprocess(
     primes), memory grows with the collection, not with the network. A
     set's cut is kept only as its class's key and `cut`, once per class.
     """
-    sets = list(map(frozenset, raw_sets))
+    read = map(frozenset, raw_sets)
+    sets: list[frozenset[EdgeId]] = []
+    try:
+        sets.extend(read)
+    except TypeError as exc:  # extend keeps the sets read before the bad one
+        raise ParameterOutOfRange(f"set {len(sets)} is not an iterable of edge ids") from exc
     uniq = dict.fromkeys(sets)
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
     where: Sequence[int] = range(len(sets))  # the position of each distinct set

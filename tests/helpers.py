@@ -570,9 +570,16 @@ def pruning_loop(
     return cuts
 
 
+def edge_set(mask: int) -> frozenset[int]:
+    """The edge ids whose bits are set in the oracle's edge mask `mask`."""
+    return frozenset(oracle._ids(mask))
+
+
 def enumerate_min_cuts(net: Network, target: Iterable[int]) -> MinCutFamily:
-    """Every minimum cut of `target`, from the oracle's worker on a fresh memo."""
-    return oracle._min_cuts(oracle._Exposed(net), target)
+    """Every minimum cut of `target`, from the oracle's worker on a fresh
+    memo, with each cut's edge mask read as its edge set."""
+    family = oracle._min_cuts(oracle._Exposed(net), target)
+    return family._replace(cuts=tuple(map(edge_set, family.cuts)))
 
 
 def oracle_primary_min_cut(net: Network, target: Iterable[int]) -> Cut:
@@ -580,7 +587,7 @@ def oracle_primary_min_cut(net: Network, target: Iterable[int]) -> Cut:
     whole minimum-cut family."""
     exposed = oracle._Exposed(net)
     family = oracle._min_cuts(exposed, target)
-    return Cut(target=family.target, edges=oracle._primary(exposed, family))
+    return Cut(target=family.target, edges=edge_set(oracle._primary(exposed, family)))
 
 
 def oracle_bounds(net: Network, sets: Sequence[frozenset[int]]) -> OracleBounds:

@@ -277,7 +277,7 @@ def test_serialize_collection_refuses_an_id_outside_the_table():
     for sets, bad in (([{-1}, {0, -2}], -1), ([{0}, {0, 2}], 2)):
         with pytest.raises(UnknownEdge) as checked:
             net.check_edge(bad)
-        assert str(checked.value) == f"edge id {bad} not in 0..1"
+        assert str(checked.value) == f"edge id {bad!r} not in 0..1"
         with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
             serialize_collection(sets, labels)
     with pytest.raises(UnknownEdge, match=r"^edge id 1 not in 0\.\.0$"):
@@ -286,16 +286,17 @@ def test_serialize_collection_refuses_an_id_outside_the_table():
 
 @pytest.mark.parametrize(
     "sets, bad",
-    [(["ab"], "a"), ([[0.0]], "0.0"), ([{0}, [1.0, 0]], "1.0"), ([[1, "x"]], "x")],
+    [(["ab"], "a"), ([[0.0]], 0.0), ([{0}, [1.0, 0]], 1.0), ([[1, "x"]], "x"), ([["1"]], "1")],
 )
 def test_serialize_collection_refuses_an_id_that_is_not_an_int(sets, bad):
     # before, "ab" (the ids "a" and "b") ended in a bare TypeError from the
-    # range check, and 0.0 in one from indexing the label table
+    # range check, and 0.0 in one from indexing the label table; a string id
+    # is quoted, so "1" cannot read as the edge id 1
     net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
     labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
     with pytest.raises(UnknownEdge) as checked:
         net.check_edge(bad)
-    assert str(checked.value) == f"edge id {bad} not in 0..1"
+    assert str(checked.value) == f"edge id {bad!r} not in 0..1"
     with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
         serialize_collection(sets, labels)
 

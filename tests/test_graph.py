@@ -49,6 +49,14 @@ def test_build_network_rejects_a_node_count_that_is_not_a_positive_int():
         build_network([(0, 1)], source=0, num_nodes=1)
 
 
+def test_build_network_names_an_edge_that_is_not_a_pair():
+    # before, these ended in a bare ValueError or TypeError from unpacking
+    for edges, pos in (([(0, 1, 2)], 0), ([(0, 1), (1,)], 1), ([(0, 1), (1, 2), 5], 2)):
+        for given in (edges, iter(edges)):
+            with pytest.raises(ParameterOutOfRange, match=rf"^edge {pos} is not a \(tail, head\) pair$"):
+                build_network(given, source=0)
+
+
 def test_build_network_rejects_a_repeated_sink():
     # a repeated sink would count twice in compute_bound's recommended alphabet
     with pytest.raises(ParameterOutOfRange, match="sink 2 is listed more than once"):
@@ -87,6 +95,12 @@ def test_check_edge():
         net.check_edge(1)
     with pytest.raises(UnknownEdge):
         net.check_edge(-1)
+    # the id is named by its repr, so the string "1" cannot read as edge 1
+    net = build_network([(0, 1), (1, 2), (2, 3), (3, 4)], source=0)
+    for bad, shown in ((4, "4"), (1.0, "1.0"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(UnknownEdge) as exc:
+            net.check_edge(bad)
+        assert str(exc.value) == f"edge id {shown} not in 0..3"
 
 
 def test_topological_order_is_deterministic_smallest_first():

@@ -10,6 +10,7 @@ import pytest
 
 from wtbound import (
     EmptyTargetSet,
+    HasseDiagram,
     InstanceTooLarge,
     ParameterOutOfRange,
     UnknownEdge,
@@ -18,11 +19,12 @@ from wtbound import (
     cross_check,
     preprocess,
 )
-from wtbound import flow, oracle
+from wtbound import flow, oracle, wiretap
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
 from helpers import (
     FIG1_ORDER,
+    draw_dag,
     enumerate_min_cuts,
     eset,
     layered_network,
@@ -57,6 +59,34 @@ def test_enumerate_min_cuts_families(fig1):
     fam18 = enumerate_min_cuts(fig1.net, eset(lab, "e18"))
     assert fam18.capacity == 1
     assert fam18.cuts == (eset(lab, "e16"), eset(lab, "e18"))
+
+
+def test_min_cut_masks_come_in_the_order_of_their_sorted_edge_lists():
+    # the worker keeps its masks in the order combinations yields them, and
+    # no sort: over an ascending universe that is the lexicographic order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def targets(draw):
+        net = draw_dag(draw, max_edges=14)
+        edges = st.integers(0, len(net.edges) - 1)
+        return net, draw(st.frozensets(edges, min_size=1, max_size=4))
+
+    sizes = Counter()
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(targets())
+    def check(case):
+        net, target = case
+        family = oracle._min_cuts(oracle._Exposed(net), target)
+        cuts = [sorted(oracle._ids(mask)) for mask in family.cuts]
+        assert cuts == sorted(cuts)
+        assert len(set(family.cuts)) == len(cuts)
+        sizes[min(len(cuts), 3)] += 1
+
+    check()
+    assert sizes[3] > 0, sizes  # some families hold three cuts or more
 
 
 def test_enumerate_min_cuts_unreachable_target():
@@ -124,6 +154,70 @@ def test_cross_check_fig1_all_green(fig1):
 
 def _failures(net, coll):
     return {r.name: r.detail for r in cross_check(net, coll) if not r.ok}
+
+
+def test_a_passing_check_formats_no_detail(fig1):
+    # the verify-layered benchmark shape with its r=2 collection, and fig1
+    net = layered_network(6, 3, 2, 1)
+    sets = [frozenset(c) for r in (1, 2) for c in combinations(range(len(net.edges)), r)]
+    for net, coll in ((net, preprocess(net, sets)[0]), (fig1.net, fig1.coll)):
+        results = cross_check(net, coll)
+        assert all(r.ok for r in results)
+        assert {r.detail for r in results} == {""}
+
+
+# s=0 a=1 b=2 t=3: two parallel edges s->a (0, 1), a->b (2), two parallel
+# edges a->t (3, 4), b->t (5); the four classes have the cuts {0, 1}, {3},
+# {2} and {4}
+SMALL_EDGES = [(0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (2, 3)]
+SMALL_SETS = [{3, 4}, {3}, {2}, {2, 5}, {4}, {5}]
+
+
+def test_a_failing_check_keeps_its_detail_text(monkeypatch):
+    # every text below is the one cross_check wrote before details were
+    # formatted only for failing checks
+    net = build_network(SMALL_EDGES, source=0)
+    coll, _ = preprocess(net, SMALL_SETS)
+    first, second, *rest = coll.classes
+    assert (first.cut, second.cut) == (frozenset({0, 1}), frozenset({3}))
+    # the first two classes swap cuts
+    swapped = (first._replace(cut=second.cut), second._replace(cut=first.cut), *rest)
+    assert _failures(net, coll._replace(classes=swapped)) == {
+        "mincut[0]": "fast 1, oracle 2 for [3, 4]",
+        "primary[0]": "fast [3], oracle [0, 1] for [3, 4]",
+        "mincut[1]": "fast 2, oracle 1 for [3]",
+        "primary[1]": "fast [0, 1], oracle [3] for [3]",
+        "domination": "fast [(0, 1), (2, 1), (3, 1)], oracle [(1, 0), (2, 0), (3, 0)]",
+    }
+    # and then the second class's member moves to the first
+    moved = (
+        swapped[0]._replace(members=(*first.members, *second.members)),
+        swapped[1]._replace(members=()),
+        *rest,
+    )
+    assert _failures(net, coll._replace(classes=moved)) == {
+        "mincut[0]": "fast 1, oracle 2 for [3, 4]",
+        "primary[0]": "fast [3], oracle [0, 1] for [3, 4]",
+        "partition": "fast ((0, 1), (), (2, 3, 5), (4,)), oracle ((0,), (1,), (2, 3, 5), (4,))",
+        "domination": "fast [(0, 1), (2, 1), (3, 1)], oracle [(1, 0), (2, 0), (3, 0)]",
+    }
+    # the last class is gone, so its member reads the empty cut
+    assert _failures(net, coll._replace(classes=coll.classes[:3])) == {
+        "mincut[4]": "fast 0, oracle 1 for [4]",
+        "primary[4]": "fast [], oracle [4] for [4]",
+        "partition": "fast ((0,), (1,), (2, 3, 5)), oracle ((0,), (1,), (2, 3, 5), (4,))",
+        "domination": "fast [(1, 0), (2, 0)], oracle [(1, 0), (2, 0), (3, 0)]",
+        "n": "fast 3, oracle 4",
+    }
+    # a diagram whose relation has a loop and more maximal classes than classes
+    broken = HasseDiagram(maximal=(1,) * 5, above=(0b11, 0, 0b1, 0))
+    monkeypatch.setattr(wiretap, "class_hasse", lambda net, classes: broken)
+    assert _failures(net, coll) == {
+        "domination": "fast [(0, 0), (0, 1), (2, 0)], oracle [(1, 0), (2, 0), (3, 0)]"
+        "; fast relation is not a strict partial order",
+        "n_max": "fast 5, oracle 1; n_max <= n <= 6 sets fails",
+        "maximal_cuts": "fast [[3]], oracle [[0, 1]]",
+    }
 
 
 def _set_failures(failures):

@@ -32,6 +32,7 @@ from helpers import (
     FIG1_MAXIMAL_CUTS,
     FIG1_ORDER,
     count_line_runs,
+    descendants,
     dominates,
     draw_dag,
     equivalent,
@@ -43,6 +44,7 @@ from helpers import (
     reachable_after_delete,
     reference_classes,
     reference_domination_rows,
+    reference_max_flow,
     reference_preprocess,
     set_cuts,
 )
@@ -138,27 +140,68 @@ def test_preprocess_finds_live_nodes_once_per_flow(fig1, monkeypatch):
         assert calls == {"max_flow": flows, "_live_nodes": flows}
 
 
+def _live_swaps(net):
+    """The pairs of two-edge sets ({e, g}, {f, g}) with one tail multiset in
+    which f is a target edge with a live head: f leaves e's tail, and its
+    head reaches g's tail. A pair is kept when the cut of {e, g} holds
+    neither of its edges, so no target edge, and the cut of {f, g} differs.
+    Cuts are the reference kernel's."""
+    below = [descendants(net, h) for _, h in net.edges]
+    cut = {}
+    pairs = []
+    for f, (t, _) in enumerate(net.edges):
+        for g, (u, _) in enumerate(net.edges):
+            if u not in below[f]:
+                continue
+            for e in net.out_edges[t]:
+                if e in (f, g):
+                    continue
+                first, second = frozenset({e, g}), frozenset({f, g})
+                for s in (first, second):
+                    if s not in cut:
+                        cut[s] = reference_max_flow(net, s).cut
+                if cut[first] and not cut[first] & first and cut[first] != cut[second]:
+                    pairs.append((first, second))
+    return pairs
+
+
 def test_preprocess_groups_drawn_collections_as_the_references_do():
     # Each drawn collection holds an empty set, a repeat, and an unreachable
     # set twice, shuffled among the drawn sets: the unreachable one must
     # stay among the distinct sets so that its copy drops as a duplicate.
-    # Up to 16 sets of up to 3 of at most 11 edges repeat tail multisets,
+    # Up to 16 sets of up to 3 of at most 16 edges repeat tail multisets,
     # so some sets take the shortcut of a class decided by the tails alone.
+    # Up to three sets whose cut holds no target edge are each followed,
+    # later, by one with the same tails but a target edge whose head is
+    # live, and another cut: a shortcut taken on the tails alone, without
+    # the live-head condition, would file the second under the first's cut.
+    # Such pairs are rare in small drawn DAGs, so each net carries one
+    # gadget that has them: two parallel edges from the source into a
+    # fresh node a, a -> b, and edges from a and b into drawn nodes.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def collections(draw):
         drawn = draw_dag(draw)
-        # two fresh nodes past the drawn ones: the source misses their edge
         n = drawn.num_nodes
-        net = build_network([*drawn.edges, (n, n + 1)], source=0, num_nodes=n + 2)
-        off = len(drawn.edges)
+        into = st.integers(1, n - 1)  # a drawn node other than the source
+        a, b = n, n + 1
+        gadget = [(0, a), (0, a), (a, b), (a, draw(into)), (b, draw(into))]
+        # two fresh nodes past the others: the source misses their edge
+        edges = [*drawn.edges, *gadget, (n + 2, n + 3)]
+        net = build_network(edges, source=0, num_nodes=n + 4)
+        off = len(edges) - 1
         edge_set = st.frozensets(st.integers(0, off), max_size=3)
         size = draw(st.integers(1, 16))
         sets = draw(st.lists(edge_set, min_size=size, max_size=size))
         sets += [frozenset(), sets[0], frozenset({off}), frozenset({off})]
-        return net, draw(st.permutations(sets))
+        sets = draw(st.permutations(sets))
+        for first, second in draw(st.lists(st.sampled_from(_live_swaps(net)), max_size=3)):
+            i = draw(st.integers(0, len(sets)))
+            sets.insert(i, first)
+            sets.insert(draw(st.integers(i + 1, len(sets))), second)
+        return net, sets
 
     shortcuts = 0
 
@@ -487,6 +530,24 @@ def test_a_class_with_no_members_has_no_target_to_report(fig1):
     for mode in ("n", "nmax"):
         with pytest.raises(ParameterOutOfRange, match=r"^class 4 has no members$"):
             compute_bound(fig1.net, classes, mode=mode)
+
+
+def test_preprocess_names_a_set_that_is_not_an_iterable_of_ids():
+    # before, these ended in a bare TypeError from reading the sets
+    net = build_network([(0, 1), (1, 2), (2, 3), (3, 4)], source=0)
+    for sets, pos in (([1], 0), ([{0}, {1}, 2], 2), ([{0}, [[1]]], 1)):
+        for given in (sets, iter(sets)):
+            with pytest.raises(ParameterOutOfRange, match=rf"^set {pos} is not an iterable of edge ids$"):
+                preprocess(net, given)
+
+
+def test_preprocess_quotes_an_id_that_is_a_string():
+    # before, both named an id inside the range: "edge id 1 not in 0..3"
+    net = build_network([(0, 1), (1, 2), (2, 3), (3, 4)], source=0)
+    with pytest.raises(UnknownEdge, match=r"^edge id '1' not in 0\.\.3$"):
+        preprocess(net, [[0, 1], [0, "1"]])
+    with pytest.raises(UnknownEdge, match=r"^edge id '[12]' not in 0\.\.3$"):
+        preprocess(net, ["12"])  # the ids "1" and "2"
 
 
 def test_ids_that_are_not_ints_raise_typed_errors():
