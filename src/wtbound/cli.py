@@ -35,10 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not valid UTF-8") from None
-    return text.removeprefix("\ufeff")  # a byte-order mark is not content
 
 
 def _output_path(option: str, path: Optional[str]) -> Optional[str]:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownEdgeLabel,
 )
 from .graph import EdgeId, Network, build_network
-from .wiretap import EquivalenceClass, HasseDiagram, WiretapCollection, preprocess
+from .wiretap import EquivalenceClass, HasseDiagram, WiretapCollection, _check_table, preprocess
 
 DEFAULT_MAX_SETS = 100_000
 
@@ -69,8 +69,9 @@ _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 def _token_lines(text: str) -> Iterator[list[str]]:
-    """The tokens of each line before any '#'; a line with none gives []."""
-    return map(str.split, _COMMENT.sub("", text).splitlines())
+    """The tokens of each line before any '#'; a line with none gives [].
+    One leading byte-order mark, as some editors write, is not content."""
+    return map(str.split, _COMMENT.sub("", text.removeprefix("\ufeff")).splitlines())
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -383,8 +384,13 @@ def export_hasse_dot(classes: Sequence[EquivalenceClass], diagram: HasseDiagram)
     One node per class, labeled Cl<i> with its member count, read from
     `classes`; an arrow from each dominated class up to its covering
     dominator; maximal classes drawn with a double border. Raises
-    ParameterOutOfRange when `classes` and the diagram's rows differ in length.
+    ParameterOutOfRange when `classes` and the diagram's rows differ in length,
+    and TypeError on a `WiretapCollection` in place of its class table or a
+    `diagram` that is not a HasseDiagram.
     """
+    _check_table(classes)
+    if not isinstance(diagram, HasseDiagram):
+        raise TypeError(f"expected a HasseDiagram from class_hasse, got {type(diagram).__name__}")
     if len(classes) != len(diagram.above):
         raise ParameterOutOfRange(
             f"{len(classes)} classes for a diagram of {len(diagram.above)} rows"

@@ -114,6 +114,17 @@ def build_network(
     return net
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending, one lowest-set-bit step each: the
+    edge ids of an edge bitmask, or the class indices of a domination row."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def topological_order(net: Network) -> list[NodeId]:
     """Topological order of all nodes, lowest node id first among the ready.
 

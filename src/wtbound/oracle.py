@@ -48,7 +48,7 @@ from .errors import (
     ParameterOutOfRange,
     UnreachableTarget,
 )
-from .graph import EdgeId, Network, topological_order
+from .graph import EdgeId, Network, bits, topological_order
 
 DEFAULT_EDGE_LIMIT = 18
 ENV_EDGE_LIMIT = "WTB_MAX_ORACLE_EDGES"
@@ -112,16 +112,6 @@ def _mask(edges: Iterable[EdgeId]) -> int:
     return mask
 
 
-def _ids(mask: int) -> list[EdgeId]:
-    """The edge ids whose bits are set in `mask`, ascending."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return ids
-
-
 def _relevant_edges(exposed: _Exposed, tmask: int) -> list[EdgeId]:
     """Edges lying on some source-to-target path; only these can appear in a
     minimum cut, since dropping any other edge from a cut keeps it a cut."""
@@ -130,7 +120,7 @@ def _relevant_edges(exposed: _Exposed, tmask: int) -> list[EdgeId]:
     for v in reversed(exposed.order):
         if out[v] & (tmask | feeding):
             feeding |= into[v]
-    return _ids(exposed[0] & (tmask | feeding))
+    return bits(exposed[0] & (tmask | feeding))
 
 
 def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
@@ -156,9 +146,9 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
         )
     # the universe ascends, so combinations yields each size's subsets in the
     # lexicographic order of their ascending edge lists
-    bits = [1 << e for e in universe]
+    singles = [1 << e for e in universe]
     for k in range(len(universe) + 1):
-        found = [m for m in map(sum, combinations(bits, k)) if not tmask & exposed[m]]
+        found = [m for m in map(sum, combinations(singles, k)) if not tmask & exposed[m]]
         if found:
             return MinCutFamily(target=tset, capacity=k, cuts=tuple(found))
     raise AssertionError("unreachable: deleting every path edge always separates")
@@ -246,7 +236,7 @@ def _bounds(
 
 def _strict_order_pairs(above: Sequence[int]) -> frozenset[tuple[int, int]]:
     """The relation in `HasseDiagram.above` as (dominated, dominator) pairs."""
-    return frozenset((i, j) for i, row in enumerate(above) for j in _ids(row))
+    return frozenset((i, j) for i, row in enumerate(above) for j in bits(row))
 
 
 class CheckResult(NamedTuple):
@@ -293,7 +283,7 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
             fast == slow,
             lambda: f"fast {fast}, oracle {slow} for {sorted(s)}",
         )
-        slow_cut = frozenset(_ids(_primary(exposed, families[i])))
+        slow_cut = frozenset(bits(_primary(exposed, families[i])))
         primaries.append(slow_cut)
         record(
             f"primary[{i}]",

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import flow
 from .errors import ParameterOutOfRange, UnknownEdge
-from .graph import EdgeId, Network, NodeId, topological_order
+from .graph import EdgeId, Network, NodeId, bits, topological_order
 
 
 class EquivalenceClass(NamedTuple):
@@ -86,9 +86,9 @@ class HasseDiagram(_HasseFields):
         covering = []
         for i, row in enumerate(above):
             implied = 0
-            for j in _bits(row):
+            for j in bits(row):
                 implied |= above[j]
-            covering += [(i, j) for j in _bits(row & ~implied)]
+            covering += [(i, j) for j in bits(row & ~implied)]
         return tuple(covering)
 
 
@@ -145,23 +145,22 @@ def preprocess(
     whose edges is reachable from the source (an empty primary cut) are
     dropped. Each drop is recorded as `(position, kind, set)`: the 0-based
     index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
-    Raises UnknownEdge on the first bad id met by checking, in input order,
-    each set that names an id no earlier set named or an id that is not an
-    int (1.0 after 1 too), and ParameterOutOfRange, naming its position, on
-    a set that is not an iterable of hashable ids (`preprocess(net, [1])`).
+    Raises UnknownEdge on the first bad id met by checking every id of
+    every distinct set, in input order (1.0 after 1 too), and
+    ParameterOutOfRange, naming its position, on a set that is not an
+    iterable of hashable ids (`preprocess(net, [1])`).
 
     The per-set work is C-level passes and one loop. `raw_sets` is read
     into one list of frozensets, and `dict.fromkeys` keeps each distinct
-    set in input order. Only when that shows a drop (fewer distinct sets,
-    or an empty one) are the sets walked in Python, to record the drops
-    and the position of each distinct set. Every id is checked once, in
-    one union of the distinct sets, and the keys are one `map(prod, ...)`
-    over them. Two sets are equivalent exactly when their primary cuts are
-    equal, so the classes are the groups of equal cuts: `groups` maps each
-    cut to its sets, and its insertion order is the classes' first-member
-    order. An unreachable set stays among the distinct sets until the
-    loop ends, so a later copy of it drops as a duplicate, and its position
-    is looked up only then.
+    nonempty set in input order. Every id is checked once, in one union of
+    the distinct sets (one set at a time only to name a bad id), and the
+    keys are one `map(prod, ...)` over them. Two sets are equivalent
+    exactly when their primary cuts are equal, so the classes are the
+    groups of equal cuts: `groups` maps each cut to its sets, and its
+    insertion order is the classes' first-member order. An unreachable set
+    stays among the distinct sets until the loop ends, so a later copy of
+    it drops as a duplicate. Only when fewer sets are kept than were read
+    is the list walked in Python, once, to record the drops in input order.
 
     `flow.max_flow` runs once per reduced flow instance: the set's tails,
     with multiplicity, and its target edges whose head is live. Why that
@@ -216,20 +215,7 @@ def preprocess(
     except TypeError as exc:  # extend keeps the sets read before the bad one
         raise ParameterOutOfRange(f"set {len(sets)} is not an iterable of edge ids") from exc
     uniq = dict.fromkeys(sets)
-    drops: list[tuple[int, str, frozenset[EdgeId]]] = []
-    where: Sequence[int] = range(len(sets))  # the position of each distinct set
-    if len(uniq) < len(sets) or frozenset() in uniq:
-        where = []
-        seen: set[frozenset[EdgeId]] = set()
-        for pos, s in enumerate(sets):
-            if not s:
-                drops.append((pos, "empty", s))
-            elif s in seen:
-                drops.append((pos, "duplicate", s))
-            else:
-                seen.add(s)
-                where.append(pos)
-        uniq.pop(frozenset(), None)
+    uniq.pop(frozenset(), None)
     tails = [t for t, _ in net.edges]
     heads = [h for _, h in net.edges]
     out_edges = net.out_edges
@@ -245,12 +231,9 @@ def preprocess(
             factor[e] = tail_prime[t]
         keys = list(map(prod, map(map, repeat(factor.__getitem__), uniq)))
     except (UnknownEdge, TypeError):  # a list index refuses 1.0 named after 1
-        named: set[EdgeId] = set()
         for s in uniq:  # name the bad id a check of one set at a time meets first
-            if not named.issuperset(s) or not all(isinstance(e, int) for e in s):
-                named.update(s)
-                for e in s:
-                    net.check_edge(e)
+            for e in s:
+                net.check_edge(e)
         raise
     # tail multiset key -> (edges leaving those tails whose head is live,
     #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
@@ -276,7 +259,7 @@ def preprocess(
             )
             entry = cache[key] = (inside, {})
         inside, solved = entry
-        reduced = s & inside if inside else inside
+        reduced = s & inside
         found = solved.get(reduced)
         if found is None:
             cut = (run or flow.max_flow(net, s)).cut
@@ -296,9 +279,19 @@ def preprocess(
             decided[key] = members  # every later set with these tails has this cut
     kept = tuple(uniq)
     if dead:
-        drops += [(pos, "unreachable", s) for pos, s in zip(where, kept) if s in dead]
-        drops.sort()
         kept = tuple(s for s in kept if s not in dead)
+    drops: list[tuple[int, str, frozenset[EdgeId]]] = []
+    if len(kept) < len(sets):
+        seen: set[frozenset[EdgeId]] = set()
+        for pos, s in enumerate(sets):
+            if not s:
+                drops.append((pos, "empty", s))
+            elif s in seen:
+                drops.append((pos, "duplicate", s))
+            else:
+                seen.add(s)
+                if s in dead:
+                    drops.append((pos, "unreachable", s))
     coll = WiretapCollection(
         sets=kept,
         classes=tuple(
@@ -308,14 +301,10 @@ def preprocess(
     return coll, tuple(drops)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of `mask`, ascending, one lowest-set-bit step each."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _check_table(classes: Sequence[EquivalenceClass]) -> None:
+    """Refuse a collection passed where its class table belongs."""
+    if isinstance(classes, WiretapCollection):
+        raise TypeError("expected a class table such as coll.classes, got a WiretapCollection")
 
 
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
@@ -334,7 +323,8 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     its heads, so bit j of `reach[tail(e)] & ~severs[e]` is set exactly when
     e is not in j's cut and the source reaches e's tail with that cut
     deleted. So bit j of row i is set exactly when j != i and no edge of
-    i's cut sets bit j of that mask. Raises UnknownEdge on a bad cut id.
+    i's cut sets bit j of that mask. Raises UnknownEdge on a bad cut id,
+    and TypeError on a `WiretapCollection` in place of its class table.
     `oracle.cross_check` checks that the relation is a strict partial order.
 
     Why this is the paper's order, in which j dominates i when j has the
@@ -366,6 +356,7 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
 
     So no member needs to be read, and the capacity test is implied.
     """
+    _check_table(classes)
     severs = [0] * len(net.edges)
     for j, c in enumerate(classes):
         for e in c.cut:
@@ -392,7 +383,7 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
 def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str = "nmax") -> BoundReport:
     """Alphabet-size lower bound from a class table, such as `coll.classes`.
 
-    A `WiretapCollection` in place of the table raises AttributeError.
+    A `WiretapCollection` in place of the table raises TypeError.
     Mode "nmax" reports the maximal classes' cuts (`class_hasse`), mode "n"
     every class's cut with no domination pass, so `len(cuts)` is N_max or N;
     any other mode raises ParameterOutOfRange. The recommendation is
@@ -417,6 +408,7 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     """
     if mode not in ("nmax", "n"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax' or 'n'")
+    _check_table(classes)
     for i, cls in enumerate(classes):
         if not cls.members:
             raise ParameterOutOfRange(f"class {i} has no members")

@@ -18,7 +18,7 @@ from wtbound import (
     max_flow,
 )
 from wtbound.fileio import LabelTable
-from wtbound.graph import Network
+from wtbound.graph import Network, bits
 from wtbound import oracle
 from wtbound.oracle import ENV_EDGE_LIMIT, MinCutFamily, OracleBounds
 from wtbound.wiretap import EquivalenceClass
@@ -572,7 +572,7 @@ def pruning_loop(
 
 def edge_set(mask: int) -> frozenset[int]:
     """The edge ids whose bits are set in the oracle's edge mask `mask`."""
-    return frozenset(oracle._ids(mask))
+    return frozenset(bits(mask))
 
 
 def enumerate_min_cuts(net: Network, target: Iterable[int]) -> MinCutFamily:

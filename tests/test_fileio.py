@@ -25,6 +25,7 @@ from wtbound import (
     max_flow,
     parse_collection,
     parse_network,
+    preprocess,
     serialize_collection,
     serialize_network,
 )
@@ -121,6 +122,46 @@ def test_parse_network_graph_errors_pass_through():
         with pytest.raises(error) as exc:
             parse_network(text)
         assert str(exc.value) == message, text
+
+
+def test_parse_network_skips_one_byte_order_mark():
+    # the mark some editors write is not content, so line 1 still counts
+    assert parse_network("\ufeff" + COLLECTION_NETWORK) == parse_network(COLLECTION_NETWORK)
+    cases = [
+        (ParseError, "node a b\nsource a\n", "line 1: node takes one label"),
+        (ParseError, "edge x a b\nsource a\nsource b\n", "line 3: source already set on line 2"),
+        (SourceHasIncomingEdges, "edge x a b\nsource b\n", "line 1: edge 'x' (a -> b) enters the source"),
+    ]
+    for error, text, message in cases:
+        for marked in (text, "\ufeff" + text):
+            with pytest.raises(error) as exc:
+                parse_network(marked)
+            assert str(exc.value) == message, marked
+    with pytest.raises(ParseError) as exc:
+        parse_network("\ufeff\ufeff" + COLLECTION_NETWORK)  # only one mark is skipped
+    assert str(exc.value) == "line 1: unknown directive '\\ufeffedge'"
+
+
+def test_parse_collection_skips_one_byte_order_mark():
+    # the parse and both line re-walks, for a bad label and for the drops,
+    # read the lines without the mark
+    net, labels = parse_network(COLLECTION_NETWORK)
+    text = "d\na a  # z\n\nc\na\n"
+    for marked in (text, "\ufeff" + text):
+        coll, warnings = parse_collection(marked, net, labels)
+        assert coll.sets == (frozenset({0}), frozenset({2}))
+        assert warnings == (
+            "line 1: unreachable set {d} dropped",
+            "line 5: duplicate set {a} dropped",
+        ), marked
+    for text, line in (("z a\n", 1), ("a\n\nb z\n", 3)):
+        for marked in (text, "\ufeff" + text):
+            with pytest.raises(UnknownEdgeLabel) as exc:
+                parse_collection(marked, net, labels)
+            assert str(exc.value) == f"line {line}: unknown edge label 'z'", marked
+    with pytest.raises(UnknownEdgeLabel) as exc:
+        parse_collection("\ufeff\ufeffa\n", net, labels)
+    assert str(exc.value) == "line 1: unknown edge label '\\ufeffa'"
 
 
 def test_serialize_network_round_trip(fig1, singlesink):
@@ -458,6 +499,20 @@ def test_export_hasse_dot_refuses_a_table_of_another_length(fig1):
         export_hasse_dot(fig1.coll.classes[:-1], diagram)
     with pytest.raises(ParameterOutOfRange, match="^16 classes for a diagram of 15 rows$"):
         export_hasse_dot(fig1.coll.classes + fig1.coll.classes[:1], diagram)
+
+
+def test_export_hasse_dot_refuses_arguments_of_the_wrong_type(fig1):
+    # a wrong argument type is a TypeError, as Python itself raises
+    with pytest.raises(TypeError, match="^expected a HasseDiagram from class_hasse, got NoneType$"):
+        export_hasse_dot((), None)
+    rows = tuple(class_hasse(fig1.net, fig1.coll.classes))  # the fields, not the diagram
+    with pytest.raises(TypeError, match="got tuple$"):
+        export_hasse_dot(fig1.coll.classes, rows)
+    # a collection has two fields, so a diagram of two rows matches its length
+    net = build_network([(0, 1), (0, 2)], source=0)
+    coll, _ = preprocess(net, [{0}, {1}])
+    with pytest.raises(TypeError, match="^expected a class table .* got a WiretapCollection$"):
+        export_hasse_dot(coll, class_hasse(net, coll.classes))
 
 
 def test_singlesink_data_file(singlesink):

@@ -20,6 +20,7 @@ from wtbound import (
     preprocess,
 )
 from wtbound import flow, oracle, wiretap
+from wtbound.graph import bits
 from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
 from helpers import (
@@ -74,13 +75,18 @@ def test_min_cut_masks_come_in_the_order_of_their_sorted_edge_lists():
         return net, draw(st.frozensets(edges, min_size=1, max_size=4))
 
     sizes = Counter()
+    # a path s -> a -> b -> t: each of its three edges alone cuts the last.
+    # Derandomized draws are seeded from this function's source, so without
+    # this case an edit here can leave no family of three cuts drawn
+    path = build_network([(0, 1), (1, 2), (2, 3)], source=0)
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @hypothesis.given(targets())
+    @hypothesis.example((path, frozenset({2})))
     def check(case):
         net, target = case
         family = oracle._min_cuts(oracle._Exposed(net), target)
-        cuts = [sorted(oracle._ids(mask)) for mask in family.cuts]
+        cuts = [bits(mask) for mask in family.cuts]
         assert cuts == sorted(cuts)
         assert len(set(family.cuts)) == len(cuts)
         sizes[min(len(cuts), 3)] += 1

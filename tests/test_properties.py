@@ -174,6 +174,43 @@ def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_se
     } == largest
 
 
+def test_closing_a_collection_under_subsets_keeps_its_maximal_cuts():
+    """An adversary who can tap A can tap any subset of A, so a collection
+    is often closed under subsets. Its maximal cuts are those of the sets it
+    is the closure of; only N grows. Write S(X) and P(X) as in the docstring
+    of `class_hasse`. If T lies inside A, then P(A) severs P(T): deleting
+    P(A) leaves S(A) reachable, and S(A) lies inside S(T). An edge of P(T)
+    with its tail in S(A) either lies in T, and so in A and in P(A), or
+    leaves S(T), and so leaves S(A) and lies in P(A). So every class of the
+    closure equals or is dominated by the class of a listed set.
+    """
+    st = hypothesis.strategies
+
+    @st.composite
+    def dag_and_tops(draw):
+        net = draw_dag(draw, max_nodes=10, max_edges=20)
+        top = st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=4)
+        return net, draw(st.lists(top, min_size=1, max_size=6))
+
+    grew = 0
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(dag_and_tops())
+    def check(case):
+        nonlocal grew
+        net, tops = case
+        closure = [
+            frozenset(c) for top in tops for k in range(1, len(top) + 1) for c in combinations(top, k)
+        ]
+        listed, closed = preprocess(net, tops)[0], preprocess(net, closure)[0]
+        cuts = [{c.edges for c in compute_bound(net, coll.classes).cuts} for coll in (listed, closed)]
+        assert cuts[0] == cuts[1]
+        grew += len(closed.classes) > len(listed.classes)
+
+    check()
+    assert grew > 0  # the closure has more classes in some drawn cases
+
+
 def star(parallel: int, onward: bool):
     """`parallel` edges s->a and, when `onward`, the path s->x->t, with every
     nonempty edge set as a target (s, x, a, t are nodes 0 to 3). Without the

@@ -204,9 +204,19 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
         return net, sets
 
     shortcuts = 0
+    # the net of the shortcut test below plus an edge the source misses, and
+    # an empty set, a repeat and the unreachable set twice, as drawn: tails
+    # a, a decide the class of {3, 4}, so {2, 3} and {2, 4} take the
+    # shortcut. Derandomized draws are seeded from this function's source,
+    # so without this case an edit here can leave no shortcut drawn
+    shortcut_net = build_network(
+        [(0, 1), (0, 1), (1, 2), (1, 3), (1, 3), (2, 3), (4, 5)], source=0
+    )
+    shortcut_sets = [{3, 4}, {3}, {2, 3}, set(), {6}, {2, 4}, {3, 4}, {2, 5}, {6}]
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @hypothesis.given(collections())
+    @hypothesis.example((shortcut_net, list(map(frozenset, shortcut_sets))))
     def check(case):
         nonlocal shortcuts
         net, sets = case
@@ -713,9 +723,18 @@ def test_compute_bound_degenerate_inputs(fig1):
         compute_bound(fig1.net, fig1.coll.classes, mode="fast")
 
 
+TABLE_EXPECTED = "^expected a class table such as coll.classes, got a WiretapCollection$"
+
+
 def test_compute_bound_refuses_a_collection_in_place_of_its_class_table(fig1):
-    # the call compute_bound(net, coll) fails loudly in every mode; it cannot
-    # read the record's two fields as two classes and return a count
+    # the call compute_bound(net, coll) fails loudly in every mode, with the
+    # TypeError of a wrong container type; it cannot read the record's two
+    # fields as two classes and return a count
     for mode in ("n", "nmax"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError, match=TABLE_EXPECTED):
             compute_bound(fig1.net, fig1.coll, mode=mode)
+
+
+def test_class_hasse_refuses_a_collection_in_place_of_its_class_table(fig1):
+    with pytest.raises(TypeError, match=TABLE_EXPECTED):
+        class_hasse(fig1.net, fig1.coll)
