@@ -216,18 +216,18 @@ def parse_collection(
     naming the line. Raises UnknownEdgeLabel with a line number when a label
     is not in the table.
 
-    One pass: `preprocess` reads the sets into one list from a chain of
-    C-level iterators over `_token_lines`, the line reader network files
-    share, which skips lines with no label and maps each label to its id,
-    so the resolved sets are held but no token list is. Line numbers are
-    recovered only when needed, by walking the same lines once more through
-    `_content_lines`: for the first unknown label, and, when a set was
-    dropped, to map drop positions (the k-th content line) back to line
-    numbers.
+    One pass: `preprocess` reads, and freezes, the sets into one list from
+    a chain of C-level iterators over `_token_lines`, the line reader
+    network files share, which skips lines with no label and maps each
+    label to its id, so the resolved sets are held but no token list is.
+    Line numbers are recovered only when needed, by walking the same lines
+    once more through `_content_lines`: for the first unknown label, and,
+    when a set was dropped, to map drop positions (the k-th content line)
+    back to line numbers.
     """
     # no name holds the list of lines, so it is freed once the last is read
     ids = labels._edge_ids
-    sets = map(frozenset, map(map, repeat(ids.__getitem__), filter(None, _token_lines(text))))
+    sets = map(map, repeat(ids.__getitem__), filter(None, _token_lines(text)))
     try:
         coll, drops = preprocess(net, sets)
     except KeyError:

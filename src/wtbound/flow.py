@@ -76,9 +76,15 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
 
     Each search scans, per node, the out-edges and then the in-edges in
     ascending id order, so the flow found is deterministic. Raises
-    EmptyTargetSet on an empty target and UnknownEdge on a bad id.
+    EmptyTargetSet on an empty target and UnknownEdge on a bad id, an
+    unhashable one too.
     """
-    tset = frozenset(target)
+    try:
+        tset = frozenset(target)
+    except TypeError:  # an unhashable id, or a target that is not iterable
+        for e in target:
+            net.check_edge(e)
+        raise
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     is_target = bytearray(len(net.edges))

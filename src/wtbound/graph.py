@@ -8,6 +8,7 @@ edges are identified by their integer id, not by their endpoints.
 from __future__ import annotations
 
 import heapq
+import sys
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -74,10 +75,10 @@ def build_network(
     `num_nodes` is not a positive int, a sink is listed twice or an edge is
     not a (tail, head) pair (naming its position), DanglingEndpoint when an
     edge end, the source, or a sink is not an int or falls outside the node
-    range, SourceHasIncomingEdges when any edge enters the source, and
-    CyclicGraph when the edge list admits no topological order. Sinks may
-    have outgoing edges and nodes may be unreachable; neither is an error
-    here.
+    range (an inferred one must fit a list index), SourceHasIncomingEdges
+    when any edge enters the source, and CyclicGraph when the edge list
+    admits no topological order. Sinks may have outgoing edges and nodes may
+    be unreachable; neither is an error here.
     """
     pairs = ((t, h) for t, h in edges)
     edge_list: list[tuple[NodeId, NodeId]] = []
@@ -87,7 +88,11 @@ def build_network(
         raise ParameterOutOfRange(f"edge {len(edge_list)} is not a (tail, head) pair") from exc
     if num_nodes is not None and not (isinstance(num_nodes, int) and num_nodes > 0):
         raise ParameterOutOfRange(f"num_nodes must be a positive integer, got {num_nodes!r}")
-    if len(set(sinks)) < len(sinks):
+    try:
+        distinct = set(sinks)
+    except TypeError:  # an unhashable sink, which the node id check below names
+        distinct = sinks
+    if len(distinct) < len(sinks):
         raise ParameterOutOfRange(f"sink {max(sinks, key=sinks.count)} is listed more than once")
     referenced = [source, *sinks]
     for t, h in edge_list:
@@ -101,6 +106,8 @@ def build_network(
     if low < 0:
         raise DanglingEndpoint(f"negative node id {low}")
     if num_nodes is None:
+        if high >= sys.maxsize:  # no list holds that many nodes
+            raise DanglingEndpoint(f"node id {high} outside the indexable range 0..{sys.maxsize - 1}")
         num_nodes = high + 1
     elif high >= num_nodes:
         raise DanglingEndpoint(f"node id {high} outside declared range 0..{num_nodes - 1}")

@@ -261,10 +261,13 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     The domination record also fails when the fast relation is not a strict
     partial order, and the n_max record unless n_max <= n <= len(sets).
     A passing record's `detail` is empty: each detail is formatted only
-    for a check that fails.
+    for a check that fails. Raises TypeError on a `coll` that is not a
+    WiretapCollection, such as its class table.
     """
     from . import wiretap
 
+    if not isinstance(coll, wiretap.WiretapCollection):
+        raise TypeError(f"expected a WiretapCollection from preprocess, got {type(coll).__name__}")
     results: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: Callable[[], str]) -> None:
@@ -273,7 +276,10 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
     # each family is enumerated once and serves every record below
     exposed = _Exposed(net)
     families = [_min_cuts(exposed, s) for s in coll.sets]
-    cut_of = {s: cls.cut for cls in coll.classes for s in cls.members}
+    classes = coll.classes
+    # checks every cut id before a failing record formats a cut
+    diagram = wiretap.class_hasse(net, classes)
+    cut_of = {s: cls.cut for cls in classes for s in cls.members}
     primaries: list[frozenset[EdgeId]] = []
     for i, s in enumerate(coll.sets):
         fast_cut = cut_of.get(s, frozenset())
@@ -292,7 +298,6 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         )
 
     ob = _bounds(exposed, coll.sets, families)
-    classes = coll.classes
     index = {s: i for i, s in enumerate(coll.sets)}
     fast_partition = tuple(tuple(index.get(s, -1) for s in cls.members) for cls in classes)
     record(
@@ -301,7 +306,6 @@ def cross_check(net: Network, coll: "WiretapCollection") -> list[CheckResult]:
         lambda: f"fast {fast_partition}, oracle {ob.classes}",
     )
 
-    diagram = wiretap.class_hasse(net, classes)
     above = diagram.above  # bit j of above[i]: class j dominates class i
     fast_order = _strict_order_pairs(above)
     strict = all(not row >> i & 1 for i, row in enumerate(above)) and all(

@@ -158,9 +158,11 @@ def preprocess(
     exactly when their primary cuts are equal, so the classes are the
     groups of equal cuts: `groups` maps each cut to its sets, and its
     insertion order is the classes' first-member order. An unreachable set
-    stays among the distinct sets until the loop ends, so a later copy of
-    it drops as a duplicate. Only when fewer sets are kept than were read
-    is the list walked in Python, once, to record the drops in input order.
+    is grouped like any other, under the empty cut, and that group is taken
+    out of the distinct sets only after the loop, so a later copy of it
+    drops as a duplicate, and unreachable sets that share tails share the
+    shortcut below. Only when fewer sets are kept than were read is the
+    list walked in Python, once, to record the drops in input order.
 
     `flow.max_flow` runs once per reduced flow instance: the set's tails,
     with multiplicity, and its target edges whose head is live. Why that
@@ -190,8 +192,9 @@ def preprocess(
     L is a function of the tails, so the edges leaving them with a live
     head (`inside`) are cached per key; on a miss, L is read off the live
     mask of the flow the miss runs, which also solves the entry's first
-    instance. Every edge of T leaves one of the tails, so T's live-headed
-    edges are one intersection with `inside`, skipped when it is empty.
+    instance, and each head off `net.edges`. Every edge of T leaves one of
+    the tails, so T's live-headed edges are one intersection with `inside`,
+    skipped when it is empty.
 
     When the tails decide the class, a set costs one lookup and an append.
     If `inside` is empty, no set T with the key has a live-headed target
@@ -204,9 +207,9 @@ def preprocess(
     The cache holds one entry per distinct tail multiset the collection
     uses (at worst, one per set), each with out-edges of those tails only,
     `decided` at most as many, and `tail_prime` one entry per tail the
-    collection names. Beyond one int per edge (`tails`, `heads` and the
-    primes), memory grows with the collection, not with the network. A
-    set's cut is kept only as its class's key and `cut`, once per class.
+    collection names. Beyond one int per edge (`tails` and the primes),
+    memory grows with the collection, not with the network. A set's cut is
+    kept only as its class's key and `cut`, once per class.
     """
     read = map(frozenset, raw_sets)
     sets: list[frozenset[EdgeId]] = []
@@ -216,8 +219,8 @@ def preprocess(
         raise ParameterOutOfRange(f"set {len(sets)} is not an iterable of edge ids") from exc
     uniq = dict.fromkeys(sets)
     uniq.pop(frozenset(), None)
-    tails = [t for t, _ in net.edges]
-    heads = [h for _, h in net.edges]
+    edges = net.edges
+    tails = [t for t, _ in edges]
     out_edges = net.out_edges
     primes = _primes()
     tail_prime: dict[NodeId, int] = {}
@@ -243,7 +246,6 @@ def preprocess(
     ] = {}
     decided: dict[int, list[frozenset[EdgeId]]] = {}  # key -> the class its tails decide
     groups: dict[frozenset[EdgeId], list[frozenset[EdgeId]]] = {}  # cut -> its sets
-    dead: set[frozenset[EdgeId]] = set()
     for s, key in zip(uniq, keys):
         members = decided.get(key)
         if members is not None:
@@ -255,7 +257,7 @@ def preprocess(
             run = flow.max_flow(net, s)
             live = run.live
             inside = frozenset(
-                e for t in {tails[e] for e in s} for e in out_edges[t] if live[heads[e]]
+                e for t in {tails[e] for e in s} for e in out_edges[t] if live[edges[e][1]]
             )
             entry = cache[key] = (inside, {})
         inside, solved = entry
@@ -268,18 +270,15 @@ def preprocess(
         if cut_tails:
             # s has the solved target's tails, so it has an edge at each cut tail
             cut = cut.union([e for e in s if tails[e] in cut_tails])
-        if not cut:
-            dead.add(s)
-            continue
         members = groups.get(cut)
         if members is None:
             members = groups[cut] = []
         members.append(s)
         if not (inside or cut_tails):
             decided[key] = members  # every later set with these tails has this cut
+    for s in groups.pop(frozenset(), ()):  # the unreachable sets
+        del uniq[s]
     kept = tuple(uniq)
-    if dead:
-        kept = tuple(s for s in kept if s not in dead)
     drops: list[tuple[int, str, frozenset[EdgeId]]] = []
     if len(kept) < len(sets):
         seen: set[frozenset[EdgeId]] = set()
@@ -290,7 +289,7 @@ def preprocess(
                 drops.append((pos, "duplicate", s))
             else:
                 seen.add(s)
-                if s in dead:
+                if s not in uniq:
                     drops.append((pos, "unreachable", s))
     coll = WiretapCollection(
         sets=kept,
@@ -302,9 +301,13 @@ def preprocess(
 
 
 def _check_table(classes: Sequence[EquivalenceClass]) -> None:
-    """Refuse a collection passed where its class table belongs."""
+    """Refuse a collection passed where its class table belongs, and a table
+    entry that is not an EquivalenceClass, naming its index."""
     if isinstance(classes, WiretapCollection):
         raise TypeError("expected a class table such as coll.classes, got a WiretapCollection")
+    for i, cls in enumerate(classes):
+        if not isinstance(cls, EquivalenceClass):
+            raise TypeError(f"expected an EquivalenceClass as class {i}, got {type(cls).__name__}")
 
 
 def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagram:
@@ -324,7 +327,8 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     e is not in j's cut and the source reaches e's tail with that cut
     deleted. So bit j of row i is set exactly when j != i and no edge of
     i's cut sets bit j of that mask. Raises UnknownEdge on a bad cut id,
-    and TypeError on a `WiretapCollection` in place of its class table.
+    and TypeError on a `WiretapCollection` in place of its class table or a
+    table entry that is not an EquivalenceClass.
     `oracle.cross_check` checks that the relation is a strict partial order.
 
     Why this is the paper's order, in which j dominates i when j has the
@@ -383,7 +387,8 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
 def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str = "nmax") -> BoundReport:
     """Alphabet-size lower bound from a class table, such as `coll.classes`.
 
-    A `WiretapCollection` in place of the table raises TypeError.
+    A `WiretapCollection` in place of the table, or a table entry that is
+    not an EquivalenceClass, raises TypeError.
     Mode "nmax" reports the maximal classes' cuts (`class_hasse`), mode "n"
     every class's cut with no domination pass, so `len(cuts)` is N_max or N;
     any other mode raises ParameterOutOfRange. The recommendation is
@@ -394,7 +399,8 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     class's largest member, ties broken by the lexicographically smallest
     edge list. The loop's result does not depend on that order. Each cut's
     target is that picked member. Raises ParameterOutOfRange on a class with
-    no members, and UnknownEdge on a bad id in a cut or target it reports.
+    no members, and UnknownEdge on a bad id in a cut or target it reports,
+    or in a counted class whose member ids do not compare (1 and "a").
 
     The pick filters by prefix instead of sorting every member. The largest
     members all have one size, so their ascending lists have one length.
@@ -402,9 +408,12 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     members that start with e are exactly those that hold it, since e is
     below all their other edges. Among those, the next entry is the least
     edge of their union outside the prefix, and so on. After `size` rounds
-    the members left equal the least list, and the first of them is the one
-    `min` would return. The rounds are counted, not run until one member is
-    left, since a member held twice stays to the end.
+    the members left all equal the prefix, the least list, so the prefix is
+    the pick's sort key and, frozen, its target: no member is sorted. (Each
+    id is the first spelling the union met, so where members spell one id
+    as both 1 and True, the target equals the member but may spell it the
+    other way.) The rounds are counted, not run until one member is left,
+    since a member held twice stays to the end.
     """
     if mode not in ("nmax", "n"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}: expected 'nmax' or 'n'")
@@ -415,16 +424,21 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
     if mode == "nmax":
         classes = tuple(classes[i] for i in class_hasse(net, classes).maximal)
     picks = []
-    for i, cls in enumerate(classes):
-        size = max(map(len, cls.members))
-        largest = [s for s in cls.members if len(s) == size]
-        prefix: list[EdgeId] = []
-        for _ in range(size):  # then every member left equals the prefix
-            e = min(set().union(*largest).difference(prefix))
-            prefix.append(e)
-            largest = [s for s in largest if e in s]
-        picks.append(((-size, sorted(largest[0])), i))
-    picks.sort()
+    try:
+        for i, cls in enumerate(classes):
+            size = max(map(len, cls.members))
+            largest = [s for s in cls.members if len(s) == size]
+            prefix: list[EdgeId] = []
+            for _ in range(size):  # then every member left equals the prefix
+                e = min(set().union(*largest).difference(prefix))
+                prefix.append(e)
+                largest = [s for s in largest if e in s]
+            picks.append(((-size, prefix), i))
+        picks.sort()
+    except TypeError:  # ids that do not compare, such as 1 and "a": name one
+        for e in set().union(*(s for cls in classes for s in cls.members)):
+            net.check_edge(e)
+        raise
     cuts = []
     for (_, target), i in picks:
         edges = classes[i].cut

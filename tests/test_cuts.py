@@ -40,7 +40,7 @@ def test_separates(fig1):
         separates(fig1.net, {0}, {99})
 
 
-def test_mincut_capacity(fig1):
+def test_max_flow_value_is_the_min_cut_capacity(fig1):
     lab = fig1.labels
     assert max_flow(fig1.net, eset(lab, "e6")).value == 1
     assert max_flow(fig1.net, eset(lab, "e19 e20")).value == 2
@@ -48,12 +48,12 @@ def test_mincut_capacity(fig1):
     assert max_flow(fig1.net, eset(lab, "e1 e2 e3 e4 e5")).value == 5
 
 
-def test_mincut_capacity_unreachable_is_zero():
+def test_max_flow_value_of_an_unreachable_target_is_zero():
     net = build_network([(0, 1), (2, 3)], source=0)
     assert max_flow(net, {1}).value == 0
 
 
-def test_primary_min_cut_goldens(fig1):
+def test_max_flow_cut_goldens(fig1):
     lab = fig1.labels
     cases = [
         ("e1", "e1"),
@@ -66,7 +66,7 @@ def test_primary_min_cut_goldens(fig1):
         assert max_flow(fig1.net, eset(lab, target_spec)).cut == eset(lab, cut_spec)
 
 
-def test_primary_min_cut_singlesink(singlesink):
+def test_max_flow_cut_singlesink(singlesink):
     lab = singlesink.labels
     in_t = eset(lab, "i5-t i9-t i10-t i11-t")
     run = max_flow(singlesink.net, in_t)
@@ -74,7 +74,7 @@ def test_primary_min_cut_singlesink(singlesink):
     assert run.cut == eset(lab, "s-i4 i5-t i7-i10 i9-t")
 
 
-def test_primary_min_cut_separates_its_target(fig1):
+def test_max_flow_cut_separates_its_target(fig1):
     lab = fig1.labels
     for spec in ("e18", "e19 e20", "e6 e10 e18", "e9 e15 e21"):
         target = eset(lab, spec)
@@ -83,7 +83,7 @@ def test_primary_min_cut_separates_its_target(fig1):
         assert len(run.cut) == run.value
 
 
-def test_primary_min_cut_unreachable_target():
+def test_max_flow_cut_of_an_unreachable_target_is_empty():
     net = build_network([(0, 1), (2, 3)], source=0)
     run = max_flow(net, {1})
     assert (run.value, run.cut) == (0, frozenset())

@@ -513,6 +513,10 @@ def test_export_hasse_dot_refuses_arguments_of_the_wrong_type(fig1):
     coll, _ = preprocess(net, [{0}, {1}])
     with pytest.raises(TypeError, match="^expected a class table .* got a WiretapCollection$"):
         export_hasse_dot(coll, class_hasse(net, coll.classes))
+    # a table of bare tuples as long as the rows: before, a bare AttributeError
+    diagram = class_hasse(net, coll.classes)
+    with pytest.raises(TypeError, match="^expected an EquivalenceClass as class 0, got tuple$"):
+        export_hasse_dot([()] * len(diagram.above), diagram)
 
 
 def test_singlesink_data_file(singlesink):

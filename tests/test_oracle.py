@@ -284,6 +284,12 @@ def test_cross_check_fails_the_partition_for_a_member_missing_from_the_sets(fig1
     assert any(missing in cls.members for cls in coll.classes)
 
 
+def test_cross_check_refuses_a_class_table_in_place_of_its_collection(fig1):
+    # before, a bare AttributeError: 'tuple' object has no attribute 'sets'
+    with pytest.raises(TypeError, match="^expected a WiretapCollection from preprocess, got tuple$"):
+        cross_check(fig1.net, fig1.coll.classes)
+
+
 def test_oracle_bounds_equal_the_pairwise_reference_over_the_corpus(corpus):
     for rec in corpus:
         reference = reference_bounds(rec.net, rec.coll.sets, rec.fams)

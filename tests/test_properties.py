@@ -15,6 +15,7 @@ from wtbound import (
     class_hasse,
     compute_bound,
     cross_check,
+    export_hasse_dot,
     max_flow,
     parse_collection,
     parse_network,
@@ -367,3 +368,110 @@ def test_collection_texts_round_trip_or_name_their_first_bad_line(text):
     again, warnings = parse_collection(serialize_collection(coll.sets, labels), net, labels)
     assert again.sets == coll.sets
     assert warnings == ()
+
+
+def near_misses(good, hashable=False):
+    """`good`, a strategy of valid ids, or a near miss of one: an equal
+    float, a bool, a negative int, an int past any index, a digit string, a
+    tuple of the wrong length, or (unless `hashable`) a one-item list."""
+    misses = [
+        good.map(float),
+        st.booleans(),
+        st.integers(-3, -1),
+        st.integers(2**63, 2**70),
+        good.map(str),
+        good.map(lambda v: (v,)),
+        good.map(lambda v: (v, v, v)),
+    ]
+    if not hashable:
+        misses.append(good.map(lambda v: [v]))
+    return st.one_of(good, st.one_of(misses))  # half of the draws are good
+
+
+CONTRACT_FUNCTIONS = (
+    "max_flow",
+    "build_network",
+    "preprocess",
+    "compute_bound",
+    "class_hasse",
+    "export_hasse_dot",
+    "cross_check",
+)
+
+
+@st.composite
+def near_miss_call(draw):
+    """A public function's name, and a call of it whose containers hold
+    near-miss elements; `call(True)` passes one container of the wrong type
+    instead (a bare tuple of the two fields for a table's last class)."""
+    net = draw_dag(draw, max_nodes=6, max_edges=8)
+    ids = st.integers(0, len(net.edges) - 1)
+    edge = near_misses(ids)
+    edge_set = st.frozensets(near_misses(ids, hashable=True), max_size=3)
+    entry = st.builds(EquivalenceClass, st.lists(edge_set, max_size=3).map(tuple), edge_set)
+    name = draw(st.sampled_from(CONTRACT_FUNCTIONS))
+    if name == "max_flow":
+        target = draw(st.lists(edge, min_size=1, max_size=3))
+        return name, lambda wrong: max_flow(net, None if wrong else target)
+    if name == "build_network":
+        n = net.num_nodes
+        node = near_misses(st.integers(0, n - 1))
+        arity = st.sampled_from([2] * 8 + [1, 3])  # a pair, or a tuple of the wrong length
+        pair = arity.flatmap(lambda k: st.tuples(*[node] * k))
+        edges, source = draw(st.lists(pair, max_size=4)), draw(node)
+        sinks = draw(st.lists(node, min_size=1, max_size=2))
+        num_nodes = draw(st.sampled_from([None, n]))
+        return name, lambda wrong: build_network(None if wrong else edges, source, sinks, num_nodes)
+    if name == "preprocess":
+        sets = draw(st.lists(st.lists(edge, max_size=3), max_size=4))
+        return name, lambda wrong: preprocess(net, None if wrong else sets)
+    classes, bare = draw(st.lists(entry, max_size=3)), tuple(draw(entry))
+
+    def table(wrong):
+        return [*classes, bare] if wrong else classes
+
+    if name == "compute_bound":
+        mode = draw(st.sampled_from(["n", "nmax"]))
+        return name, lambda wrong: compute_bound(net, table(wrong), mode=mode)
+    if name == "class_hasse":
+        return name, lambda wrong: class_hasse(net, table(wrong))
+    if name == "export_hasse_dot":
+
+        def export(wrong):
+            # a diagram of as many rows, over good cuts
+            rows = len(table(wrong))
+            good = [EquivalenceClass((), frozenset({j % len(net.edges)})) for j in range(rows)]
+            return export_hasse_dot(table(wrong), class_hasse(net, good))
+
+        return name, export
+    sets = draw(st.lists(edge_set.filter(bool), max_size=3))
+    coll = WiretapCollection(sets=tuple(sets), classes=tuple(classes))
+    return name, lambda wrong: cross_check(net, coll.classes if wrong else coll)
+
+
+# a path s -> a -> t, edges 0 and 1, for the fixed examples below
+PATH = build_network([(0, 1), (1, 2)], source=0)
+# a class cut holding ids that do not compare, which a failing record would sort
+UNSORTABLE = WiretapCollection(
+    sets=(frozenset({1}),), classes=(EquivalenceClass((frozenset({1}),), frozenset({"1", 0})),)
+)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@hypothesis.given(near_miss_call())
+@hypothesis.example(("max_flow", lambda wrong: max_flow(PATH, None if wrong else [0, [1]])))
+@hypothesis.example(("build_network", lambda wrong: build_network(None if wrong else [(0, 2**63)], 0)))
+@hypothesis.example(
+    ("cross_check", lambda wrong: cross_check(PATH, UNSORTABLE.classes if wrong else UNSORTABLE))
+)
+def test_near_miss_elements_succeed_or_raise_a_typed_error(case):
+    # the README's contract: every bad element inside a documented container
+    # raises a WtbError, and a container of the wrong type TypeError. Any
+    # other exception escapes and fails the test
+    name, call = case  # the name reads in a falsifying example
+    try:
+        call(False)
+    except WtbError:
+        pass
+    with pytest.raises(TypeError):
+        call(True)

@@ -270,6 +270,18 @@ def test_preprocess_takes_the_shortcut_only_where_the_tails_decide_the_class(mon
     assert flows == [{3, 4}, {3}, {3, 5}, {2, 5}]
     assert runs == 2
 
+    # s=0 a=1 b=2 t=3: s->a (0), and three parallel edges b->t (1-3) the
+    # source misses. An unreachable set's class, the empty cut, is decided
+    # by its tails too, so {2} and {3} take the shortcut after {1}
+    net = build_network([(0, 1), (2, 3), (2, 3), (2, 3)], source=0)
+    sets = [{1}, {2}, {3}, {1, 2}]
+    coll, drops = assert_preprocess_matches_reference(net, sets)
+    assert coll.sets == coll.classes == ()
+    assert drops == tuple((pos, "unreachable", frozenset(s)) for pos, s in enumerate(sets))
+    got, runs = count_line_runs(preprocess, SHORTCUT, lambda: preprocess(net, sets))
+    assert got == (coll, drops)
+    assert runs == 2
+
 
 def test_preprocess_checks_every_id_before_sharing_a_flow():
     net = build_network(HAND_EDGES, source=0)
@@ -587,6 +599,20 @@ def test_ids_that_are_not_ints_raise_typed_errors():
     # bool subclasses int, so True and False stay ids
     assert build_network([(False, True)], source=False).edges == ((False, True),)
     assert max_flow(net, [True]).value == 1
+    # an unhashable id or sink, and ids that do not compare: before, a bare
+    # TypeError ("unhashable type", "'<' not supported")
+    with pytest.raises(UnknownEdge, match=r"^edge id \[1\] not in 0\.\.2$"):
+        max_flow(net, [[1]])
+    with pytest.raises(DanglingEndpoint, match=r"^node id \[1\] is not an integer$"):
+        build_network([(0, 1)], 0, [[1]])
+    for members in ((frozenset({"a", 1}),), (frozenset({1, 2}), frozenset({"a", 2}))):
+        for mode in ("n", "nmax"):
+            with pytest.raises(UnknownEdge, match=r"^edge id 'a' not in 0\.\.2$"):
+                compute_bound(net, [good._replace(members=members)], mode=mode)
+    # the ids compare within each class, but not across the two
+    table = [good._replace(members=(frozenset({"a"}),)), good._replace(members=(frozenset({1}),))]
+    with pytest.raises(UnknownEdge, match=r"^edge id 'a' not in 0\.\.2$"):
+        compute_bound(net, table, mode="n")
 
 
 def test_compute_bound_fig1_modes(fig1):
@@ -733,8 +759,15 @@ def test_compute_bound_refuses_a_collection_in_place_of_its_class_table(fig1):
     for mode in ("n", "nmax"):
         with pytest.raises(TypeError, match=TABLE_EXPECTED):
             compute_bound(fig1.net, fig1.coll, mode=mode)
+        # a table of sets: before, a bare AttributeError
+        with pytest.raises(TypeError, match="^expected an EquivalenceClass as class 0, got frozenset$"):
+            compute_bound(fig1.net, [frozenset({0})], mode=mode)
 
 
 def test_class_hasse_refuses_a_collection_in_place_of_its_class_table(fig1):
     with pytest.raises(TypeError, match=TABLE_EXPECTED):
         class_hasse(fig1.net, fig1.coll)
+    # a table of bare tuples: before, a bare AttributeError
+    good = fig1.coll.classes[0]
+    with pytest.raises(TypeError, match="^expected an EquivalenceClass as class 1, got tuple$"):
+        class_hasse(fig1.net, [good, (frozenset({0}),)])
