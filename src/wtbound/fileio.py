@@ -265,7 +265,7 @@ def serialize_collection(
             ids.sort()
             for e in ids[:1] + ids[-1:]:  # an id out of range is the least or the greatest
                 if not 0 <= e <= last:
-                    raise UnknownEdge(f"edge id {e!r} not in 0..{last}")  # Network.check_edge's words
+                    raise UnknownEdge(f"edge id {e!r} not in 0..{last}")  # Network.edge_set's words
             lines.append(" ".join(map(labels.edge_labels.__getitem__, ids)))
         except TypeError:  # an id that does not compare with ints or index the table
             bad = next(e for e in ids if not isinstance(e, int))

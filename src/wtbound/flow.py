@@ -76,21 +76,15 @@ def max_flow(net: Network, target: Iterable[EdgeId]) -> MaxFlow:
 
     Each search scans, per node, the out-edges and then the in-edges in
     ascending id order, so the flow found is deterministic. Raises
-    EmptyTargetSet on an empty target and UnknownEdge on a bad id, an
-    unhashable one too.
+    EmptyTargetSet on an empty target and, through `Network.edge_set`,
+    UnknownEdge on a bad id.
     """
-    try:
-        tset = frozenset(target)
-    except TypeError:  # an unhashable id, or a target that is not iterable
-        for e in target:
-            net.check_edge(e)
-        raise
+    tset = net.edge_set(target)
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     is_target = bytearray(len(net.edges))
     edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
     for e in tset:
-        net.check_edge(e)
         is_target[e] = 1
     live = _live_nodes(net, {edges[e][0] for e in tset})
     source = net.source

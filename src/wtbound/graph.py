@@ -41,9 +41,23 @@ class Network(_NetworkFields):
     `out_edges` and `in_edges`.
     """
 
-    def check_edge(self, e: EdgeId) -> None:
-        if not isinstance(e, int) or not 0 <= e < len(self.edges):
-            raise UnknownEdge(f"edge id {e!r} not in 0..{len(self.edges) - 1}")
+    def edge_set(self, ids: Iterable[EdgeId]) -> frozenset[EdgeId]:
+        """The edge ids `ids` as a frozenset: the one check of caller ids.
+
+        `ids` is read once, into a tuple, and each id is checked in input
+        order before the set is built, so freezing can neither hide a bad id
+        behind an equal good one (1.0 after 1) nor fail on one it cannot
+        hash. Raises UnknownEdge, naming the first id that is not an int in
+        0..len(edges) - 1 by its repr (`edge id '1' not in 0..3` for the
+        string "1"); True and False are ints. A frozenset comes back as
+        itself, so a checked class cut stays the class's own object.
+        """
+        read = tuple(ids)
+        last = len(self.edges) - 1
+        for e in read:
+            if not isinstance(e, int) or not 0 <= e <= last:
+                raise UnknownEdge(f"edge id {e!r} not in 0..{last}")
+        return ids if isinstance(ids, frozenset) else frozenset(read)
 
     @cached_property
     def out_edges(self) -> tuple[tuple[EdgeId, ...], ...]:
@@ -72,13 +86,15 @@ def build_network(
 
     Node ids are inferred as 0..max(referenced id) unless `num_nodes` pins a
     larger range (isolated nodes are legal). Raises ParameterOutOfRange when
-    `num_nodes` is not a positive int, a sink is listed twice or an edge is
-    not a (tail, head) pair (naming its position), DanglingEndpoint when an
-    edge end, the source, or a sink is not an int or falls outside the node
-    range (an inferred one must fit a list index), SourceHasIncomingEdges
-    when any edge enters the source, and CyclicGraph when the edge list
-    admits no topological order. Sinks may have outgoing edges and nodes may
-    be unreachable; neither is an error here.
+    `num_nodes` is not a positive int or exceeds sys.maxsize, the largest
+    list size, a sink is listed twice or an edge is not a (tail, head) pair
+    (naming its position), DanglingEndpoint when an edge end, the source,
+    or a sink is not an int (checked before the repeated sinks, so the
+    sinks [1, 1.0] name 1.0) or falls outside the node range (an inferred
+    one must fit a list index), SourceHasIncomingEdges when any edge enters
+    the source, and CyclicGraph when the edge list admits no topological
+    order. Sinks may have outgoing edges and nodes may be unreachable;
+    neither is an error here.
     """
     pairs = ((t, h) for t, h in edges)
     edge_list: list[tuple[NodeId, NodeId]] = []
@@ -88,12 +104,8 @@ def build_network(
         raise ParameterOutOfRange(f"edge {len(edge_list)} is not a (tail, head) pair") from exc
     if num_nodes is not None and not (isinstance(num_nodes, int) and num_nodes > 0):
         raise ParameterOutOfRange(f"num_nodes must be a positive integer, got {num_nodes!r}")
-    try:
-        distinct = set(sinks)
-    except TypeError:  # an unhashable sink, which the node id check below names
-        distinct = sinks
-    if len(distinct) < len(sinks):
-        raise ParameterOutOfRange(f"sink {max(sinks, key=sinks.count)} is listed more than once")
+    if num_nodes is not None and num_nodes > sys.maxsize:  # no list holds that many nodes
+        raise ParameterOutOfRange(f"num_nodes {num_nodes} exceeds the largest list size {sys.maxsize}")
     referenced = [source, *sinks]
     for t, h in edge_list:
         referenced.append(t)
@@ -101,6 +113,8 @@ def build_network(
     bad = [v for v in referenced if not isinstance(v, int)]
     if bad:
         raise DanglingEndpoint(f"node id {bad[0]!r} is not an integer")
+    if len(set(sinks)) < len(sinks):  # every sink is an int, so hashable
+        raise ParameterOutOfRange(f"sink {max(sinks, key=sinks.count)} is listed more than once")
     low = min(referenced)
     high = max(referenced)
     if low < 0:

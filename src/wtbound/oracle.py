@@ -131,12 +131,9 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
     source-target paths. An unreachable target yields capacity 0 with the
     empty cut, mask 0, as the family's only member.
     """
-    net = exposed.net
-    tset = frozenset(target)
+    tset = exposed.net.edge_set(target)
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
-    for e in tset:
-        net.check_edge(e)
     tmask = _mask(tset)
     universe = _relevant_edges(exposed, tmask)
     if len(universe) > exposed.limit:

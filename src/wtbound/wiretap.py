@@ -146,23 +146,29 @@ def preprocess(
     dropped. Each drop is recorded as `(position, kind, set)`: the 0-based
     index in `raw_sets` and one of "empty", "duplicate" or "unreachable".
     Raises UnknownEdge on the first bad id met by checking every id of
-    every distinct set, in input order (1.0 after 1 too), and
-    ParameterOutOfRange, naming its position, on a set that is not an
-    iterable of hashable ids (`preprocess(net, [1])`).
+    every set read, duplicates included, in input order (1.0 after 1 too),
+    and ParameterOutOfRange, naming its position, on a set that is not an
+    iterable of hashable ids (`preprocess(net, [1])`). A set is frozen as
+    it is read, so within one set [1, 1.0] is {1} before any check sees it.
 
     The per-set work is C-level passes and one loop. `raw_sets` is read
     into one list of frozensets, and `dict.fromkeys` keeps each distinct
-    nonempty set in input order. Every id is checked once, in one union of
-    the distinct sets (one set at a time only to name a bad id), and the
-    keys are one `map(prod, ...)` over them. Two sets are equivalent
-    exactly when their primary cuts are equal, so the classes are the
-    groups of equal cuts: `groups` maps each cut to its sets, and its
-    insertion order is the classes' first-member order. An unreachable set
-    is grouped like any other, under the empty cut, and that group is taken
-    out of the distinct sets only after the loop, so a later copy of it
-    drops as a duplicate, and unreachable sets that share tails share the
-    shortcut below. Only when fewer sets are kept than were read is the
-    list walked in Python, once, to record the drops in input order.
+    nonempty set in input order. Every id is checked once, by one
+    `Network.edge_set` of the union of the distinct sets, and the keys are
+    one `map(prod, ...)` over them. Only on a failure is every id of every
+    set read checked again, in input order, to name the first bad one; and
+    only when a set was dropped does the drop walk check each duplicate,
+    whose equal kept set may spell an id differently (1 for its 1.0).
+
+    Two sets are equivalent exactly when their primary cuts are equal, so
+    the classes are the groups of equal cuts: `groups` maps each cut to its
+    sets, and its insertion order is the classes' first-member order. An
+    unreachable set is grouped like any other, under the empty cut, and
+    that group is taken out of the distinct sets only after the loop, so a
+    later copy of it drops as a duplicate, and unreachable sets that share
+    tails share the shortcut below. Only when fewer sets are kept than were
+    read is the list walked in Python, once, to record the drops in input
+    order.
 
     `flow.max_flow` runs once per reduced flow instance: the set's tails,
     with multiplicity, and its target edges whose head is live. Why that
@@ -226,17 +232,14 @@ def preprocess(
     tail_prime: dict[NodeId, int] = {}
     factor = [0] * len(tails)  # named edge -> the prime of its tail
     try:
-        for e in set().union(*uniq):
-            net.check_edge(e)
+        for e in net.edge_set(set().union(*uniq)):
             t = tails[e]
             if t not in tail_prime:
                 tail_prime[t] = next(primes)
             factor[e] = tail_prime[t]
         keys = list(map(prod, map(map, repeat(factor.__getitem__), uniq)))
     except (UnknownEdge, TypeError):  # a list index refuses 1.0 named after 1
-        for s in uniq:  # name the bad id a check of one set at a time meets first
-            for e in s:
-                net.check_edge(e)
+        net.edge_set(e for s in sets for e in s)  # name the first bad id in input order
         raise
     # tail multiset key -> (edges leaving those tails whose head is live,
     #   live-headed target edges -> (non-target cut edges, tails of cut target edges))
@@ -286,6 +289,7 @@ def preprocess(
             if not s:
                 drops.append((pos, "empty", s))
             elif s in seen:
+                net.edge_set(s)  # 1.0 after 1: the equal set already kept hides it
                 drops.append((pos, "duplicate", s))
             else:
                 seen.add(s)
@@ -363,8 +367,7 @@ def class_hasse(net: Network, classes: Sequence[EquivalenceClass]) -> HasseDiagr
     _check_table(classes)
     severs = [0] * len(net.edges)
     for j, c in enumerate(classes):
-        for e in c.cut:
-            net.check_edge(e)
+        for e in net.edge_set(c.cut):
             severs[e] |= 1 << j
     edges = net.edges
     full = (1 << len(classes)) - 1
@@ -436,13 +439,9 @@ def compute_bound(net: Network, classes: Sequence[EquivalenceClass], mode: str =
             picks.append(((-size, prefix), i))
         picks.sort()
     except TypeError:  # ids that do not compare, such as 1 and "a": name one
-        for e in set().union(*(s for cls in classes for s in cls.members)):
-            net.check_edge(e)
+        net.edge_set(e for cls in classes for s in cls.members for e in s)
         raise
-    cuts = []
-    for (_, target), i in picks:
-        edges = classes[i].cut
-        for e in (*target, *edges):  # not their union, which keeps one of 1 and 1.0
-            net.check_edge(e)
-        cuts.append(Cut(target=frozenset(target), edges=edges))
-    return BoundReport(cuts=tuple(cuts), recommended_alphabet=max(len(cuts) + 1, len(net.sinks)))
+    cuts = tuple(
+        Cut(target=net.edge_set(target), edges=net.edge_set(classes[i].cut)) for (_, target), i in picks
+    )
+    return BoundReport(cuts=cuts, recommended_alphabet=max(len(cuts) + 1, len(net.sinks)))

@@ -380,9 +380,7 @@ def reachable_after_delete(net: Network, removed: Iterable[int]) -> frozenset[in
     """Edges that still carry information once `removed` is deleted: the
     surviving edges whose tail the source still reaches. A set inside the
     complement is separated by `removed`. Raises UnknownEdge on a bad id."""
-    gone = frozenset(removed)
-    for e in gone:
-        net.check_edge(e)
+    gone = net.edge_set(removed)
     alive = reachable_nodes(net, gone)
     return frozenset(
         e for e in range(len(net.edges)) if e not in gone and net.edges[e][0] in alive
@@ -415,10 +413,8 @@ def separates(net: Network, blockers: Iterable[int], target: Iterable[int]) -> b
     A target edge in `blockers` is separated outright; any other target edge
     must have an unreachable tail once the blockers are gone. An empty target
     is vacuously separated. Raises UnknownEdge on a bad id."""
-    blocked = frozenset(blockers)
-    tset = frozenset(target)
-    for e in blocked | tset:
-        net.check_edge(e)
+    blocked = net.edge_set(blockers)
+    tset = net.edge_set(target)
     alive = reachable_nodes(net, blocked)
     return all(e in blocked or net.edges[e][0] not in alive for e in tset)
 

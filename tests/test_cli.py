@@ -23,6 +23,7 @@ from wtbound.cli import build_parser, main, run
 from wtbound.oracle import ENV_EDGE_LIMIT
 
 from helpers import FIG1_MAXIMAL_CUTS, env_with_package, result_block, wtb_process
+from test_golden import COMMANDS, GEN, GOLDEN, INPUTS
 
 
 @pytest.fixture()
@@ -685,14 +686,19 @@ def test_console_script_declaration():
     reason="the wtb console script is not on PATH; install it with "
     "`pip install -e . --no-build-isolation`",
 )
-def test_installed_entry_point_smoke(data_files):
-    proc = subprocess.run(
-        ["wtb", "bound", str(data_files / "fig1.net"), str(data_files / "fig1.wsets")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "n_max=3" in proc.stdout
+def test_installed_entry_point_smoke(data_files, tmp_path):
+    # every golden command through the installed script, so through run(),
+    # as every benchmark process runs; test_golden.py calls main()
+    for name in INPUTS:
+        (tmp_path / name).write_bytes((data_files / name).read_bytes())
+    subprocess.run(["wtb", *GEN], cwd=tmp_path, check=True)
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run(["wtb", *argv], cwd=tmp_path, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b""), name
+        assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes(), name
+        if "--dot" in argv:
+            dot = argv[argv.index("--dot") + 1]
+            assert (tmp_path / dot).read_bytes() == (GOLDEN / dot).read_bytes(), name
 
 
 def test_process_exit_codes(data_files):

@@ -317,7 +317,7 @@ def test_serialize_collection_refuses_an_id_outside_the_table():
     labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
     for sets, bad in (([{-1}, {0, -2}], -1), ([{0}, {0, 2}], 2)):
         with pytest.raises(UnknownEdge) as checked:
-            net.check_edge(bad)
+            net.edge_set([bad])
         assert str(checked.value) == f"edge id {bad!r} not in 0..1"
         with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
             serialize_collection(sets, labels)
@@ -336,7 +336,7 @@ def test_serialize_collection_refuses_an_id_that_is_not_an_int(sets, bad):
     net = build_network([(0, 1), (1, 2)], source=0, sinks=(2,))
     labels = LabelTable(node_labels=("s", "v", "t"), edge_labels=("x", "y"))
     with pytest.raises(UnknownEdge) as checked:
-        net.check_edge(bad)
+        net.edge_set([bad])
     assert str(checked.value) == f"edge id {bad!r} not in 0..1"
     with pytest.raises(UnknownEdge, match=f"^{re.escape(str(checked.value))}$"):
         serialize_collection(sets, labels)

@@ -41,14 +41,19 @@ COMMANDS = {
 }
 
 
+# the working directory's bundled files, and the command that writes comb.*
+INPUTS = ("fig1.net", "fig1.wsets", "singlesink.net")
+GEN = ["gen", "combination", "--n", "4", "--k", "2", "--r", "2", "--out-prefix", "comb"]
+
+
 @pytest.fixture(scope="module")
 def workdir(data_files, tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
-    for name in ("fig1.net", "fig1.wsets", "singlesink.net"):
+    for name in INPUTS:
         (directory / name).write_bytes((data_files / name).read_bytes())
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(directory)
-        assert main(["gen", "combination", "--n", "4", "--k", "2", "--r", "2", "--out-prefix", "comb"]) == 0
+        assert main(GEN) == 0
     return directory
 
 

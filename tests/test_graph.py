@@ -44,6 +44,9 @@ def test_build_network_rejects_a_node_count_that_is_not_a_positive_int():
     for bad in (2.5, "3", -1, 0):
         with pytest.raises(ParameterOutOfRange, match=r"^num_nodes must be a positive integer, got "):
             build_network([(0, 1)], source=0, num_nodes=bad)
+    # before, a count past any list index ended in a bare OverflowError
+    with pytest.raises(ParameterOutOfRange, match=r"^num_nodes 10{30} exceeds the largest list size \d+$"):
+        build_network([(0, 1)], source=0, num_nodes=10**30)
     # a count too small for the ids stays an endpoint error
     with pytest.raises(DanglingEndpoint, match=r"^node id 1 outside declared range 0\.\.0$"):
         build_network([(0, 1)], source=0, num_nodes=1)
@@ -88,19 +91,29 @@ def test_build_network_rejects_cycles():
     assert str(exc.value) == "edge 3 (3 -> 4) lies on a directed cycle"
 
 
-def test_check_edge():
+def test_edge_set():
     net = build_network([(0, 1)], source=0)
-    net.check_edge(0)
+    assert net.edge_set([0]) == frozenset({0})
     with pytest.raises(UnknownEdge):
-        net.check_edge(1)
+        net.edge_set([1])
     with pytest.raises(UnknownEdge):
-        net.check_edge(-1)
+        net.edge_set([-1])
     # the id is named by its repr, so the string "1" cannot read as edge 1
     net = build_network([(0, 1), (1, 2), (2, 3), (3, 4)], source=0)
     for bad, shown in ((4, "4"), (1.0, "1.0"), ("1", "'1'"), (None, "None")):
         with pytest.raises(UnknownEdge) as exc:
-            net.check_edge(bad)
+            net.edge_set([bad])
         assert str(exc.value) == f"edge id {shown} not in 0..3"
+    # the ids are read once and checked in input order before they are
+    # frozen, so neither a one-shot iterator's unhashable id nor a 1.0
+    # after an equal 1 escapes, and the first bad id is the one named
+    for ids, shown in ((iter([0, [1]]), "[1]"), ([1, 1.0], "1.0"), ((2, "1", 9), "'1'")):
+        with pytest.raises(UnknownEdge) as exc:
+            net.edge_set(ids)
+        assert str(exc.value) == f"edge id {shown} not in 0..3"
+    assert net.edge_set(iter([3, 0, 3])) == frozenset({0, 3})
+    cut = frozenset({0, 2})
+    assert net.edge_set(cut) is cut
 
 
 def test_topological_order_is_deterministic_smallest_first():

@@ -1,6 +1,7 @@
 """Property tests drawn by Hypothesis: the fast path against the brute-force
 oracle on small random DAGs, and the text parsers on drawn texts."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -402,17 +403,20 @@ CONTRACT_FUNCTIONS = (
 @st.composite
 def near_miss_call(draw):
     """A public function's name, and a call of it whose containers hold
-    near-miss elements; `call(True)` passes one container of the wrong type
-    instead (a bare tuple of the two fields for a table's last class)."""
+    near-miss elements, `max_flow`'s and `preprocess`'s as lists or one-shot
+    iterators, and `build_network` a `num_nodes` past any list size at
+    times; `call(True)` passes one container of the wrong type instead (a
+    bare tuple of the two fields for a table's last class)."""
     net = draw_dag(draw, max_nodes=6, max_edges=8)
     ids = st.integers(0, len(net.edges) - 1)
     edge = near_misses(ids)
     edge_set = st.frozensets(near_misses(ids, hashable=True), max_size=3)
     entry = st.builds(EquivalenceClass, st.lists(edge_set, max_size=3).map(tuple), edge_set)
     name = draw(st.sampled_from(CONTRACT_FUNCTIONS))
+    once = draw(st.sampled_from([list, iter]))  # a reusable or a one-shot container
     if name == "max_flow":
         target = draw(st.lists(edge, min_size=1, max_size=3))
-        return name, lambda wrong: max_flow(net, None if wrong else target)
+        return name, lambda wrong: max_flow(net, None if wrong else once(target))
     if name == "build_network":
         n = net.num_nodes
         node = near_misses(st.integers(0, n - 1))
@@ -420,11 +424,11 @@ def near_miss_call(draw):
         pair = arity.flatmap(lambda k: st.tuples(*[node] * k))
         edges, source = draw(st.lists(pair, max_size=4)), draw(node)
         sinks = draw(st.lists(node, min_size=1, max_size=2))
-        num_nodes = draw(st.sampled_from([None, n]))
+        num_nodes = draw(st.sampled_from([None, n, sys.maxsize + 1, 10**30]))
         return name, lambda wrong: build_network(None if wrong else edges, source, sinks, num_nodes)
     if name == "preprocess":
         sets = draw(st.lists(st.lists(edge, max_size=3), max_size=4))
-        return name, lambda wrong: preprocess(net, None if wrong else sets)
+        return name, lambda wrong: preprocess(net, None if wrong else once(map(once, sets)))
     classes, bare = draw(st.lists(entry, max_size=3)), tuple(draw(entry))
 
     def table(wrong):
@@ -460,6 +464,7 @@ UNSORTABLE = WiretapCollection(
 @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @hypothesis.given(near_miss_call())
 @hypothesis.example(("max_flow", lambda wrong: max_flow(PATH, None if wrong else [0, [1]])))
+@hypothesis.example(("max_flow", lambda wrong: max_flow(PATH, None if wrong else iter([0, [1]]))))
 @hypothesis.example(("build_network", lambda wrong: build_network(None if wrong else [(0, 2**63)], 0)))
 @hypothesis.example(
     ("cross_check", lambda wrong: cross_check(PATH, UNSORTABLE.classes if wrong else UNSORTABLE))

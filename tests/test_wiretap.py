@@ -605,6 +605,19 @@ def test_ids_that_are_not_ints_raise_typed_errors():
         max_flow(net, [[1]])
     with pytest.raises(DanglingEndpoint, match=r"^node id \[1\] is not an integer$"):
         build_network([(0, 1)], 0, [[1]])
+    # each id is checked before freezing or deduplication can hide it: before,
+    # the iterator's [1] ended in a bare TypeError, [1, 1.0] was taken as {1},
+    # {1.0} dropped as a duplicate of {1}, the second collection named 5,
+    # and the sinks [1, 1.0] named 1 as listed twice
+    with pytest.raises(UnknownEdge, match=r"^edge id \[1\] not in 0\.\.2$"):
+        max_flow(net, iter([[1]]))
+    with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
+        max_flow(net, [1, 1.0])
+    for sets in ([[1], [1.0]], [[1], [2], [1.0], [5]]):
+        with pytest.raises(UnknownEdge, match=r"^edge id 1\.0 not in 0\.\.2$"):
+            preprocess(net, sets)
+    with pytest.raises(DanglingEndpoint, match=r"^node id 1\.0 is not an integer$"):
+        build_network([(0, 1)], 0, [1, 1.0])
     for members in ((frozenset({"a", 1}),), (frozenset({1, 2}), frozenset({"a", 2}))):
         for mode in ("n", "nmax"):
             with pytest.raises(UnknownEdge, match=r"^edge id 'a' not in 0\.\.2$"):
