@@ -7,105 +7,76 @@ bounds on the alphabet any secure code needs: the class count N and the
 usually much smaller count N_max of maximal classes. A brute-force oracle
 re-derives everything from the definitions for cross-validation, and the
 `wtb` command line exposes the whole pipeline on plain text files.
+
+Every public name is read from the package, and each loads the module that
+defines it on first use: `import wtbound` alone loads no submodule, and a
+process that never cross-checks never loads the oracle.
 """
 
 from importlib import import_module
 
-from .errors import (
-    CollectionTooLarge,
-    CyclicGraph,
-    DanglingEndpoint,
-    EmptyTargetSet,
-    InstanceTooLarge,
-    NoPrimaryFound,
-    ParameterOutOfRange,
-    ParseError,
-    SourceHasIncomingEdges,
-    UnknownEdge,
-    UnknownEdgeLabel,
-    UnreachableTarget,
-    WtbError,
-)
-from .graph import (
-    Network,
-    build_network,
-    topological_order,
-)
-from .flow import (
-    max_flow,
-)
-from .wiretap import (
-    BoundReport,
-    Cut,
-    EquivalenceClass,
-    HasseDiagram,
-    WiretapCollection,
-    class_hasse,
-    compute_bound,
-    preprocess,
-)
-from .fileio import (
-    LabelTable,
-    export_hasse_dot,
-    gen_combination,
-    gen_r_wiretap,
-    parse_collection,
-    parse_network,
-    serialize_collection,
-    serialize_network,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CheckResult",
-    "CollectionTooLarge",
-    "Cut",
-    "CyclicGraph",
-    "DanglingEndpoint",
-    "EmptyTargetSet",
-    "EquivalenceClass",
-    "HasseDiagram",
-    "InstanceTooLarge",
-    "LabelTable",
-    "Network",
-    "NoPrimaryFound",
-    "ParameterOutOfRange",
-    "ParseError",
-    "SourceHasIncomingEdges",
-    "UnknownEdge",
-    "UnknownEdgeLabel",
-    "UnreachableTarget",
-    "WiretapCollection",
-    "WtbError",
-    "build_network",
-    "class_hasse",
-    "compute_bound",
-    "cross_check",
-    "export_hasse_dot",
-    "gen_combination",
-    "gen_r_wiretap",
-    "max_flow",
-    "parse_collection",
-    "parse_network",
-    "preprocess",
-    "serialize_collection",
-    "serialize_network",
-    "topological_order",
-]
+# public name -> the module that defines it
+_HOME = {
+    **dict.fromkeys(
+        (
+            "CollectionTooLarge",
+            "CyclicGraph",
+            "DanglingEndpoint",
+            "EmptyTargetSet",
+            "InstanceTooLarge",
+            "NoPrimaryFound",
+            "ParameterOutOfRange",
+            "ParseError",
+            "SourceHasIncomingEdges",
+            "UnknownEdge",
+            "UnknownEdgeLabel",
+            "UnreachableTarget",
+            "WtbError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(("Network", "build_network", "topological_order"), "graph"),
+    **dict.fromkeys(("max_flow",), "flow"),
+    **dict.fromkeys(
+        (
+            "BoundReport",
+            "Cut",
+            "EquivalenceClass",
+            "HasseDiagram",
+            "WiretapCollection",
+            "class_hasse",
+            "compute_bound",
+            "preprocess",
+        ),
+        "wiretap",
+    ),
+    **dict.fromkeys(
+        (
+            "LabelTable",
+            "export_hasse_dot",
+            "gen_combination",
+            "gen_r_wiretap",
+            "parse_collection",
+            "parse_network",
+            "serialize_collection",
+            "serialize_network",
+        ),
+        "fileio",
+    ),
+    **dict.fromkeys(("CheckResult", "cross_check"), "oracle"),
+}
 
-# The oracle is loaded on first use of one of its names, so processes that
-# never cross-check do not pay for compiling it.
-_ORACLE_NAMES = frozenset({"CheckResult", "cross_check"})
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    # import_module, since `from . import oracle` here would recurse
-    if name in _ORACLE_NAMES:
-        return getattr(import_module(".oracle", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(globals().keys() | _HOME.keys())

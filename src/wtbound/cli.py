@@ -173,7 +173,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
         _network_summary(net, labels),
         f"{len(classes)} classes, {len(diagram.covering)} covering pairs, "
         f"{len(diagram.maximal)} maximal",
-        "maximal classes: " + ", ".join(f"Cl{i + 1}" for i in diagram.maximal),
+        "maximal classes: " + (", ".join(f"Cl{i + 1}" for i in diagram.maximal) or "(none)"),
         f"wrote DOT to {args.dot}",
     ]
     machine: list[tuple[str, object]] = [
@@ -264,8 +264,9 @@ def _cmd_gen_rwiretap(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     net, labels = _load_network(args.network)
     coll = _load_collection(args.collection, net, labels)
-    # through the package, which loads the oracle on first use and is where
-    # the benchmark tracer puts its wrapper
+    # through the package, which loads the oracle when this name is first
+    # read, as it loads every module, and is where the benchmark tracer puts
+    # its wrapper
     from . import cross_check
 
     checks = cross_check(net, coll)

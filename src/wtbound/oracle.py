@@ -84,6 +84,8 @@ class _Exposed(dict):
     node is reached when an exposed edge enters it, and then its out-edges
     outside B are exposed too. B separates T iff mask(T) & exposed(B) is 0
     (see the module docstring). `limit` is edge_limit(), read once per memo.
+    `upstream`, built once in the same order, holds for each node the edges
+    whose head reaches it, so a target's search universe takes no sweep.
     """
 
     def __init__(self, net: Network) -> None:
@@ -93,6 +95,12 @@ class _Exposed(dict):
         self.order = topological_order(net)
         self.out = [_mask(out) for out in net.out_edges]
         self.into = [_mask(into) for into in net.in_edges]
+        # upstream[v]: the edges whose head reaches v, v's in-edges included
+        upstream = [0] * net.num_nodes
+        for v in self.order:
+            for e in net.in_edges[v]:
+                upstream[v] |= 1 << e | upstream[net.edges[e][0]]
+        self.upstream = upstream
 
     def __missing__(self, removed: int) -> int:
         # plain reachability, kept separate from the fast path on purpose
@@ -112,15 +120,14 @@ def _mask(edges: Iterable[EdgeId]) -> int:
     return mask
 
 
-def _relevant_edges(exposed: _Exposed, tmask: int) -> list[EdgeId]:
+def _relevant_edges(exposed: _Exposed, target: frozenset[EdgeId]) -> list[EdgeId]:
     """Edges lying on some source-to-target path; only these can appear in a
     minimum cut, since dropping any other edge from a cut keeps it a cut."""
-    # edges whose head reaches the tail of a target edge, by a reverse sweep
-    feeding, out, into = 0, exposed.out, exposed.into
-    for v in reversed(exposed.order):
-        if out[v] & (tmask | feeding):
-            feeding |= into[v]
-    return bits(exposed[0] & (tmask | feeding))
+    # the target edges and every edge whose head reaches a target edge's tail
+    edges, upstream, paths = exposed.net.edges, exposed.upstream, 0
+    for e in target:
+        paths |= 1 << e | upstream[edges[e][0]]
+    return bits(exposed[0] & paths)
 
 
 def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
@@ -135,7 +142,7 @@ def _min_cuts(exposed: _Exposed, target: Iterable[EdgeId]) -> MinCutFamily:
     if not tset:
         raise EmptyTargetSet("target edge set is empty")
     tmask = _mask(tset)
-    universe = _relevant_edges(exposed, tmask)
+    universe = _relevant_edges(exposed, tset)
     if len(universe) > exposed.limit:
         raise InstanceTooLarge(
             f"{len(universe)} edges lie on paths to the target, limit is {exposed.limit} "

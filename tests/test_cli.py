@@ -197,6 +197,17 @@ def test_hasse_fig1(data_files, tmp_path, capsys):
     assert dot.count("peripheries=2") == 3
 
 
+def test_hasse_of_an_empty_collection_names_no_maximal_class(data_files, tmp_path, capsys):
+    empty = tmp_path / "empty.wsets"
+    empty.write_text("")
+    dot_path = tmp_path / "classes.dot"
+    code = main(["hasse", str(data_files / "fig1.net"), str(empty), "--dot", str(dot_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "0 classes, 0 covering pairs, 0 maximal\nmaximal classes: (none)\n" in out
+    assert result_block(out)["maximal"] == ""
+
+
 def test_primary_cut_and_mincut(data_files, capsys):
     code = main(
         ["primary-cut", str(data_files / "fig1.net"), "--target", "e19, e20"]
@@ -632,28 +643,40 @@ def test_only_verify_loads_the_oracle(data_files):
     assert result_block(verify.stdout)["mismatches"] == "0"
 
 
-def test_every_public_name_resolves_before_the_oracle_is_loaded():
-    # a fresh process, so the oracle's names resolve through the package's
-    # module __getattr__ rather than from an already imported module
+def test_each_public_name_loads_its_module_on_first_use():
+    # a fresh process per oracle name, so nothing is loaded before the probe reads
     probe = (
         "import sys, wtbound\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('wtbound.'))\n"
+        "print(loaded(), set(wtbound.__all__) <= set(dir(wtbound)))\n"
+        "wtbound.max_flow\n"
+        "print(loaded())\n"
+        "for name in set(wtbound.__all__) - {'CheckResult', 'cross_check'}:\n"
+        "    getattr(wtbound, name)\n"
         "print('wtbound.oracle' in sys.modules)\n"
-        "print(*sorted(set(wtbound.__all__) - set(vars(wtbound))))\n"
+        "getattr(wtbound, sys.argv[1])\n"
+        "print('wtbound.oracle' in sys.modules)\n"
         "star = {}\n"
         "exec('from wtbound import *', star)\n"
-        "print(*sorted(n for n in wtbound.__all__ if star.get(n) is not getattr(wtbound, n)))\n"
-        "print(*sorted(set(wtbound.__all__) - set(dir(wtbound))))\n"
+        "del star['__builtins__']\n"
+        "print(sorted(star) == wtbound.__all__, all(star[n] is getattr(wtbound, n) for n in star))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=env_with_package(),
-        check=True,
-    ).stdout
-    # the second line holds the lazily resolved names: the oracle's public
-    # surface is its check and the check's record
-    assert out == "False\nCheckResult cross_check\n\n\n"
+    for name in ("cross_check", "CheckResult"):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, name],
+            capture_output=True,
+            text=True,
+            env=env_with_package(),
+            check=True,
+        ).stdout
+        assert out == (
+            "[] True\n"
+            "['wtbound.errors', 'wtbound.flow', 'wtbound.graph']\n"
+            "False\n"
+            "True\n"
+            "True True\n"
+        ), name
     assert len(wtbound.__all__) == len(set(wtbound.__all__)) == 35
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         wtbound.no_such_name

@@ -321,6 +321,51 @@ def test_the_exposed_mask_is_the_separation_definition(corpus):
     assert min(answers.values()) > 1000, answers
 
 
+def _path_edges(net, target) -> list:
+    """The edges on some source-to-target path, by a forward search from the
+    source and a reverse search from the target edges' tails."""
+
+    def search(start, step):
+        seen, stack = set(start), list(start)
+        while stack:
+            for w in step(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    reached = search([net.source], lambda v: [net.edges[e][1] for e in net.out_edges[v]])
+    feeding = search(
+        [net.edges[e][0] for e in target], lambda v: [net.edges[e][0] for e in net.in_edges[v]]
+    )
+    return [
+        e for e, (t, h) in enumerate(net.edges) if t in reached and (e in target or h in feeding)
+    ]
+
+
+def test_the_search_universe_is_every_edge_on_a_source_to_target_path():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def targets(draw):
+        net = draw_dag(draw, max_edges=14)
+        edges = st.integers(0, len(net.edges) - 1)
+        return net, draw(st.frozensets(edges, min_size=1, max_size=4))
+
+    # edge 1 enters the target's tail from node 2, which the source never reaches
+    stray = build_network([(0, 1), (2, 1), (1, 3)], source=0)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(targets())
+    @hypothesis.example((stray, frozenset({2})))
+    def check(case):
+        net, target = case
+        assert oracle._relevant_edges(oracle._Exposed(net), target) == _path_edges(net, target)
+
+    check()
+
+
 class _NoStore(oracle._Exposed):
     """The per-call memo with storing switched off: every question runs its
     own sweep, as the oracle did before the memo."""
