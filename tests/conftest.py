@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled example instances, parsed once per session,
-and the randomized corpus, built once per session."""
+and the randomized corpus, built once per session. Also the Hypothesis
+profiles of the property tests."""
 
 from __future__ import annotations
 
@@ -22,6 +23,22 @@ from helpers import (
     oracle_bounds,
     random_instance,
 )
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves through importorskip
+    pass
+else:
+    # tier1 draws the same examples on every run, each test as many as it
+    # states through helpers.examples; `--hypothesis-profile=deep` draws
+    # fresh ones, ten times as many, and prints the blob that replays a
+    # failure
+    settings.register_profile("tier1", max_examples=100, derandomize=True, database=None, deadline=None)
+    settings.register_profile(
+        "deep", max_examples=1000, derandomize=False, database=None, deadline=None, print_blob=True
+    )
+    settings.load_profile("tier1")
 
 
 def _read_data(name: str) -> str:

@@ -132,6 +132,31 @@ def draw_dag(draw, max_nodes: int = 7, max_edges: int = 10) -> Network:
     return build_network(edges, source=0, num_nodes=n_nodes)
 
 
+def dag_and_sets(max_sets=1, min_size=1, max_size=4, max_nodes=7, max_edges=10):
+    """A Hypothesis strategy for a DAG from `draw_dag` and a list of 1 to
+    `max_sets` edge sets of `min_size` to `max_size` edges each. Duplicate
+    and unreachable sets are possible, and empty ones when `min_size` is 0."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def dag_and_sets(draw):
+        net = draw_dag(draw, max_nodes, max_edges)
+        edges = st.integers(0, len(net.edges) - 1)
+        edge_set = st.frozensets(edges, min_size=min_size, max_size=max_size)
+        return net, draw(st.lists(edge_set, min_size=1, max_size=max_sets))
+
+    return dag_and_sets()
+
+
+def examples(n: int):
+    """Hypothesis settings for a property test of `n` examples under the
+    `tier1` profile of tests/conftest.py. The loaded profile's
+    `max_examples` over tier1's scales `n`, so `deep` draws ten times `n`."""
+    from hypothesis import settings
+
+    return settings(max_examples=n * settings().max_examples // settings.get_profile("tier1").max_examples)
+
+
 def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
     """A random DAG (<=8 nodes, <=14 edges, parallel edges possible) plus a
     random collection (<=20 sets of <=3 edges, duplicates and unreachable
@@ -151,6 +176,55 @@ def random_instance(seed: int) -> tuple[Network, list[frozenset[int]]]:
         size = min(rng.randint(1, 3), n_edges)
         sets.append(frozenset(rng.sample(range(n_edges), size)))
     return net, sets
+
+
+class Joined(NamedTuple):
+    net: Network
+    sets: list[frozenset[int]]
+    edge_ids: tuple[tuple[int, ...], ...]  # edge_ids[i][e]: piece i's edge e in `net`
+
+
+def join_at_source(pieces: Sequence[tuple[Network, Sequence[frozenset[int]]]], seed: int) -> Joined:
+    """The networks of `pieces` joined at one shared source, node 0, with
+    their other nodes kept apart, and the union of their collections. Node
+    and edge ids are relabelled and the sets shuffled, all by `seed`.
+
+    No path from the source into one piece uses an edge of another, so each
+    set keeps the flows, cut and class it has in its own piece. Deleting
+    edges of one piece leaves the tails of another's cuts reachable, so no
+    class dominates a class of another piece. Hence `N`, `N_max` and the
+    maximal cuts of the joined instance are the sums and the union of the
+    pieces' own (`oracle_answer`)."""
+    rng = random.Random(seed)
+    others = [net.num_nodes - 1 for net, _ in pieces]
+    fresh = iter(rng.sample(range(1, 1 + sum(others)), sum(others)))
+    node_ids = [[0 if v == net.source else next(fresh) for v in range(net.num_nodes)] for net, _ in pieces]
+    slots = [(i, e) for i, (net, _) in enumerate(pieces) for e in range(len(net.edges))]
+    rng.shuffle(slots)
+    edge_ids = [[0] * len(net.edges) for net, _ in pieces]
+    for new, (i, e) in enumerate(slots):
+        edge_ids[i][e] = new
+    edges = [tuple(node_ids[i][v] for v in pieces[i][0].edges[e]) for i, e in slots]
+    net = build_network(edges, source=0, num_nodes=1 + sum(others))
+    sets = [frozenset(edge_ids[i][e] for e in s) for i, (_, piece) in enumerate(pieces) for s in piece]
+    rng.shuffle(sets)
+    return Joined(net=net, sets=sets, edge_ids=tuple(map(tuple, edge_ids)))
+
+
+def oracle_answer(net: Network, sets: Iterable[frozenset[int]]) -> tuple[int, int, set[frozenset[int]]]:
+    """`N`, `N_max` and the maximal classes' primary cuts of `sets`, from the
+    oracle alone. It is given the distinct sets that hold an edge the source
+    reaches, as it assumes; the others form no class."""
+    live = reachable_nodes(net)
+    kept = [s for s in dict.fromkeys(sets) if any(net.edges[e][0] in live for e in s)]
+    bounds = oracle_bounds(net, kept)
+    dominated = {low for low, _ in bounds.order}
+    cuts = {
+        oracle_primary_min_cut(net, kept[cls[0]]).edges
+        for i, cls in enumerate(bounds.classes)
+        if i not in dominated
+    }
+    return bounds.n, bounds.n_max, cuts
 
 
 def layered_edges(width: int, depth: int, fan_in: int, seed: int) -> list[tuple[str, str, str]]:

@@ -1,7 +1,8 @@
 """Whole `wtb` runs at scale: in-process, `verify` on a whole r-wiretap
-collection, and combination 7/5/3 (122,955 sets), which is past the
-oracle's reach, under `bound` and `hasse`; as processes under a memory
-limit, a layered network of 89,400 edges."""
+collection, combination 7/5/3 (122,955 sets), which is past the oracle's
+reach, under `bound` and `hasse`, and the 500 corpus instances joined at
+their source, whose answer the oracle gives piece by piece; as processes
+under a memory limit, a layered network of 89,400 edges."""
 
 import os
 import random
@@ -13,7 +14,16 @@ import pytest
 
 from wtbound.cli import main
 
-from helpers import layered_edges, result_block, wtb_process
+from helpers import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    join_at_source,
+    layered_edges,
+    oracle_answer,
+    random_instance,
+    result_block,
+    wtb_process,
+)
 
 
 def wtb(*argv) -> tuple[int, str, str]:
@@ -45,6 +55,33 @@ def test_verify_on_a_whole_r_wiretap_collection(tmp_path):
     block = result_block(out)
     assert code == 0 and (block["n"], block["n_max"], block["cuts"]) == ("14", "4", "4")
     assert cut_sets(block) == {frozenset(c) for c in combinations(["a1", "a2", "a3", "a4"], 3)}
+
+
+def test_the_corpus_joined_at_its_source(tmp_path):
+    # 3,719 edges and 5,350 sets in 1,802 classes, 910 of them maximal: the
+    # sums of the pieces' answers, by the proof in `join_at_source`
+    pieces = [random_instance(CORPUS_SEED + i) for i in range(CORPUS_SIZE)]
+    answers = [oracle_answer(*piece) for piece in pieces]
+    joined = join_at_source(pieces, CORPUS_SEED)
+    net, sets = tmp_path / "joined.net", tmp_path / "joined.wsets"
+    edges = joined.net.edges
+    net.write_text("".join(f"edge e{e} v{t} v{h}\n" for e, (t, h) in enumerate(edges)) + "source v0\n")
+    sets.write_text("".join(" ".join(f"e{e}" for e in sorted(s)) + "\n" for s in joined.sets))
+    n = sum(n for n, _, _ in answers)
+    n_max = sum(n_max for _, n_max, _ in answers)
+    cuts = {
+        frozenset(f"e{ids[e]}" for e in cut)
+        for ids, (_, _, piece_cuts) in zip(joined.edge_ids, answers)
+        for cut in piece_cuts
+    }
+    code, out, _ = wtb("bound", net, sets)
+    block = result_block(out)
+    assert code == 0 and (block["n"], block["n_max"]) == (str(n), str(n_max))
+    assert cut_sets(block) == cuts
+    code, out, _ = wtb("hasse", net, sets, "--dot", tmp_path / "joined.dot")
+    block = result_block(out)
+    assert code == 0 and block["classes"] == str(n)
+    assert len(block["maximal"].split(",")) == n_max
 
 
 @pytest.fixture(scope="module")

@@ -25,9 +25,10 @@ from wtbound.oracle import DEFAULT_EDGE_LIMIT, ENV_EDGE_LIMIT, edge_limit
 
 from helpers import (
     FIG1_ORDER,
-    draw_dag,
+    dag_and_sets,
     enumerate_min_cuts,
     eset,
+    examples,
     layered_network,
     member_sets,
     oracle_bounds,
@@ -66,13 +67,6 @@ def test_min_cut_masks_come_in_the_order_of_their_sorted_edge_lists():
     # the worker keeps its masks in the order combinations yields them, and
     # no sort: over an ascending universe that is the lexicographic order
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @st.composite
-    def targets(draw):
-        net = draw_dag(draw, max_edges=14)
-        edges = st.integers(0, len(net.edges) - 1)
-        return net, draw(st.frozensets(edges, min_size=1, max_size=4))
 
     sizes = Counter()
     # a path s -> a -> b -> t: each of its three edges alone cuts the last.
@@ -80,11 +74,11 @@ def test_min_cut_masks_come_in_the_order_of_their_sorted_edge_lists():
     # this case an edit here can leave no family of three cuts drawn
     path = build_network([(0, 1), (1, 2), (2, 3)], source=0)
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @hypothesis.given(targets())
-    @hypothesis.example((path, frozenset({2})))
+    @examples(300)
+    @hypothesis.given(dag_and_sets(max_edges=14))
+    @hypothesis.example((path, [frozenset({2})]))
     def check(case):
-        net, target = case
+        net, (target,) = case
         family = oracle._min_cuts(oracle._Exposed(net), target)
         cuts = [bits(mask) for mask in family.cuts]
         assert cuts == sorted(cuts)
@@ -345,22 +339,15 @@ def _path_edges(net, target) -> list:
 
 def test_the_search_universe_is_every_edge_on_a_source_to_target_path():
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @st.composite
-    def targets(draw):
-        net = draw_dag(draw, max_edges=14)
-        edges = st.integers(0, len(net.edges) - 1)
-        return net, draw(st.frozensets(edges, min_size=1, max_size=4))
 
     # edge 1 enters the target's tail from node 2, which the source never reaches
     stray = build_network([(0, 1), (2, 1), (1, 3)], source=0)
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @hypothesis.given(targets())
-    @hypothesis.example((stray, frozenset({2})))
+    @examples(300)
+    @hypothesis.given(dag_and_sets(max_edges=14))
+    @hypothesis.example((stray, [frozenset({2})]))
     def check(case):
-        net, target = case
+        net, (target,) = case
         assert oracle._relevant_edges(oracle._Exposed(net), target) == _path_edges(net, target)
 
     check()

@@ -1,5 +1,6 @@
 """Property tests drawn by Hypothesis: the fast path against the brute-force
-oracle on small random DAGs, and the text parsers on drawn texts."""
+oracle on small random DAGs and on pieces joined at their source, and the
+text parsers on drawn texts."""
 
 import sys
 from itertools import combinations
@@ -28,10 +29,15 @@ from wtbound import (
 from helpers import (
     CANCELLING_EDGES,
     COLLECTION_NETWORK,
+    dag_and_sets,
     draw_dag,
     enumerate_min_cuts,
+    examples,
+    join_at_source,
+    oracle_answer,
     oracle_bounds,
     oracle_primary_min_cut,
+    random_instance,
     reference_bounds,
     reference_domination_rows,
     reference_flow_key,
@@ -44,27 +50,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
-@st.composite
-def dag_and_target(draw, max_nodes=7, max_edges=10):
-    """A DAG from `draw_dag` and a nonempty target edge set."""
-    net = draw_dag(draw, max_nodes, max_edges)
-    target = draw(st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=4))
-    return net, target
-
-
-@st.composite
-def dag_and_collection(draw, max_nodes=7, max_edges=10):
-    """A DAG from `draw_dag` and a list of up to 8 edge sets of up to 3
-    edges; empty, duplicate and unreachable sets are all possible."""
-    net = draw_dag(draw, max_nodes, max_edges)
-    edge_set = st.frozensets(st.integers(0, len(net.edges) - 1), max_size=3)
-    return net, draw(st.lists(edge_set, min_size=1, max_size=8))
-
-
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@hypothesis.given(dag_and_target())
+@examples(200)
+@hypothesis.given(dag_and_sets())
 def test_max_flow_agrees_with_the_oracle(case):
-    net, target = case
+    net, (target,) = case
     flow = max_flow(net, target)
     family = enumerate_min_cuts(net, target)
     assert flow.value == family.capacity
@@ -75,11 +64,11 @@ def test_max_flow_agrees_with_the_oracle(case):
         assert flow.cut == frozenset()
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@hypothesis.given(dag_and_target(max_nodes=12, max_edges=30))
-@hypothesis.example((build_network(CANCELLING_EDGES, 0, num_nodes=12), frozenset({7, 18})))
+@examples(200)
+@hypothesis.given(dag_and_sets(max_nodes=12, max_edges=30))
+@hypothesis.example((build_network(CANCELLING_EDGES, 0, num_nodes=12), [frozenset({7, 18})]))
 def test_max_flow_matches_the_unpruned_reference_and_conserves_flow(case):
-    net, target = case
+    net, (target,) = case
     flow = max_flow(net, target)
     ref = reference_max_flow(net, target)
     assert (flow.value, flow.values, flow.cut) == (ref.value, ref.values, ref.cut)
@@ -91,8 +80,8 @@ def test_max_flow_matches_the_unpruned_reference_and_conserves_flow(case):
     assert sum(flow.values[e] for e in target) == flow.value
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@hypothesis.given(dag_and_collection(max_nodes=12, max_edges=30))
+@examples(200)
+@hypothesis.given(dag_and_sets(max_sets=8, min_size=0, max_size=3, max_nodes=12, max_edges=30))
 def test_domination_rows_match_the_member_and_capacity_reference(case):
     # class_hasse reads only the cuts; the reference reads each class's
     # first member and compares capacities, as the paper defines domination
@@ -101,8 +90,8 @@ def test_domination_rows_match_the_member_and_capacity_reference(case):
     assert list(class_hasse(net, classes).above) == reference_domination_rows(net, classes)
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@hypothesis.given(dag_and_collection())
+@examples(200)
+@hypothesis.given(dag_and_sets(max_sets=8, min_size=0, max_size=3))
 def test_preprocess_and_bounds_agree_with_the_references(case):
     net, sets = case
     coll, drops = preprocess(net, sets)
@@ -116,8 +105,8 @@ def test_preprocess_and_bounds_agree_with_the_references(case):
     assert oracle == reference_bounds(net, coll.sets, fams)
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@hypothesis.given(dag_and_collection())
+@examples(200)
+@hypothesis.given(dag_and_sets(max_sets=8, min_size=0, max_size=3))
 def test_every_cross_check_record_is_ok(case):
     # the partition, the domination order and the maximal-cut list, among
     # the rest, each against the brute-force oracle
@@ -134,7 +123,7 @@ def dag_and_r(draw):
     return draw_dag(draw), draw(st.integers(1, 3))
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@examples(200)
 @hypothesis.given(dag_and_r())
 def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_sets(case):
     """On the r-wiretap collection (every edge set of size 1..r), N_max is
@@ -167,13 +156,7 @@ def test_the_maximal_cuts_of_the_r_wiretap_collection_are_its_largest_primary_se
     assert len(report.cuts) == len(largest)
     assert {cut.edges for cut in report.cuts} == largest
     # a drawn network has at most 10 edges, within the oracle's edge limit
-    oracle = oracle_bounds(net, coll.sets)
-    dominated = {low for low, _ in oracle.order}
-    assert {
-        oracle_primary_min_cut(net, coll.sets[cls[0]]).edges
-        for i, cls in enumerate(oracle.classes)
-        if i not in dominated
-    } == largest
+    assert oracle_answer(net, sets) == (len(primary), len(largest), largest)
 
 
 def test_closing_a_collection_under_subsets_keeps_its_maximal_cuts():
@@ -186,18 +169,10 @@ def test_closing_a_collection_under_subsets_keeps_its_maximal_cuts():
     leaves S(T), and so leaves S(A) and lies in P(A). So every class of the
     closure equals or is dominated by the class of a listed set.
     """
-    st = hypothesis.strategies
-
-    @st.composite
-    def dag_and_tops(draw):
-        net = draw_dag(draw, max_nodes=10, max_edges=20)
-        top = st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=4)
-        return net, draw(st.lists(top, min_size=1, max_size=6))
-
     grew = 0
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @hypothesis.given(dag_and_tops())
+    @examples(300)
+    @hypothesis.given(dag_and_sets(max_sets=6, max_nodes=10, max_edges=20))
     def check(case):
         nonlocal grew
         net, tops = case
@@ -213,6 +188,22 @@ def test_closing_a_collection_under_subsets_keeps_its_maximal_cuts():
     assert grew > 0  # the closure has more classes in some drawn cases
 
 
+@examples(200)
+@hypothesis.given(st.lists(st.integers(0, 2**32), min_size=2, max_size=6), st.integers(0, 2**32))
+def test_pieces_joined_at_the_source_add_up(seeds, seed):
+    # `join_at_source` gives the proof; each piece's answer is the oracle's
+    pieces = [random_instance(s) for s in seeds]
+    joined = join_at_source(pieces, seed)
+    answers = [oracle_answer(*piece) for piece in pieces]
+    coll, _ = preprocess(joined.net, joined.sets)
+    report = compute_bound(joined.net, coll.classes)
+    assert len(coll.classes) == sum(n for n, _, _ in answers)
+    assert len(report.cuts) == sum(n_max for _, n_max, _ in answers)
+    assert {cut.edges for cut in report.cuts} == {
+        frozenset(ids[e] for e in cut) for ids, (_, _, cuts) in zip(joined.edge_ids, answers) for cut in cuts
+    }
+
+
 def star(parallel: int, onward: bool):
     """`parallel` edges s->a and, when `onward`, the path s->x->t, with every
     nonempty edge set as a target (s, x, a, t are nodes 0 to 3). Without the
@@ -226,16 +217,8 @@ def star(parallel: int, onward: bool):
     return net, targets
 
 
-@st.composite
-def dag_and_targets(draw):
-    """A DAG from `draw_dag` and up to 12 nonempty edge sets of up to 5 edges."""
-    net = draw_dag(draw)
-    target = st.frozensets(st.integers(0, len(net.edges) - 1), min_size=1, max_size=5)
-    return net, draw(st.lists(target, min_size=1, max_size=12))
-
-
-@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@hypothesis.given(dag_and_targets())
+@examples(300)
+@hypothesis.given(dag_and_sets(max_sets=12, max_size=5))
 @hypothesis.example(star(8, False))
 @hypothesis.example(star(4, True))
 @hypothesis.example(star(8, True))
@@ -264,8 +247,8 @@ def test_solver_shares_a_flow_exactly_when_the_reference_keys_are_equal(case):
         assert cut == max_flow(net, t).cut
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@hypothesis.given(dag_and_targets())
+@examples(300)
+@hypothesis.given(dag_and_sets(max_sets=12, max_size=5))
 def test_regularizing_by_the_stored_cuts_needs_no_flow(case):
     # `wtb bound --regularize` keeps each class's cut as its own set and
     # class, which holds when every primary cut is its own primary cut.
@@ -289,8 +272,8 @@ def bound_summary(net, coll):
     return len(coll.classes), len(report.cuts), {cut.edges for cut in report.cuts}
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@hypothesis.given(dag_and_targets(), st.data())
+@examples(300)
+@hypothesis.given(dag_and_sets(max_sets=12, max_size=5), st.data())
 def test_relabelling_the_edges_keeps_the_bound(case, data):
     # Classes and domination depend on the edges, not on their ids: build
     # the network from a permuted edge list, and map the cuts back.
@@ -306,8 +289,8 @@ def test_relabelling_the_edges_keeps_the_bound(case, data):
     assert (n, n_max, mapped_back) == bound_summary(net, preprocess(net, targets)[0])
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@hypothesis.given(dag_and_targets(), st.data())
+@examples(300)
+@hypothesis.given(dag_and_sets(max_sets=12, max_size=5), st.data())
 def test_shuffling_the_collection_keeps_the_bound(case, data):
     net, targets = case
     shuffled = data.draw(st.permutations(targets))
@@ -334,7 +317,7 @@ def network_text(draw):
     return "\n".join(" ".join(tokens) for tokens in draw(st.permutations(lines)))
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@examples(500)
 @hypothesis.given(network_text())
 def test_network_texts_round_trip_or_raise_a_typed_error(text):
     # any exception other than a WtbError escapes and fails the test
@@ -348,7 +331,7 @@ def test_network_texts_round_trip_or_raise_a_typed_error(text):
 COLLECTION_TOKENS = ("a", "b", "c", "d", "z", "x,y", "#")
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(
     st.lists(st.lists(st.sampled_from(COLLECTION_TOKENS), max_size=3), max_size=6).map(
         lambda lines: "\n".join(" ".join(tokens) for tokens in lines)
@@ -461,7 +444,7 @@ UNSORTABLE = WiretapCollection(
 )
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@examples(200)
 @hypothesis.given(near_miss_call())
 @hypothesis.example(("max_flow", lambda wrong: max_flow(PATH, None if wrong else [0, [1]])))
 @hypothesis.example(("max_flow", lambda wrong: max_flow(PATH, None if wrong else iter([0, [1]]))))

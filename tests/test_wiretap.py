@@ -37,6 +37,7 @@ from helpers import (
     draw_dag,
     equivalent,
     eset,
+    examples,
     layered_network,
     oracle_bounds,
     pruning_loop,
@@ -214,7 +215,7 @@ def test_preprocess_groups_drawn_collections_as_the_references_do():
     )
     shortcut_sets = [{3, 4}, {3}, {2, 3}, set(), {6}, {2, 4}, {3, 4}, {2, 5}, {6}]
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @examples(200)
     @hypothesis.given(collections())
     @hypothesis.example((shortcut_net, list(map(frozenset, shortcut_sets))))
     def check(case):
@@ -730,7 +731,7 @@ def test_compute_bound_picks_by_the_definition_over_drawn_class_tables():
             table.append(EquivalenceClass(tuple(map(kind, members)), frozenset({i})))
         return table
 
-    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @examples(300)
     @hypothesis.given(class_tables())
     def check(table):
         def largest(cls):
